@@ -58,9 +58,14 @@ __all__ = [
     "check_midpoint_convex",
     "parse_descriptor",
     "DownwardClosureReport",
+    "NonFiniteIntegrandError",
 ]
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
+
+
+class NonFiniteIntegrandError(RuntimeError):
+    """An integrand (or a user norm) produced NaN/inf; the estimate aborts."""
 
 
 def moduli(z: np.ndarray) -> np.ndarray:
@@ -346,11 +351,19 @@ def norm_ball(
     arrays.  Unchecked black box: run :func:`check_unconditional` /
     :func:`check_midpoint_convex` before trusting results."""
     scale = _check_positive("scale", scale)
+
+    def base(m: np.ndarray) -> np.ndarray:
+        vals = np.asarray(norm(m), dtype=float)
+        if not np.isfinite(vals).all():
+            bad = int(np.nonzero(~np.isfinite(vals))[0][0])
+            raise NonFiniteIntegrandError(f"norm returned {vals[bad]} at {m[bad].tolist()}")
+        return vals <= scale
+
     return UnconditionalBody(
         dim=n,
         kind="norm-ball",
         params={"scale": scale, "n": n},
-        base=lambda m: np.asarray(norm(m), dtype=float) <= scale,
+        base=base,
         validated=False,
     )
 
@@ -493,7 +506,7 @@ def check_downward_closed(
         return DownwardClosureReport(
             ok=False,
             checked=int(inside.shape[0]),
-            violation=(tuple(inside[i]), tuple(shrink[i])),
+            violation=(tuple(inside[i].tolist()), tuple(shrink[i].tolist())),
         )
     return DownwardClosureReport(ok=True, checked=int(inside.shape[0]))
 
@@ -515,18 +528,19 @@ def validate_body(body: _RadialBody, samples: int = 5000, rng_seed: int = 0):
     Custom shadows stay unvalidated until this passes, since the dilation
     comparisons are only guaranteed on the supported classes.
     """
+    unconditional = isinstance(body, UnconditionalBody)
     report = check_downward_closed(body, samples, rng_seed)
     if not report.ok:
-        raise ValueError(
-            f"downward-closure violation: member {report.violation[0]} "
-            f"ejects shrink {report.violation[1]}"
-        )
-    if isinstance(body, UnconditionalBody):
-        if not check_unconditional(body, samples, rng_seed):
-            raise ValueError("membership is not sign-flip invariant")
-        if not check_midpoint_convex(body, samples, rng_seed):
-            raise ValueError("midpoint convexity check failed")
-    return replace(body, validated=True)
+        problem = (f"downward-closure violation: member {report.violation[0]} "
+                   f"ejects shrink {report.violation[1]}")
+    elif unconditional and not check_unconditional(body, samples, rng_seed):
+        problem = "membership is not sign-flip invariant"
+    elif unconditional and not check_midpoint_convex(body, samples, rng_seed):
+        problem = "midpoint convexity check failed"
+    else:
+        return replace(body, validated=True)
+    family = "an unconditional convex body" if unconditional else "a complete Reinhardt set"
+    raise ValueError(f"body {body.descriptor()!r} is not {family} ({problem})")
 
 
 def check_midpoint_convex(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import functools
 import io
 import json
 import sys
@@ -137,9 +137,18 @@ def _parse_body(cfg: RunConfig):
     return _bodies.parse_descriptor(cfg.body, _family_for_measure(cfg.measure))
 
 
+def _check_family(body, measure: str) -> MeasureKind:
+    kind = _measure_kind(measure, body.dim)
+    reinhardt = kind.tag == "complex-gaussian"
+    if isinstance(body, _bodies.ReinhardtBody) != reinhardt:
+        need = "a Reinhardt" if reinhardt else "an unconditional"
+        raise ValueError(f"--measure {measure} needs {need} body, got {body.descriptor()!r}")
+    return kind
+
+
 def cmd_measure(cfg: RunConfig) -> int:
     body = _parse_body(cfg)
-    kind = _measure_kind(cfg.measure, body.dim)
+    kind = _check_family(body, cfg.measure)
     engine = cfg.make_engine()
     if engine.method == "mc":
         est = mc_measure(body, kind, engine.samples, engine.seed, workers=engine.workers)
@@ -164,15 +173,12 @@ def cmd_measure(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     body = _parse_body(cfg)
+    _check_family(body, cfg.measure)
     if not body.validated and not cfg.experimental:
-        closure = _bodies.check_downward_closed(body, rng_seed=cfg.seed)
-        if not closure.ok:
-            raise ValueError(
-                f"body {body.descriptor()!r} is not a complete Reinhardt set "
-                f"(downward-closure violation at {closure.violation}); "
-                "pass --experimental to check it anyway"
-            )
-        body = dataclasses.replace(body, validated=True)
+        try:
+            body = _bodies.validate_body(body, rng_seed=cfg.seed)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; pass --experimental to check it anyway") from exc
     engine = cfg.make_engine()
     report = _verify.full_check(body, engine, cfg.parsed_grid(), experimental=True)
     records = [dict(r, method=report.curve.method) for r in report.to_records()]
@@ -319,7 +325,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="sineq",
         description="Dilation-inequality toolkit: measures, criteria, entropy "

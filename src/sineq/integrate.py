@@ -9,9 +9,12 @@ by ``(seed, stream_index)``.  Sampling is organized in fixed blocks of
 ``CHUNK`` points; block ``c`` always starts the Philox counter at
 ``c * 2**64``, so the content of a block depends only on
 ``(seed, stream_index, c)`` and never on which worker produced it or how
-many points were requested in total.  Partial sums are reduced in block
-order with exact summation, which makes every estimate bit-identical
-across runs and across any degree of parallelism for equal
+many points were requested in total.  A block that is only partly used
+draws just the ``take`` rows it needs: Philox fills ``standard_normal``
+and ``random`` row-major in counter order, so a block's first ``take``
+rows are the same whatever the request size.  Partial sums are reduced in
+block order with exact summation, which makes every estimate
+bit-identical across runs and across any degree of parallelism for equal
 ``(seed, samples)``.
 """
 
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import ReinhardtBody, UnconditionalBody, moduli
+from .bodies import NonFiniteIntegrandError, ReinhardtBody, UnconditionalBody, moduli
 from .measures import MeasureKind
 
 __all__ = [
@@ -50,10 +53,6 @@ CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 MAX_QUADRATURE_ORDER = 180  # laggauss weight computation overflows beyond this
-
-
-class NonFiniteIntegrandError(RuntimeError):
-    """An integrand produced NaN/inf on the support; the estimate aborts."""
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,8 @@ class SampleStream:
     def draw(self, draw_fn: Callable[[np.random.Generator, int], np.ndarray], count: int) -> np.ndarray:
         """Materialize ``count`` points, consuming whole blocks."""
         blocks = max(1, -(-count // CHUNK))
-        pieces = []
-        for b in range(blocks):
-            take = min(CHUNK, count - b * CHUNK)
-            pieces.append(draw_fn(self.generator(self.counter + b), CHUNK)[:take])
+        pieces = [draw_fn(self.generator(self.counter + b), min(CHUNK, count - b * CHUNK))
+                  for b in range(blocks)]
         self.counter += blocks
         return np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0]
 
@@ -213,7 +210,8 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
 
 
 def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int) -> np.ndarray:
-    return point_drawer(measure)(stream.generator(block), CHUNK)[:take]
+    """The first ``take`` rows of block ``block`` (``take <= CHUNK``)."""
+    return point_drawer(measure)(stream.generator(block), take)
 
 
 class SampleMoments:

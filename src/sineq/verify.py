@@ -21,15 +21,20 @@ Verdict semantics under Monte Carlo noise: "holds" needs margin
 >= -3 * std_error; a negative margin beyond that triggers recertification
 under three fresh seeds with doubled samples and becomes "violated" only
 when every recheck stays below -3 * std_error (and "inconclusive" when the
-rechecks disagree).  Deterministic (closed-form) paths use a fixed 1e-10
-tolerance instead.
+rechecks disagree).  The recheck passes are estimated once on the full
+grid and shared by the criteria and every curve point, so a ``full_check``
+runs at most 3 extra passes however many of its checks fail.
+Deterministic (closed-form) paths use a fixed 1e-10 tolerance instead.
+The curve point t = 1 is the calibration itself: its reference is the
+body's measure and its margin is 0 exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -335,21 +340,37 @@ def _degenerate(stats: BodyStats) -> str | None:
     return None
 
 
+_Rechecks = Callable[[int], BodyStats]
+
+
+def _rechecks(body, stats: BodyStats, engine: Engine) -> _Rechecks:
+    """Recheck pass ``k`` (1..3): fresh seed ``engine.seed + k``, doubled
+    samples, on ``stats.t_grid``; each pass is estimated once however many
+    criteria or curve points ask for it."""
+
+    @functools.cache
+    def rechecked(k: int) -> BodyStats:
+        e2 = replace(engine, method="mc", seed=engine.seed + k, samples=engine.samples * 2)
+        return body_statistics(body, stats.measure, stats.t_grid, e2)
+
+    return rechecked
+
+
 def _certified_verdict(
     margin: float,
     se: float,
     deterministic: bool,
-    recheck,
-    engine: Engine,
+    recheck: Callable[[int], tuple[float, float]],
 ) -> tuple[str, str]:
-    """Apply the holds / violated / inconclusive protocol."""
+    """Apply the holds / violated / inconclusive protocol; ``recheck(k)``
+    is the (margin, std_error) of recheck pass k."""
     if deterministic:
         return ("holds", "") if margin >= -DET_TOL else ("violated", "deterministic margin")
     if margin >= -3.0 * se:
         return "holds", ""
     outcomes = []
     for k in range(1, _RECHECK_SEEDS + 1):
-        m2, se2 = recheck(engine.seed + k, engine.samples * 2)
+        m2, se2 = recheck(k)
         outcomes.append(m2 < -3.0 * se2)
     if all(outcomes):
         return "violated", "reproduced under 3 seeds at doubled samples"
@@ -359,9 +380,8 @@ def _certified_verdict(
 
 
 def _criterion_report(
-    body,
     stats: BodyStats,
-    engine: Engine,
+    rechecks: _Rechecks,
     criterion: str,
     with_entropy_form: bool = False,
 ) -> CriterionReport:
@@ -372,13 +392,8 @@ def _criterion_report(
         return CriterionReport(criterion, stats.body_desc, zero, zero, 0.0, 0.0,
                                "holds", stats.seed, stats.samples, note=note)
 
-    def recheck(seed: int, samples: int) -> tuple[float, float]:
-        e2 = replace(engine, method="mc", seed=seed, samples=samples)
-        s2 = body_statistics(body, stats.measure, (), e2)
-        sl, s_e, *_ = _slack_pieces(s2)
-        return sl, s_e
-
-    verdict, vnote = _certified_verdict(slack, se, stats.deterministic, recheck, engine)
+    verdict, vnote = _certified_verdict(slack, se, stats.deterministic,
+                                        lambda k: _slack_pieces(rechecks(k))[:2])
 
     if criterion == "derivative":
         gl = np.zeros(len(stats.means))
@@ -433,7 +448,7 @@ def check_derivative_criterion(
     engine = engine or Engine()
     _require_validated(body, experimental)
     stats = stats or body_statistics(body, None, (), engine)
-    return _criterion_report(body, stats, engine, "derivative")
+    return _criterion_report(stats, _rechecks(body, stats, engine), "derivative")
 
 
 def check_moment_criterion_gaussian(
@@ -449,7 +464,7 @@ def check_moment_criterion_gaussian(
     if not isinstance(body, ReinhardtBody):
         raise TypeError("gaussian moment criterion applies to Reinhardt bodies")
     stats = stats or body_statistics(body, complex_gaussian(body.dim), (), engine)
-    return _criterion_report(body, stats, engine, "gaussian-moment")
+    return _criterion_report(stats, _rechecks(body, stats, engine), "gaussian-moment")
 
 
 def check_moment_criterion_exponential(
@@ -465,7 +480,8 @@ def check_moment_criterion_exponential(
     if not isinstance(body, UnconditionalBody):
         raise TypeError("exponential moment criterion applies to unconditional bodies")
     stats = stats or body_statistics(body, exponential(body.dim), (), engine)
-    return _criterion_report(body, stats, engine, "exponential-moment", with_entropy_form=True)
+    return _criterion_report(stats, _rechecks(body, stats, engine), "exponential-moment",
+                             with_entropy_form=True)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +555,10 @@ def _reference_curve_value(measure_tag: str, m1: float, t: float) -> float:
 def _curve_margin(stats: BodyStats, i: int) -> tuple[float, float, float, str]:
     t = stats.t_grid[i]
     m1 = stats.m
+    if i == stats.idx1:
+        # the calibration makes t = 1 an identity; computing the reference
+        # through log1p/expm1 would leave a +-1 ulp margin with a 0 std error
+        return 0.0, 0.0, m1, ">="
     ref = _reference_curve_value(stats.measure.tag, m1, t)
     e = t * t if stats.measure.tag == "complex-gaussian" else t
     dref = e * (1.0 - m1) ** (e - 1.0) if m1 < 1.0 else 0.0
@@ -573,6 +593,10 @@ def dilation_curve(
     engine = engine or Engine()
     _require_validated(body, experimental)
     stats = stats or body_statistics(body, measure, t_grid, engine)
+    return _curve_report(stats, _rechecks(body, stats, engine))
+
+
+def _curve_report(stats: BodyStats, rechecks: _Rechecks) -> DilationReport:
     note = _degenerate(stats)
     reversed_note = (
         "t<1 direction is derived from the t>=1 inequality by rescaling"
@@ -587,14 +611,8 @@ def dilation_curve(
                                         ">=" if t >= 1 else "<=", "holds"))
             continue
         margin, mse, ref, direction = _curve_margin(stats, i)
-
-        def recheck(seed: int, samples: int, _i=i) -> tuple[float, float]:
-            e2 = replace(engine, method="mc", seed=seed, samples=samples)
-            s2 = body_statistics(body, stats.measure, stats.t_grid, e2)
-            m2, s2e, _, _ = _curve_margin(s2, _i)
-            return m2, s2e
-
-        verdict, _ = _certified_verdict(margin, mse, stats.deterministic, recheck, engine)
+        verdict, _ = _certified_verdict(margin, mse, stats.deterministic,
+                                        lambda k, _i=i: _curve_margin(rechecks(k), _i)[:2])
         points.append(
             DilationPoint(t, stats.curve_value(i),
                           math.sqrt(max(float(stats.cov[i, i]), 0.0)) if not stats.deterministic else 0.0,
@@ -685,18 +703,19 @@ def full_check(
     experimental: bool = False,
 ) -> FullCheckReport:
     """Derivative criterion, moment criterion and dilation curve from one
-    shared estimation pass."""
+    shared estimation pass; a Monte Carlo violation costs at most 3 shared
+    recheck passes."""
     engine = engine or Engine()
     _require_validated(body, experimental)
     measure = _default_measure(body)
     stats = body_statistics(body, measure, t_grid, engine)
-    deriv = _criterion_report(body, stats, engine, "derivative")
+    rechecks = _rechecks(body, stats, engine)
+    deriv = _criterion_report(stats, rechecks, "derivative")
     if measure.tag == "complex-gaussian":
-        mom = _criterion_report(body, stats, engine, "gaussian-moment")
+        mom = _criterion_report(stats, rechecks, "gaussian-moment")
     else:
-        mom = _criterion_report(body, stats, engine, "exponential-moment", with_entropy_form=True)
-    curve = dilation_curve(body, measure, t_grid, engine, stats=stats,
-                           experimental=experimental)
+        mom = _criterion_report(stats, rechecks, "exponential-moment", with_entropy_form=True)
+    curve = _curve_report(stats, rechecks)
     return FullCheckReport(body=stats.body_desc, derivative=deriv, moment=mom, curve=curve)
 
 

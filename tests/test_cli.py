@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sineq.cli import main
+from sineq.cli import _build_parser, main
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -75,6 +75,21 @@ class TestVerifyCommand:
 
     def test_upward_set_rejected_exit_2(self, capsys):
         assert main(["verify", "--body", "upper-set:c=1,n=2"]) == 2
+        assert "is not a complete Reinhardt set" in capsys.readouterr().err
+
+    def test_wrong_family_for_measure_exits_2(self, capsys):
+        assert main(["verify", "--body", "polydisc:r=1.2", "--measure", "exponential"]) == 2
+        err = capsys.readouterr().err
+        assert "needs an unconditional body" in err and "polydisc:r=1.2" in err
+        assert main(["verify", "--body", "box:a=1,2", "--measure", "complex-gaussian"]) == 2
+        assert "needs a Reinhardt body" in capsys.readouterr().err
+
+    def test_right_family_for_measure_exits_0(self, capsys):
+        code, out = run_cli(capsys, "verify", "--body", "box:a=1,2", "--measure", "exponential",
+                            "--grid", "1,2")
+        assert code == 0
+        assert {r["kind"] for r in parse_jsonl(out)} == {"derivative", "exponential-moment",
+                                                         "dilation"}
 
     def test_annulus_experimental_certifies_violation_exit_3(self, capsys):
         code, out = run_cli(
@@ -203,3 +218,30 @@ class TestReproducibility:
 
     def test_missing_config_exits_2(self):
         assert main(["--config", "/nonexistent.json", "measure", "--body", "x:y=1"]) == 2
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_config_does_not_leak_into_plain_call(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 50000, "seed": 3, "engine": "mc"}))
+        args = ["measure", "--body", "polydisc:r=1,1", "--measure", "complex-gaussian"]
+        code, out = run_cli(capsys, "--config", str(cfg), *args)
+        assert code == 0
+        assert parse_jsonl(out)[0]["samples"] == 50000
+        code, out = run_cli(capsys, *args)
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["seed"], rec["method"]) == (0, 42, "closed-form")
+
+    def test_help_and_usage_errors_leave_parser_usable(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["measure", "--help"]) == 0
+        assert main(["verify"]) == 2  # missing --body
+        capsys.readouterr()
+        code, out = run_cli(capsys, "measure", "--body", "polydisc:r=1,1")
+        assert code == 0
+        assert parse_jsonl(out)[0]["method"] == "closed-form"

@@ -10,14 +10,16 @@ from sineq.integrate import (
     Estimate,
     NonFiniteIntegrandError,
     SampleStream,
+    draw_points,
     mc_integral,
     mc_measure,
+    point_drawer,
     sample_complex_gaussian,
     sample_exponential,
     sample_radial,
     tensor_quadrature,
 )
-from sineq.measures import complex_gaussian, exponential
+from sineq.measures import MeasureKind, complex_gaussian, exponential
 
 SQRT_2LN2 = 1.1774100225154747
 N = 200_000
@@ -85,6 +87,31 @@ class TestSamplers:
         small = sample_exponential(2, SampleStream(9), count=CHUNK + 10)
         large = sample_exponential(2, SampleStream(9), count=2 * CHUNK)
         assert np.array_equal(small, large[: CHUNK + 10])
+
+
+DRAW_MEASURES = [complex_gaussian(2), exponential(3), MeasureKind("radial-mu", 2),
+                 MeasureKind("exponential-1d", 2)]
+TAKES = (1, 2, 999, CHUNK - 1, CHUNK)
+
+
+class TestTakeRows:
+    """Drawing only the rows taken gives the rows of a whole-block draw."""
+
+    @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
+    def test_draw_points_is_prefix_of_whole_block(self, measure):
+        stream = SampleStream(77, 3)
+        whole = point_drawer(measure)(stream.generator(5), CHUNK)
+        for take in TAKES:
+            assert np.array_equal(draw_points(measure, stream, 5, take), whole[:take])
+
+    @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
+    def test_sample_stream_draw_is_prefix_of_whole_blocks(self, measure):
+        fn = point_drawer(measure)
+        whole = np.concatenate([fn(SampleStream(77, 3).generator(b), CHUNK) for b in (0, 1)])
+        for count in TAKES + (CHUNK + 999,):
+            stream = SampleStream(77, 3)
+            assert np.array_equal(stream.draw(fn, count), whole[:count])
+            assert stream.counter == -(-count // CHUNK)
 
 
 class TestMcMeasure:

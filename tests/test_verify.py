@@ -1,23 +1,28 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sineq import verify as verify_module
 from sineq.bodies import (
+    ReinhardtBody,
     annulus_body,
     box_body,
     cross_polytope,
     cube_body,
     custom_reinhardt,
     cylinder_body,
+    norm_ball,
     polydisc,
     product,
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
 )
-from sineq.integrate import Engine
+from sineq.integrate import Engine, NonFiniteIntegrandError
 from sineq.measures import (
     complex_gaussian,
     cylinder_measure,
@@ -25,6 +30,7 @@ from sineq.measures import (
     exponential,
 )
 from sineq.verify import (
+    DEFAULT_T_GRID,
     DET_TOL,
     body_statistics,
     calibrate_cylinder,
@@ -42,6 +48,21 @@ from sineq.verify import (
 SQRT_2LN2 = 1.1774100225154747
 LN2 = 0.6931471805599453
 EXACT = Engine(method="exact")
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def stats_calls(monkeypatch) -> list:
+    """Records the arguments of every estimation pass that verify runs."""
+    calls = []
+    original = verify_module.body_statistics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "body_statistics", counted)
+    return calls
 
 
 class TestCalibration:
@@ -326,3 +347,62 @@ class TestMarginSigmas:
                              t_grid=(2.0,), engine=fast_mc)
         p = [q for q in rep.points if q.t == 2.0][0]
         assert p.margin_sigmas == pytest.approx(p.margin / p.margin_se)
+
+
+class TestSharedRechecks:
+    def test_full_check_runs_each_recheck_pass_once(self, stats_calls):
+        # every criterion and four curve points fail; all share 3 passes
+        rep = full_check(annulus_body(1.0, 2.0), Engine(method="mc", samples=20_000, seed=7),
+                         experimental=True)
+        assert rep.verdict == "violated"
+        assert len(stats_calls) == 4
+        golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
+        assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
+
+    def test_standalone_checks_recheck_on_their_own(self, stats_calls):
+        body = annulus_body(1.0, 2.0)
+        engine = Engine(method="mc", samples=20_000, seed=7)
+        assert check_derivative_criterion(body, engine, experimental=True).verdict == "violated"
+        assert len(stats_calls) == 4
+        stats_calls.clear()
+        assert dilation_curve(body, engine=engine, experimental=True).verdict == "violated"
+        assert len(stats_calls) == 4
+
+    @pytest.mark.parametrize("body", [
+        annulus_body(1.0, 2.0),
+        reinhardt_lp_ball([1.0, 0.7], 2.0, 1.5),
+        box_body([0.5, 1.5]),
+        cross_polytope(2.0, 3),
+    ], ids=lambda b: b.kind)
+    @pytest.mark.parametrize("seed, samples", [(3, 2000), (5, 20_000), (8, 140_000)])
+    def test_criterion_slack_same_from_any_grid(self, body, seed, samples):
+        # rechecks estimate on the curve grid; the criteria must not notice
+        engine = Engine(method="mc", samples=samples, seed=seed)
+        grid = DEFAULT_T_GRID if isinstance(body, ReinhardtBody) else (0.5, 1.0, 2.0)
+        alone = body_statistics(body, None, (), engine)
+        full = body_statistics(body, None, grid, engine)
+        a = check_derivative_criterion(body, engine, alone, experimental=True)
+        b = check_derivative_criterion(body, engine, full, experimental=True)
+        assert (a.slack, a.std_error, a.verdict) == (b.slack, b.std_error, b.verdict)
+
+
+class TestCurveAtOne:
+    def test_t_one_holds_without_rechecks_on_random_polydiscs(self, stats_calls):
+        # a t = 1 reference computed through log1p/expm1 gives 11 of these
+        # 300 a margin of -1 ulp with a 0 std error, which starts rechecks
+        rng = np.random.default_rng(2026)
+        for i in range(300):
+            body = polydisc(rng.uniform(0.3, 2.5, size=2 + i % 3))
+            rep = dilation_curve(body, t_grid=(1.0,),
+                                 engine=Engine(method="mc", samples=20_000, seed=1000 + i))
+            (p,) = rep.points
+            assert (p.margin, p.margin_se, p.reference) == (0.0, 0.0, p.value)
+            assert p.verdict == "holds"
+        assert len(stats_calls) == 300
+
+
+class TestNonFiniteNorm:
+    def test_nan_norm_ball_aborts(self):
+        ball = norm_ball(lambda m: np.full(m.shape[0], np.nan), 1.0, 2)
+        with pytest.raises(NonFiniteIntegrandError):
+            full_check(ball, Engine(method="mc", samples=20_000), experimental=True)
