@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
+
+from .measures import MeasureKind, moduli
 
 __all__ = [
     "ReinhardtBody",
@@ -59,6 +61,7 @@ __all__ = [
     "parse_descriptor",
     "DownwardClosureReport",
     "NonFiniteIntegrandError",
+    "moduli",
 ]
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
@@ -66,14 +69,6 @@ RadialPredicate = Callable[[np.ndarray], np.ndarray]
 
 class NonFiniteIntegrandError(RuntimeError):
     """An integrand (or a user norm) produced NaN/inf; the estimate aborts."""
-
-
-def moduli(z: np.ndarray) -> np.ndarray:
-    """Moduli (|z_1|, ..., |z_n|) of points given as 2n interleaved reals."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] % 2 != 0:
-        raise ValueError("complex points need an even number of real coordinates")
-    return np.hypot(z[..., 0::2], z[..., 1::2])
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -98,9 +93,22 @@ class _RadialBody:
 
     def radial_member(self, r: np.ndarray) -> np.ndarray:
         """Membership of nonnegative vectors, shape (m, dim) -> (m,) bool."""
-        r, single = _as_batch(r, self.dim, f"{self.kind} radial point")
-        out = np.asarray(self.base(r), dtype=bool)
+        return self._member(r, self.dim, lambda x: x)
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Membership of points of the body's space: C^n as 2n interleaved
+        reals for Reinhardt bodies, R^n for unconditional ones."""
+        measure = MeasureKind(self.measure_tag, self.dim)
+        return self._member(x, measure.point_dim, measure.orthant)
+
+    def _member(self, x: np.ndarray, width: int, orthant) -> np.ndarray:
+        x, single = _as_batch(x, width, f"{self.kind} point")
+        out = np.asarray(self.base(orthant(x)), dtype=bool)
         return out[0] if single else out
+
+    def dilate(self, t: float):
+        """tK = {t z : z in K}; same kind, scaled parameters."""
+        return _dilate_radial(self, t)
 
     def descriptor(self) -> str:
         parts = self.params.get("parts")
@@ -130,14 +138,7 @@ class ReinhardtBody(_RadialBody):
     constructors that deliberately leave the class).
     """
 
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        """Membership of points of C^n given as 2n interleaved reals."""
-        z, single = _as_batch(z, 2 * self.dim, "complex point")
-        out = np.asarray(self.base(moduli(z)), dtype=bool)
-        return out[0] if single else out
-
-    def dilate(self, t: float) -> "ReinhardtBody":
-        return _dilate_radial(self, t)
+    measure_tag: ClassVar[str] = "complex-gaussian"
 
 
 @dataclass(frozen=True)
@@ -148,16 +149,7 @@ class UnconditionalBody(_RadialBody):
     spot-checked with :func:`check_midpoint_convex`.
     """
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x, single = _as_batch(x, self.dim, "real point")
-        out = np.asarray(self.base(np.abs(x)), dtype=bool)
-        return out[0] if single else out
-
-    # the even extension of the orthant predicate is the public member
-    member = contains
-
-    def dilate(self, t: float) -> "UnconditionalBody":
-        return _dilate_radial(self, t)
+    measure_tag: ClassVar[str] = "exponential"
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +377,17 @@ def _dilate_radial(body, t: float):
         return replace(body, params={"parts": tuple(p.dilate(t) for p in parts)},
                        base=_conjunction([p.dilate(t) for p in parts]))
     params = dict(body.params)
-    for key in ("r", "R", "scale", "p_half", "a", "inner", "outer", "c"):
-        if key in params:
-            val = params[key]
-            params[key] = tuple(v * t for v in val) if isinstance(val, tuple) else val * t
-    if body.kind == "strip":
-        params["p"] = body.params["p"] * t
+    if body.kind == "custom":
+        # the parameters of a custom shadow are opaque; the descriptor
+        # records the composed dilation instead
+        params["dilation"] = params.get("dilation", 1.0) * t
+    else:
+        for key in ("r", "R", "scale", "a", "inner", "outer", "c"):
+            if key in params:
+                val = params[key]
+                params[key] = tuple(v * t for v in val) if isinstance(val, tuple) else val * t
+        if body.kind == "strip":
+            params["p"] = body.params["p"] * t
     base = body.base
 
     def scaled(m: np.ndarray, _base=base, _t=t) -> np.ndarray:
@@ -400,7 +397,6 @@ def _dilate_radial(body, t: float):
 
 
 def dilate(body: _RadialBody, t: float):
-    """tK = {t z : z in K}; same kind, scaled parameters."""
     return body.dilate(t)
 
 

@@ -34,7 +34,7 @@ from .entropy import (
     complement_indicator,
 )
 from .integrate import Engine, NonFiniteIntegrandError, mc_measure
-from .measures import MeasureKind, complex_gaussian, exponential
+from .measures import FACTORS, MeasureKind
 
 SCHEMA_VERSION = 1
 
@@ -88,11 +88,9 @@ class RunConfig:
 
 
 def _measure_kind(name: str, n: int) -> MeasureKind:
-    if name == "complex-gaussian":
-        return complex_gaussian(n)
-    if name == "exponential":
-        return exponential(n)
-    raise ValueError(f"unknown measure {name!r} (use complex-gaussian or exponential)")
+    if name not in ("complex-gaussian", "exponential"):
+        raise ValueError(f"unknown measure {name!r} (use complex-gaussian or exponential)")
+    return MeasureKind(name, n)
 
 
 def _family_for_measure(name: str) -> str:
@@ -139,9 +137,8 @@ def _parse_body(cfg: RunConfig):
 
 def _check_family(body, measure: str) -> MeasureKind:
     kind = _measure_kind(measure, body.dim)
-    reinhardt = kind.tag == "complex-gaussian"
-    if isinstance(body, _bodies.ReinhardtBody) != reinhardt:
-        need = "a Reinhardt" if reinhardt else "an unconditional"
+    if body.measure_tag != kind.tag:
+        need = "a Reinhardt" if kind.factor.d == 2 else "an unconditional"
         raise ValueError(f"--measure {measure} needs {need} body, got {body.descriptor()!r}")
     return kind
 
@@ -200,10 +197,9 @@ def _parse_step(text: str) -> tuple[StepFunction, str | None]:
 
 
 def _parse_tail_measure(text: str) -> TailMeasure1D:
-    if text in ("radial-mu", "mu"):
-        return TailMeasure1D.radial_mu()
-    if text in ("exponential-1d", "exp"):
-        return TailMeasure1D.exponential()
+    text = {"mu": "radial-mu", "exp": "exponential-1d"}.get(text, text)
+    if text in FACTORS:
+        return TailMeasure1D(text)
     if text.startswith("atoms:"):
         locs, masses = [], []
         for tok in text[len("atoms:"):].split(","):
@@ -219,33 +215,27 @@ def cmd_entropy(cfg: RunConfig) -> int:
         if not cfg.f:
             raise ValueError("--f step:JUMPS:VALUES is required for the 1d lemma")
         f, inline_measure = _parse_step(cfg.f)
-        measure = _parse_tail_measure(inline_measure or cfg.tail_measure)
-        rep = check_lemma_1d(f, measure)
-        rec = rep.to_record()
-        rec.update({"kind": "entropy-1d", "body": cfg.f, "value": rep.lhs,
-                    "reference": rep.rhs, "margin": rep.slack,
-                    "verdict": "holds" if rep.holds else "violated",
-                    "seed": cfg.seed, "samples": 0, "method": "closed-form"})
-        _emit([rec], cfg)
-        return _EXIT_OK if rep.holds else _EXIT_VIOLATION
-    body = _parse_body(cfg)
-    g = complement_indicator(body)
-    engine = cfg.make_engine()
-    if cfg.lemma == "multidim":
-        rep = check_lemma_multidim(g, body.dim, cfg.measure, engine)
-    elif cfg.lemma == "subadditivity":
-        factor = "radial-mu" if cfg.measure == "complex-gaussian" else "exponential-1d"
-        rep = check_subadditivity(g, body.dim, factor, engine)
+        rep = check_lemma_1d(f, _parse_tail_measure(inline_measure or cfg.tail_measure))
+        desc, samples = cfg.f, 0
     else:
-        raise ValueError(f"unknown lemma {cfg.lemma!r}")
-    if rep.status != "ok":
-        raise ValueError(f"invalid input for entropy check: {rep.note}")
+        body = _parse_body(cfg)
+        g = complement_indicator(body)
+        engine = cfg.make_engine()
+        if cfg.lemma == "multidim":
+            rep = check_lemma_multidim(g, body.dim, cfg.measure, engine)
+        elif cfg.lemma == "subadditivity":
+            factor = _measure_kind(cfg.measure, 1).factor.tag
+            rep = check_subadditivity(g, body.dim, factor, engine)
+        else:
+            raise ValueError(f"unknown lemma {cfg.lemma!r}")
+        if rep.status != "ok":
+            raise ValueError(f"invalid input for entropy check: {rep.note}")
+        desc, samples = body.descriptor(), cfg.samples
     rec = rep.to_record()
-    rec.update({"kind": f"entropy-{cfg.lemma}", "body": body.descriptor(),
+    rec.update({"kind": f"entropy-{cfg.lemma}", "body": desc,
                 "value": rep.lhs, "reference": rep.rhs, "margin": rep.slack,
-                "std_error": rep.std_error,
                 "verdict": "holds" if rep.holds else "violated",
-                "seed": cfg.seed, "samples": cfg.samples, "method": rep.lhs_method})
+                "seed": cfg.seed, "samples": samples, "method": rep.lhs_method})
     _emit([rec], cfg)
     return _EXIT_OK if rep.holds else _EXIT_VIOLATION
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import integrate as _integ
 from .bodies import ReinhardtBody, UnconditionalBody, interval_radii
-from .integrate import Engine
-from .measures import MeasureKind, xlnx
+from .integrate import Engine, delta_se
+from .measures import FACTORS, MeasureKind, box_closed_forms, xlnx
 
 __all__ = [
     "StepFunction",
@@ -85,10 +85,10 @@ def _graded_unit_rule(per_panel: int = 16, levels: int = 42) -> tuple[np.ndarray
     return all_nodes, all_weights
 
 
-def _quantile(kind: str, v: np.ndarray) -> np.ndarray:
-    if kind == "radial-mu":
-        return np.sqrt(-2.0 * np.log1p(-v))
-    return -np.log1p(-v)
+def _sample_entropy(vals: np.ndarray, weights: np.ndarray) -> float:
+    """Ent of a function with values ``vals`` at nodes or atoms carrying
+    ``weights``."""
+    return float(weights @ _np_xlnx(vals)) - xlnx(max(float(weights @ vals), 0.0))
 
 
 @dataclass(frozen=True)
@@ -135,16 +135,16 @@ class StepFunction:
 class TailMeasure1D:
     """Borel probability measure on [0, inf) with computable tails.
 
-    Either a known-CDF kind ("radial-mu" with tail exp(-x^2/2), or
-    "exponential-1d" with tail exp(-x)) or a finite discrete measure given
-    by atoms.
+    Either a known-CDF factor ("radial-mu" with tail exp(-x^2/2), or
+    "exponential-1d" with tail exp(-x); see :class:`measures.Factor`) or a
+    finite discrete measure given by atoms.
     """
 
     kind: str
     atoms: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("radial-mu", "exponential-1d"):
+        if self.kind in FACTORS:
             if self.atoms is not None:
                 raise ValueError("known-CDF measures carry no atoms")
             return
@@ -173,22 +173,31 @@ class TailMeasure1D:
     def discrete(locations: Sequence[float], masses: Sequence[float]) -> "TailMeasure1D":
         return TailMeasure1D("discrete", tuple(zip(locations, masses)))
 
+    @property
+    def factor(self):
+        """The :class:`measures.Factor` of a known-CDF kind, else None."""
+        return FACTORS.get(self.kind)
+
     def cdf(self, x: float) -> float:
         if x < 0:
             return 0.0
-        if self.kind == "radial-mu":
-            return -math.expm1(-0.5 * x * x)
-        if self.kind == "exponential-1d":
-            return -math.expm1(-x)
+        if self.factor is not None:
+            return self.factor.cdf(x)
         return math.fsum(m for a, m in self.atoms if a <= x)
 
     def tail(self, x: float) -> float:
         """mu((x, inf)); note the strict inequality at atoms."""
-        if self.kind == "radial-mu":
-            return math.exp(-0.5 * x * x) if x >= 0 else 1.0
-        if self.kind == "exponential-1d":
-            return math.exp(-x) if x >= 0 else 1.0
+        if self.factor is not None:
+            return self.factor.tail(x) if x >= 0 else 1.0
         return math.fsum(m for a, m in self.atoms if a > x)
+
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights integrating against the measure: the atoms of
+        a discrete measure, else the graded rule in the CDF variable."""
+        if self.factor is None:
+            return np.array([a for a, _ in self.atoms]), np.array([m for _, m in self.atoms])
+        v, w = _graded_unit_rule()
+        return self.factor.quantile(v), w
 
 
 def inverse_tail(measure: TailMeasure1D, y: float) -> float:
@@ -201,10 +210,8 @@ def inverse_tail(measure: TailMeasure1D, y: float) -> float:
         raise ValueError(f"y must lie in [0, 1], got {y}")
     if measure.tail(0.0) <= y:
         return 0.0
-    if measure.kind == "radial-mu":
-        return math.sqrt(-2.0 * math.log(y)) if y > 0 else math.inf
-    if measure.kind == "exponential-1d":
-        return -math.log(y) if y > 0 else math.inf
+    if measure.factor is not None:
+        return measure.factor.inverse_tail(y) if y > 0 else math.inf
     suffix = 0.0
     # scan atoms from the top: tail(a_k) is the mass strictly above a_k
     for loc, mass in reversed(measure.atoms):
@@ -220,7 +227,7 @@ def _piece_boundaries(f: StepFunction) -> list[float]:
 
 def _piece_masses(f: StepFunction, measure: TailMeasure1D) -> list[float]:
     bounds = _piece_boundaries(f)
-    if measure.kind != "discrete":
+    if measure.factor is not None:
         cdf = [measure.cdf(b) for b in bounds[:-1]] + [1.0]
         return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
     masses = [0.0] * (len(bounds) - 1)
@@ -248,20 +255,11 @@ def entropy(
         mean = math.fsum(v * m for v, m in zip(f.values, masses))
         flnf = math.fsum(xlnx(v) * m for v, m in zip(f.values, masses))
         return flnf - xlnx(mean)
-    if measure.kind == "discrete":
-        locs = np.array([a for a, _ in measure.atoms])
-        ms = np.array([m for _, m in measure.atoms])
-        vals = np.asarray(f(locs), dtype=float)
-        if (vals < 0).any():
-            raise ValueError("entropy requires a nonnegative function")
-        mean = float(ms @ vals)
-        return float(ms @ _np_xlnx(vals)) - xlnx(mean)
-    v, w = _graded_unit_rule()
-    vals = np.asarray(f(_quantile(measure.kind, v)), dtype=float)
+    nodes, w = measure.rule()
+    vals = np.asarray(f(nodes), dtype=float)
     if (vals < 0).any():
         raise ValueError("entropy requires a nonnegative function")
-    mean = float(w @ vals)
-    return float(w @ _np_xlnx(vals)) - xlnx(mean)
+    return _sample_entropy(vals, w)
 
 
 @dataclass(frozen=True)
@@ -305,6 +303,20 @@ def _check_monotone_callable(f, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _discrete_rhs(measure: TailMeasure1D, vals: np.ndarray) -> float:
+    """-sum f(a) (1 + ln tail(a)) mass(a) over the atoms; +inf as soon as
+    f is positive on an atom with nothing above it."""
+    terms = []
+    for (loc, mass), v in zip(measure.atoms, vals):
+        if v * mass == 0.0:
+            continue
+        t = measure.tail(loc)
+        if t == 0.0:
+            return math.inf
+        terms.append(-v * (1.0 + math.log(t)) * mass)
+    return math.fsum(terms)
+
+
 def check_lemma_1d(
     f: StepFunction | Callable[[np.ndarray], np.ndarray],
     measure: TailMeasure1D,
@@ -323,10 +335,10 @@ def check_lemma_1d(
     tolerance 1e-6 for bounded f; the rule itself does far better);
     against discrete measures they stay exact.
     """
-    if not isinstance(f, StepFunction):
-        return _check_lemma_1d_callable(f, measure)
-    lhs = entropy(f, measure)
-    if measure.kind != "discrete":
+    step = isinstance(f, StepFunction)
+    method, note = "closed-form", ""
+    if step and measure.factor is not None:
+        lhs = entropy(f, measure)
         bounds = _piece_boundaries(f)
         tails = [measure.tail(b) for b in bounds[:-1]] + [0.0]
         rhs = math.fsum(
@@ -334,62 +346,19 @@ def check_lemma_1d(
             for v, t_lo, t_hi in zip(f.values, tails, tails[1:])
         )
     else:
-        terms = []
-        rhs = 0.0
-        for loc, mass in measure.atoms:
-            v = float(f(np.array(loc)))
-            if v * mass == 0.0:
-                continue
-            t = measure.tail(loc)
-            if t == 0.0:
-                rhs = math.inf
-                break
-            terms.append(-v * (1.0 + math.log(t)) * mass)
+        nodes, w = measure.rule()
+        vals = f(nodes) if step else _check_monotone_callable(f, nodes)
+        lhs = entropy(f, measure) if step else _sample_entropy(vals, w)
+        if measure.factor is None:
+            rhs = _discrete_rhs(measure, vals)
         else:
-            rhs = math.fsum(terms)
-    slack = rhs - lhs if math.isfinite(rhs) else math.inf
-    return EntropyReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        std_error=0.0,
-        lhs_method="closed-form",
-        rhs_method="closed-form",
-        note="rhs infinite: tail vanishes where f > 0" if math.isinf(rhs) else "",
-    )
-
-
-def _check_lemma_1d_callable(f, measure: TailMeasure1D) -> EntropyReport:
-    if measure.kind == "discrete":
-        locs = np.array([a for a, _ in measure.atoms])
-        ms = np.array([m for _, m in measure.atoms])
-        vals = _check_monotone_callable(f, locs)
-        lhs = float(ms @ _np_xlnx(vals)) - xlnx(float(ms @ vals))
-        rhs = 0.0
-        terms = []
-        for loc, mass, v in zip(locs, ms, vals):
-            if v * mass == 0.0:
-                continue
-            t = measure.tail(float(loc))
-            if t == 0.0:
-                rhs = math.inf
-                break
-            terms.append(-v * (1.0 + math.log(t)) * mass)
-        else:
-            rhs = math.fsum(terms)
-        slack = rhs - lhs if math.isfinite(rhs) else math.inf
-        return EntropyReport(lhs, rhs, slack, 0.0, "closed-form", "closed-form",
-                             note="rhs infinite: tail vanishes where f > 0"
-                             if math.isinf(rhs) else "")
-    v, w = _graded_unit_rule()
-    x = _quantile(measure.kind, v)
-    vals = _check_monotone_callable(f, x)
-    lhs = float(w @ _np_xlnx(vals)) - xlnx(max(float(w @ vals), 0.0))
-    log_tail = -0.5 * x * x if measure.kind == "radial-mu" else -x
-    rhs = float(w @ (-vals * (1.0 + log_tail)))
-    return EntropyReport(lhs, rhs, rhs - lhs, 0.0,
-                         "quadrature(graded)", "quadrature(graded)",
-                         note="general-f quadrature path, tolerance ~1e-6")
+            # ln tail(x) = -u(x)
+            rhs = float(w @ (-vals * (1.0 - measure.factor.u(nodes))))
+            method, note = "quadrature(graded)", "general-f quadrature path, tolerance ~1e-6"
+    if rhs == math.inf:
+        return EntropyReport(lhs, rhs, math.inf, 0.0, method, method,
+                             note="rhs infinite: tail vanishes where f > 0")
+    return EntropyReport(lhs, rhs, rhs - lhs, 0.0, method, method, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -442,29 +411,6 @@ def complement_indicator(body: ReinhardtBody | UnconditionalBody) -> MonotoneRad
     )
 
 
-_FACTORS = {"complex-gaussian": "radial-mu", "exponential": "exponential-1d"}
-
-
-def _factor_cdf(factor: str, a: float) -> float:
-    if math.isinf(a):
-        return 1.0
-    return -math.expm1(-0.5 * a * a) if factor == "radial-mu" else -math.expm1(-a)
-
-
-def _factor_restricted_weight(factor: str, a: float) -> float:
-    """Per-coordinate weight integral below a: for the radial factor the
-    restricted second moment 2F + 2*(1-F)ln(1-F); for the exponential the
-    restricted first moment 1 - (1+a)exp(-a)."""
-    if factor == "radial-mu":
-        if math.isinf(a):
-            return 2.0
-        F = -math.expm1(-0.5 * a * a)
-        return 2.0 * F + 2.0 * xlnx(1.0 - F)
-    if math.isinf(a):
-        return 1.0
-    return -math.expm1(-a) - a * math.exp(-a)
-
-
 def closed_complement_sides(
     body, measure: MeasureKind
 ) -> tuple[float, float] | None:
@@ -473,24 +419,28 @@ def closed_complement_sides(
     radii = interval_radii(body)
     if radii is None:
         return None
-    factor = _FACTORS[measure.tag]
-    n = body.dim
-    F = [_factor_cdf(factor, a) for a in radii]
-    m = math.prod(F)
-    S = 0.0
-    for k, a in enumerate(radii):
-        S += _factor_restricted_weight(factor, a) * math.prod(F[j] for j in range(n) if j != k)
-    half = 0.5 if measure.tag == "complex-gaussian" else 1.0
-    lhs = -xlnx(1.0 - m)
-    rhs = n * m - half * S
-    return lhs, rhs
+    forms = box_closed_forms(radii, measure.factor)
+    return measure.factor.entropy_sides(forms.curve[0], forms.moment, body.dim)
 
 
-def _weight_fn(measure: MeasureKind) -> Callable[[np.ndarray], np.ndarray]:
-    n = measure.n
-    if measure.tag == "complex-gaussian":
-        return lambda r: 0.5 * (r * r).sum(axis=1) - n
-    return lambda r: r.sum(axis=1) - n
+def _invalid_input(g: MonotoneRadialFunction, n: int, engine: Engine) -> EntropyReport | None:
+    """The invalid-input report when g breaks its hypotheses, else None."""
+    if g.dim != n:
+        raise ValueError(f"function dimension {g.dim} != n = {n}")
+    bad = g.hypothesis_violations(rng_seed=engine.seed)
+    if not bad:
+        return None
+    return EntropyReport(
+        lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
+        lhs_method="none", rhs_method="none",
+        status="invalid-input", note="; ".join(bad),
+    )
+
+
+def _mc_entropy(A: float, B: float) -> tuple[float, float]:
+    """Ent = A - B ln B from the means A of f ln f and B of f, and its
+    derivative in B."""
+    return A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
 
 
 def check_lemma_multidim(
@@ -501,39 +451,37 @@ def check_lemma_multidim(
 ) -> EntropyReport:
     """Ent(g) <= int g * weight, the multidimensional entropy inequality.
 
+    The weight is sum_k u_k - n with u_k = r_k^d/d the factor's unit
+    exponential coordinate: |z|^2/2 - n for the complex Gaussian, |x|_1 - n
+    for the exponential measure.
+
     Engines: "exact" (complement indicator of a coordinate-box body),
     "quadrature" (tensor Gauss-Laguerre, n <= 4, smooth g only), "mc"
     (shared-sample estimate of both sides with a delta-method standard
     error for the slack).  "auto" picks exact when available, else mc.
     """
     engine = engine or Engine()
-    if g.dim != n:
-        raise ValueError(f"function dimension {g.dim} != n = {n}")
-    if measure_tag not in _FACTORS:
+    if measure_tag not in ("complex-gaussian", "exponential"):
         raise ValueError(f"measure must be complex-gaussian or exponential, got {measure_tag!r}")
-    bad = g.hypothesis_violations(rng_seed=engine.seed)
-    if bad:
-        return EntropyReport(
-            lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
-            lhs_method="none", rhs_method="none",
-            status="invalid-input", note="; ".join(bad),
-        )
+    invalid = _invalid_input(g, n, engine)
+    if invalid is not None:
+        return invalid
     measure = MeasureKind(measure_tag, n)
+    body = g.complement_body
+    sides = closed_complement_sides(body, measure) if body is not None else None
     method = engine.method
     if method == "auto":
-        method = "exact" if (
-            g.complement_body is not None and interval_radii(g.complement_body) is not None
-        ) else "mc"
+        method = "exact" if sides is not None else "mc"
     if method == "exact":
-        sides = None
-        if g.complement_body is not None:
-            sides = closed_complement_sides(g.complement_body, measure)
         if sides is None:
             raise ValueError("exact path needs a complement indicator of a coordinate-box body")
         lhs, rhs = sides
         return EntropyReport(lhs, rhs, rhs - lhs, 0.0, "closed-form", "closed-form")
-    factor = MeasureKind(_FACTORS[measure_tag], n)
-    weight = _weight_fn(measure)
+    factor = measure.factor
+
+    def weight(r: np.ndarray) -> np.ndarray:
+        return factor.u(r).sum(axis=1) - n
+
     if method == "quadrature":
         ent_g = _integ.tensor_quadrature(lambda r: _np_xlnx(g(r)), n, engine.order, factor.tag)
         mean_g = _integ.tensor_quadrature(g, n, engine.order, factor.tag)
@@ -549,16 +497,13 @@ def check_lemma_multidim(
         return np.stack([_np_xlnx(vals), vals, vals * weight(r)], axis=1)
 
     nsamp, mean, cov = _integ.run_chunked(
-        factor, engine.samples, engine.seed, engine.stream, columns, 3, engine.workers
+        MeasureKind(factor.tag, n), engine.samples, engine.seed, engine.stream,
+        columns, 3, engine.workers,
     )
     A, B, W = mean
-    lhs = A - xlnx(max(B, 0.0))
-    rhs = W
-    slack = rhs - lhs
-    grad = np.array([-1.0, (math.log(B) + 1.0) if B > 0 else 0.0, 1.0])
-    se = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    lhs, dlhs_dB = _mc_entropy(A, B)
     mc = _integ.mc_method(engine.samples, engine.seed)
-    return EntropyReport(lhs, rhs, slack, se, mc, mc)
+    return EntropyReport(lhs, W, W - lhs, delta_se([-1.0, -dlhs_dB, 1.0], cov), mc, mc)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +511,7 @@ def check_lemma_multidim(
 
 
 def _slice_entropies_indicator(
-    body, factor: str, r: np.ndarray, hi_cap: float = 64.0
+    body, factor, r: np.ndarray, hi_cap: float = 64.0
 ) -> np.ndarray:
     """Sum over coordinates of the slice entropies of g = 1 - 1_K at the
     sampled radius vectors.
@@ -593,20 +538,18 @@ def _slice_entropies_indicator(
             inside = body.radial_member(sub)
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
-        c = lo
-        s = np.exp(-0.5 * c * c) if factor == "radial-mu" else np.exp(-c)
-        total[active] += -_np_xlnx(s)
+        total[active] += -_np_xlnx(factor.tail(lo))
     return total
 
 
 def _slice_entropies_general(
-    g: MonotoneRadialFunction, factor: str, r: np.ndarray
+    g: MonotoneRadialFunction, factor, r: np.ndarray
 ) -> np.ndarray:
     # the slice integrand g*ln(g) is x*ln(x)-singular wherever g vanishes,
     # so the graded rule is required; plain Gauss-Laguerre biases the sum
     # by ~1e-3 per slice
     v, w = _graded_unit_rule(per_panel=8, levels=30)
-    nodes = _quantile(factor, v)
+    nodes = factor.quantile(v)
     order = len(nodes)
     m, n = r.shape
     total = np.zeros(m)
@@ -635,49 +578,34 @@ def check_subadditivity(
     one; this check measures both sides, it does not re-derive the fact.
     """
     engine = engine or Engine()
-    if g.dim != n:
-        raise ValueError(f"function dimension {g.dim} != n = {n}")
-    if factor not in ("radial-mu", "exponential-1d"):
+    if factor not in FACTORS:
         raise ValueError(f"factor must be radial-mu or exponential-1d, got {factor!r}")
-    bad = g.hypothesis_violations(rng_seed=engine.seed)
-    if bad:
-        return EntropyReport(
-            lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
-            lhs_method="none", rhs_method="none",
-            status="invalid-input", note="; ".join(bad),
-        )
+    invalid = _invalid_input(g, n, engine)
+    if invalid is not None:
+        return invalid
     body = g.complement_body
     method = engine.method
-    if method in ("auto", "exact") and body is not None and interval_radii(body) is not None:
-        radii = interval_radii(body)
-        F = [_factor_cdf(factor, a) for a in radii]
-        M = math.prod(F)
-        lhs = -xlnx(1.0 - M)
-        rhs = math.fsum(
-            math.prod(F[j] for j in range(n) if j != k) * -xlnx(1.0 - F[k])
-            for k in range(n)
-        )
+    radii = interval_radii(body) if body is not None else None
+    if method in ("auto", "exact") and radii is not None:
+        forms = box_closed_forms(radii, FACTORS[factor])
+        lhs, rhs = -xlnx(1.0 - forms.curve[0]), forms.slice_entropy
         return EntropyReport(lhs, rhs, rhs - lhs, 0.0, "closed-form", "closed-form")
     if method == "exact":
         raise ValueError("exact path needs a complement indicator of a coordinate-box body")
 
-    fmeasure = MeasureKind(factor, n)
-
     def columns(r: np.ndarray) -> np.ndarray:
         if body is not None:
-            slices = _slice_entropies_indicator(body, factor, r)
+            slices = _slice_entropies_indicator(body, FACTORS[factor], r)
         else:
-            slices = _slice_entropies_general(g, factor, r)
+            slices = _slice_entropies_general(g, FACTORS[factor], r)
         vals = g(r)
         return np.stack([slices, _np_xlnx(vals), vals], axis=1)
 
     nsamp, mean, cov = _integ.run_chunked(
-        fmeasure, engine.samples, engine.seed, engine.stream, columns, 3, engine.workers
+        MeasureKind(factor, n), engine.samples, engine.seed, engine.stream,
+        columns, 3, engine.workers,
     )
     S, A, B = mean
-    lhs = A - xlnx(max(B, 0.0))
-    slack = S - lhs
-    grad = np.array([1.0, -1.0, (math.log(B) + 1.0) if B > 0 else 0.0])
-    se = math.sqrt(max(float(grad @ cov @ grad), 0.0))
+    lhs, dlhs_dB = _mc_entropy(A, B)
     mc = _integ.mc_method(engine.samples, engine.seed)
-    return EntropyReport(lhs, S, slack, se, mc, mc)
+    return EntropyReport(lhs, S, S - lhs, delta_se([1.0, -1.0, -dlhs_dB], cov), mc, mc)

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import NonFiniteIntegrandError, ReinhardtBody, UnconditionalBody, moduli
-from .measures import MeasureKind
+from .bodies import NonFiniteIntegrandError
+from .measures import FACTORS, MeasureKind, complex_gaussian, exponential
 
 __all__ = [
     "CHUNK",
@@ -47,6 +47,9 @@ __all__ = [
     "SampleMoments",
     "chunk_indices",
     "draw_points",
+    "point_drawer",
+    "orthant_map",
+    "delta_se",
 ]
 
 CHUNK = 1 << 17
@@ -140,67 +143,43 @@ class SampleStream:
         return np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0]
 
 
-def _draw_complex_gaussian(n: int):
-    def fn(gen: np.random.Generator, count: int) -> np.ndarray:
-        return gen.standard_normal((count, 2 * n))
-
-    return fn
-
-
-def _draw_exponential(n: int):
-    # Laplace quantile from one uniform per coordinate: sign from the
-    # high bit, magnitude by inverse CDF of the unit-rate exponential.
-    def fn(gen: np.random.Generator, count: int) -> np.ndarray:
-        u = gen.random((count, n))
-        neg = u < 0.5
-        w = np.where(neg, 2.0 * u, 2.0 * u - 1.0)
-        mag = -np.log1p(-w)
-        return np.where(neg, -mag, mag)
-
-    return fn
-
-
-def _draw_radial(n: int):
-    def fn(gen: np.random.Generator, count: int) -> np.ndarray:
-        u = gen.random((count, n))
-        return np.sqrt(-2.0 * np.log1p(-u))
-
-    return fn
-
-
-def _draw_exp1d(n: int):
-    def fn(gen: np.random.Generator, count: int) -> np.ndarray:
-        return -np.log1p(-gen.random((count, n)))
-
-    return fn
-
-
-def point_drawer(measure: MeasureKind):
+def point_drawer(measure: MeasureKind) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """The Philox kernel ``(generator, count) -> points`` of a measure."""
+    n = measure.n
     if measure.tag == "complex-gaussian":
-        return _draw_complex_gaussian(measure.n)
+        return lambda gen, count: gen.standard_normal((count, 2 * n))
+    quantile = measure.factor.quantile
     if measure.tag == "exponential":
-        return _draw_exponential(measure.n)
-    if measure.tag == "radial-mu":
-        return _draw_radial(measure.n)
-    return _draw_exp1d(measure.n)
+        # Laplace quantile from one uniform per coordinate: sign from the
+        # high bit, magnitude by the factor quantile of the rest
+        def laplace(gen: np.random.Generator, count: int) -> np.ndarray:
+            v = gen.random((count, n))
+            neg = v < 0.5
+            mag = quantile(np.where(neg, 2.0 * v, 2.0 * v - 1.0))
+            return np.where(neg, -mag, mag)
+
+        return laplace
+    return lambda gen, count: quantile(gen.random((count, n)))
+
+
+def _sample(measure: MeasureKind, stream: SampleStream, count: int | None) -> np.ndarray:
+    pts = stream.draw(point_drawer(measure), count or 1)
+    return pts if count is not None else pts[0]
 
 
 def sample_complex_gaussian(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
     """Points of C^n as 2n interleaved reals; each |z_k|^2 has mean 2."""
-    pts = stream.draw(_draw_complex_gaussian(n), count or 1)
-    return pts if count is not None else pts[0]
+    return _sample(complex_gaussian(n), stream, count)
 
 
 def sample_exponential(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
     """Points of R^n with i.i.d. symmetric unit-rate exponential coordinates."""
-    pts = stream.draw(_draw_exponential(n), count or 1)
-    return pts if count is not None else pts[0]
+    return _sample(exponential(n), stream, count)
 
 
 def sample_radial(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
     """Vectors in [0, inf)^n with i.i.d. coordinates of density r*exp(-r^2/2)."""
-    pts = stream.draw(_draw_radial(n), count or 1)
-    return pts if count is not None else pts[0]
+    return _sample(MeasureKind("radial-mu", n), stream, count)
 
 
 def chunk_indices(samples: int) -> list[tuple[int, int]]:
@@ -250,6 +229,14 @@ class SampleMoments:
         return n, mean, cov / n
 
 
+def delta_se(grad, cov: np.ndarray) -> float:
+    """Delta-method standard error sqrt(grad . cov . grad) of a smooth
+    function of estimated means, ``grad`` its gradient at the means and
+    ``cov`` the covariance of the means."""
+    g = np.asarray(grad, dtype=float)
+    return math.sqrt(max(float(g @ cov @ g), 0.0))
+
+
 def run_chunked(
     measure: MeasureKind,
     samples: int,
@@ -282,20 +269,19 @@ def run_chunked(
     return acc.finalize()
 
 
+def orthant_map(body, measure: MeasureKind) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from sample points of ``measure`` to the orthant points that
+    ``body``'s predicate reads; checks that body and measure pair."""
+    if getattr(body, "measure_tag", None) != measure.tag:
+        raise ValueError(f"measure {measure.tag!r} does not pair with {type(body).__name__}")
+    if body.dim != measure.n:
+        raise ValueError(f"body dimension {body.dim} != measure dimension {measure.n}")
+    return measure.orthant
+
+
 def _body_indicator(body, measure: MeasureKind) -> Callable[[np.ndarray], np.ndarray]:
-    if measure.tag == "complex-gaussian":
-        if not isinstance(body, ReinhardtBody):
-            raise ValueError("complex-gaussian measure pairs with Reinhardt bodies")
-        if body.dim != measure.n:
-            raise ValueError(f"body dimension {body.dim} != measure dimension {measure.n}")
-        return lambda pts: body.base(moduli(pts))
-    if measure.tag == "exponential":
-        if not isinstance(body, UnconditionalBody):
-            raise ValueError("exponential measure pairs with unconditional bodies")
-        if body.dim != measure.n:
-            raise ValueError(f"body dimension {body.dim} != measure dimension {measure.n}")
-        return lambda pts: body.base(np.abs(pts))
-    raise ValueError(f"measure {measure.tag!r} does not pair with bodies")
+    orthant = orthant_map(body, measure)
+    return lambda pts: body.base(orthant(pts))
 
 
 def mc_method(samples: int, seed: int) -> str:
@@ -356,8 +342,7 @@ def mc_integral(
         return vals[:, None]
 
     n, mean, cov = run_chunked(measure, samples, seed, stream, columns, 1, workers)
-    return Estimate(float(mean[0]), math.sqrt(max(float(cov[0, 0]), 0.0)),
-                    mc_method(samples, seed), n)
+    return Estimate(float(mean[0]), delta_se([1.0], cov), mc_method(samples, seed), n)
 
 
 def laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -392,10 +377,10 @@ def tensor_quadrature(
     """
     if n < 1 or n > 4:
         raise ValueError(f"tensor quadrature supports 1 <= n <= 4, got {n}")
-    if measure not in ("radial-mu", "exponential-1d"):
+    if measure not in FACTORS:
         raise ValueError(f"unsupported quadrature measure {measure!r}")
     u, w = laguerre_rule(order)
-    axis = np.sqrt(2.0 * u) if measure == "radial-mu" else u
+    axis = FACTORS[measure].r(u)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     wts = np.ones(1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import integrate as _integ
 from .bodies import UnconditionalBody, interval_radii
-from .integrate import Engine, Estimate
+from .integrate import Engine, Estimate, delta_se
 from .measures import abs_moment_exponential, exponential
 
 __all__ = [
@@ -213,26 +213,20 @@ def moment_ratio(
     A, B = float(mean[0]), float(mean[1])
     if A <= 0 or B <= 0:
         raise ValueError("norm moments vanished; degenerate norm")
-    ratio = A ** (1.0 / p) / B ** (1.0 / q)
-    # var(ln ratio) = var(A)/(p A)^2 + var(B)/(q B)^2 - 2 cov/(p q A B)
-    var_log = (
-        float(cov[0, 0]) / (p * A) ** 2
-        + float(cov[1, 1]) / (q * B) ** 2
-        - 2.0 * float(cov[0, 1]) / (p * q * A * B)
-    )
-    ratio_se = ratio * math.sqrt(max(var_log, 0.0))
+    mom_p, mom_q = A ** (1.0 / p), B ** (1.0 / q)
+    ratio = mom_p / mom_q
+    # d ln(ratio) = dA / (p A) - dB / (q B)
+    ratio_se = ratio * delta_se([1.0 / (p * A), -1.0 / (q * B)], cov)
     bound = cpq(p, q)
     verdict = "holds" if ratio <= bound + 3.0 * ratio_se else "violated"
     mc = _integ.mc_method(engine.samples, engine.seed)
-    se_p = math.sqrt(max(float(cov[0, 0]), 0.0)) / (p * A) * A ** (1.0 / p)
-    se_q = math.sqrt(max(float(cov[1, 1]), 0.0)) / (q * B) * B ** (1.0 / q)
     return MomentPair(
         p=p,
         q=q,
         n=n,
         norm_desc=norm_desc,
-        moment_p=Estimate(A ** (1.0 / p), se_p, mc, nsamp),
-        moment_q=Estimate(B ** (1.0 / q), se_q, mc, nsamp),
+        moment_p=Estimate(mom_p, delta_se([mom_p / (p * A), 0.0], cov), mc, nsamp),
+        moment_q=Estimate(mom_q, delta_se([0.0, mom_q / (q * B)], cov), mc, nsamp),
         ratio=ratio,
         ratio_se=ratio_se,
         bound=bound,

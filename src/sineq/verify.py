@@ -17,38 +17,44 @@ package checks three interchangeable formulations:
   reference curve on a grid of scales, with the inequality direction
   flipping at t = 1.
 
+Every comparison-set formula (calibration, moment, dilation rate, curve)
+comes from the body measure's :class:`measures.Factor`, and coordinate
+boxes get their closed forms from :func:`measures.box_closed_forms`; this
+module holds the protocol, not the formulas.  Every standard error is the
+delta method on the covariance of one estimation pass
+(:meth:`BodyStats.se`).
+
 Verdict semantics under Monte Carlo noise: "holds" needs margin
 >= -3 * std_error; a negative margin beyond that triggers recertification
-under three fresh seeds with doubled samples and becomes "violated" only
+under three fresh streams with doubled samples and becomes "violated" only
 when every recheck stays below -3 * std_error (and "inconclusive" when the
-rechecks disagree).  The recheck passes are estimated once on the full
-grid and shared by the criteria and every curve point, so a ``full_check``
-runs at most 3 extra passes however many of its checks fail.
-Deterministic (closed-form) paths use a fixed 1e-10 tolerance instead.
-The curve point t = 1 is the calibration itself: its reference is the
-body's measure and its margin is 0 exactly.
+rechecks disagree).  Recheck k keeps the seed and draws from the reserved
+stream :func:`recheck_stream` (k * 2**62 + stream), which no primary pass
+reaches.  The recheck passes are estimated once on the full grid and
+shared by the criteria and every curve point, so a ``full_check`` runs at
+most 3 extra passes however many of its checks fail.  Deterministic
+(closed-form) paths use a fixed 1e-10 tolerance instead.  The curve point
+t = 1 is the calibration itself: its reference is the body's measure and
+its margin is 0 exactly.  Several verdicts roll up as violated >
+inconclusive > holds.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import bodies as _b
 from . import integrate as _integ
-from .bodies import (
-    ReinhardtBody,
-    UnconditionalBody,
-    interval_radii,
-    moduli,
-    product,
-)
+from .bodies import ReinhardtBody, UnconditionalBody, interval_radii, product
 from .entropy import EntropyReport
 from .integrate import Engine, Estimate
-from .measures import MeasureKind, complex_gaussian, exponential, xlnx
+from .measures import EXP_FACTOR, RADIAL_FACTOR, MeasureKind, box_closed_forms
 
 __all__ = [
     "DET_TOL",
@@ -69,6 +75,7 @@ __all__ = [
     "check_tensorization",
     "FullCheckReport",
     "full_check",
+    "recheck_stream",
     "SweepReport",
     "sweep",
 ]
@@ -76,28 +83,29 @@ __all__ = [
 DET_TOL = 1e-10
 DEFAULT_T_GRID = (1.0, 1.25, 1.5, 2.0, 3.0)
 _RECHECK_SEEDS = 3
+_RECHECK_SHIFT = 62
+
+
+def _calibrate(factor, m: float) -> float:
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"calibration needs a measure in [0, 1), got {m}")
+    return factor.quantile(m)
 
 
 def calibrate_cylinder(m: float) -> float:
     """Radius R with cylinder measure m: R = sqrt(-2 ln(1-m))."""
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"calibration needs a measure in [0, 1), got {m}")
-    return math.sqrt(-2.0 * math.log1p(-m))
+    return _calibrate(RADIAL_FACTOR, m)
 
 
 def calibrate_strip(m: float) -> float:
     """Half-width p with strip measure m: p = -ln(1-m)."""
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"calibration needs a measure in [0, 1), got {m}")
-    return -math.log1p(-m)
+    return _calibrate(EXP_FACTOR, m)
 
 
 def _default_measure(body) -> MeasureKind:
-    if isinstance(body, ReinhardtBody):
-        return complex_gaussian(body.dim)
-    if isinstance(body, UnconditionalBody):
-        return exponential(body.dim)
-    raise TypeError(f"not a body: {body!r}")
+    if not isinstance(body, (ReinhardtBody, UnconditionalBody)):
+        raise TypeError(f"not a body: {body!r}")
+    return MeasureKind(body.measure_tag, body.dim)
 
 
 def _require_validated(body, experimental: bool) -> None:
@@ -146,30 +154,18 @@ class BodyStats:
     def deterministic(self) -> bool:
         return self.method == "closed-form"
 
+    def se(self, grad: dict[int, float]) -> float:
+        """Delta-method standard error of sum_i grad[i] * means[i]; 0 on
+        the closed-form path."""
+        if self.deterministic:
+            return 0.0
+        g = np.zeros(len(self.means))
+        for i, c in grad.items():
+            g[i] = c
+        return _integ.delta_se(g, self.cov)
+
     def measure_estimate(self) -> Estimate:
-        se = math.sqrt(max(float(self.cov[self.idx1, self.idx1]), 0.0))
-        return Estimate(self.m, se, self.method, self.samples)
-
-
-def _closed_curve_stats(body, measure: MeasureKind, t_grid: tuple[float, ...]):
-    radii = interval_radii(body)
-    if radii is None:
-        return None
-    from .entropy import _factor_cdf, _factor_restricted_weight  # shared closed forms
-
-    factor = "radial-mu" if measure.tag == "complex-gaussian" else "exponential-1d"
-    n = body.dim
-    means = []
-    for t in t_grid:
-        means.append(math.prod(_factor_cdf(factor, t * a) for a in radii))
-    F = [_factor_cdf(factor, a) for a in radii]
-    S = math.fsum(
-        _factor_restricted_weight(factor, a)
-        * math.prod(F[j] for j in range(n) if j != k)
-        for k, a in enumerate(radii)
-    )
-    means.append(S)
-    return np.array(means)
+        return Estimate(self.m, self.se({self.idx1: 1.0}), self.method, self.samples)
 
 
 def body_statistics(
@@ -191,57 +187,36 @@ def body_statistics(
     idx1 = grid.index(1.0)
 
     method = engine.method
-    closed = _closed_curve_stats(body, measure, grid)
+    radii = interval_radii(body)
+    closed = None
+    if radii is not None:
+        forms = box_closed_forms(radii, measure.factor, grid)
+        closed = np.array([*forms.curve, forms.moment])
     if method == "quadrature":
         raise ValueError("body statistics use closed forms or Monte Carlo; "
                          "quadrature applies to smooth integrands only")
     if method == "exact" and closed is None:
         raise ValueError(f"no closed form for body {body.descriptor()!r}")
     if method in ("auto", "exact") and closed is not None:
-        k = len(grid) + 1
-        return BodyStats(
-            body_desc=body.descriptor(),
-            measure=measure,
-            method="closed-form",
-            seed=engine.seed,
-            stream=engine.stream,
-            samples=0,
-            t_grid=grid,
-            idx1=idx1,
-            means=closed,
-            cov=np.zeros((k, k)),
-        )
-
-    if measure.tag == "complex-gaussian":
-        if not isinstance(body, ReinhardtBody) or body.dim != measure.n:
-            raise ValueError("body/measure mismatch")
+        method, nsamp, means, cov = "closed-form", 0, closed, np.zeros((len(grid) + 1,) * 2)
+    else:
+        orthant = _integ.orthant_map(body, measure)
 
         def columns(pts: np.ndarray) -> np.ndarray:
-            r = moduli(pts)
-            w = (pts * pts).sum(axis=1)
+            r, w = orthant(pts), measure.weight(pts)
             cols = [body.base(r / t).astype(float) for t in grid]
             cols.append(w * cols[idx1])
             return np.stack(cols, axis=1)
 
-    else:
-        if not isinstance(body, UnconditionalBody) or body.dim != measure.n:
-            raise ValueError("body/measure mismatch")
-
-        def columns(pts: np.ndarray) -> np.ndarray:
-            a = np.abs(pts)
-            w = a.sum(axis=1)
-            cols = [body.base(a / t).astype(float) for t in grid]
-            cols.append(w * cols[idx1])
-            return np.stack(cols, axis=1)
-
-    nsamp, means, cov = _integ.run_chunked(
-        measure, engine.samples, engine.seed, engine.stream,
-        columns, len(grid) + 1, engine.workers,
-    )
+        method = _integ.mc_method(engine.samples, engine.seed)
+        nsamp, means, cov = _integ.run_chunked(
+            measure, engine.samples, engine.seed, engine.stream,
+            columns, len(grid) + 1, engine.workers,
+        )
     return BodyStats(
         body_desc=body.descriptor(),
         measure=measure,
-        method=_integ.mc_method(engine.samples, engine.seed),
+        method=method,
         seed=engine.seed,
         stream=engine.stream,
         samples=nsamp,
@@ -256,32 +231,12 @@ def body_statistics(
 # Criteria
 
 
-def _slack_pieces(stats: BodyStats):
-    """Criterion slack, gradient and reference pieces shared by the
-    derivative and moment framings (they coincide algebraically)."""
-    m, S = stats.m, stats.moment
-    if stats.measure.tag == "complex-gaussian":
-        c = 2.0 * stats.measure.n
-        ref_moment = c * m + 2.0 * xlnx(1.0 - m)
-        dref = c - (2.0 * math.log1p(-m) + 2.0) if m < 1.0 else math.inf
-        deriv_ref = -2.0 * xlnx(1.0 - m)
-    else:
-        c = float(stats.measure.n)
-        ref_moment = c * m + xlnx(1.0 - m)
-        dref = c - (math.log1p(-m) + 1.0) if m < 1.0 else math.inf
-        deriv_ref = -xlnx(1.0 - m)
-    slack = ref_moment - S
-    grad = np.zeros(len(stats.means))
-    grad[stats.idx1] = dref
-    grad[-1] = -1.0
-    se = 0.0 if stats.deterministic else math.sqrt(max(float(grad @ stats.cov @ grad), 0.0))
-    return slack, se, c, ref_moment, deriv_ref
-
-
-def _marginal_se(stats: BodyStats, grad: np.ndarray) -> float:
-    if stats.deterministic:
-        return 0.0
-    return math.sqrt(max(float(grad @ stats.cov @ grad), 0.0))
+def _slack_pieces(stats: BodyStats) -> tuple[float, float]:
+    """Criterion slack and its standard error, shared by the derivative
+    and moment framings (they coincide algebraically): the comparison
+    set's weight moment at measure m minus the body's."""
+    ref, slope = stats.measure.factor.comparison_moment(stats.m, stats.measure.n)
+    return ref - stats.moment, stats.se({stats.idx1: slope, -1: -1.0})
 
 
 def derivative_at_one(
@@ -294,12 +249,9 @@ def derivative_at_one(
     complex Gaussian, n*measure - first absolute moment for the
     exponential measure; standard error propagated from the shared pass."""
     stats = stats or body_statistics(body, measure, (), engine)
-    c = 2.0 * stats.measure.n if stats.measure.tag == "complex-gaussian" else float(stats.measure.n)
-    grad = np.zeros(len(stats.means))
-    grad[stats.idx1] = c
-    grad[-1] = -1.0
-    value = c * stats.m - stats.moment
-    return Estimate(value, _marginal_se(stats, grad), stats.method, stats.samples)
+    c = stats.measure.factor.d * stats.measure.n
+    return Estimate(c * stats.m - stats.moment, stats.se({stats.idx1: c, -1: -1.0}),
+                    stats.method, stats.samples)
 
 
 @dataclass(frozen=True)
@@ -317,19 +269,17 @@ class CriterionReport:
     note: str = ""
 
     def to_record(self) -> dict:
-        rec = {
-            "kind": self.criterion,
-            "body": self.body,
-            "t": "",
-            "value": self.lhs.value,
-            "std_error": self.std_error,
-            "reference": self.rhs.value,
-            "margin": self.slack,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "samples": self.samples,
-        }
-        return rec
+        return _record(self.criterion, self.body, "", self.lhs.value, self.std_error,
+                       self.rhs.value, self.slack, self.verdict, self.seed, self.samples)
+
+
+_RECORD_KEYS = ("kind", "body", "t", "value", "std_error", "reference", "margin", "verdict",
+                "seed", "samples")
+
+
+def _record(*values) -> dict:
+    """One output record of a criterion or a curve point."""
+    return dict(zip(_RECORD_KEYS, values, strict=True))
 
 
 def _degenerate(stats: BodyStats) -> str | None:
@@ -343,17 +293,32 @@ def _degenerate(stats: BodyStats) -> str | None:
 _Rechecks = Callable[[int], BodyStats]
 
 
+def recheck_stream(stream: int, k: int) -> int:
+    """Stream index of recheck pass ``k`` (1..3) of primary stream
+    ``stream``: k * 2**62 + stream.  Primary streams (an engine's stream
+    plus a sweep or tensorization offset) stay below 2**62, so no primary
+    draw, of this run or of any other seed's, repeats a recheck draw."""
+    return (k << _RECHECK_SHIFT) | (stream & ((1 << _RECHECK_SHIFT) - 1))
+
+
 def _rechecks(body, stats: BodyStats, engine: Engine) -> _Rechecks:
-    """Recheck pass ``k`` (1..3): fresh seed ``engine.seed + k``, doubled
-    samples, on ``stats.t_grid``; each pass is estimated once however many
-    criteria or curve points ask for it."""
+    """Recheck pass ``k`` (1..3): same seed on the reserved stream
+    :func:`recheck_stream`, doubled samples, on ``stats.t_grid``; each pass
+    is estimated once however many criteria or curve points ask for it."""
 
     @functools.cache
     def rechecked(k: int) -> BodyStats:
-        e2 = replace(engine, method="mc", seed=engine.seed + k, samples=engine.samples * 2)
+        e2 = replace(engine, method="mc", stream=recheck_stream(engine.stream, k),
+                     samples=engine.samples * 2)
         return body_statistics(body, stats.measure, stats.t_grid, e2)
 
     return rechecked
+
+
+def _worst(verdicts) -> str:
+    """Roll-up of several verdicts: violated > inconclusive > holds."""
+    verdicts = set(verdicts)
+    return next((v for v in ("violated", "inconclusive") if v in verdicts), "holds")
 
 
 def _certified_verdict(
@@ -373,52 +338,39 @@ def _certified_verdict(
         m2, se2 = recheck(k)
         outcomes.append(m2 < -3.0 * se2)
     if all(outcomes):
-        return "violated", "reproduced under 3 seeds at doubled samples"
+        return "violated", "reproduced by 3 recheck passes at doubled samples"
     if not any(outcomes):
         return "holds", "initial 3-sigma excursion not reproduced"
     return "inconclusive", "rechecks disagree"
 
 
-def _criterion_report(
-    stats: BodyStats,
-    rechecks: _Rechecks,
-    criterion: str,
-    with_entropy_form: bool = False,
-) -> CriterionReport:
+_MOMENT_CRITERION = {"complex-gaussian": "gaussian-moment", "exponential": "exponential-moment"}
+
+
+def _criterion_report(stats: BodyStats, rechecks: _Rechecks, criterion: str) -> CriterionReport:
     note = _degenerate(stats)
-    slack, se, c, ref_moment, deriv_ref = _slack_pieces(stats)
     if note is not None:
         zero = Estimate(0.0, 0.0, stats.method, stats.samples)
         return CriterionReport(criterion, stats.body_desc, zero, zero, 0.0, 0.0,
                                "holds", stats.seed, stats.samples, note=note)
-
+    slack, se = _slack_pieces(stats)
     verdict, vnote = _certified_verdict(slack, se, stats.deterministic,
-                                        lambda k: _slack_pieces(rechecks(k))[:2])
+                                        lambda k: _slack_pieces(rechecks(k)))
 
+    factor, n, m = stats.measure.factor, stats.measure.n, stats.m
     if criterion == "derivative":
-        gl = np.zeros(len(stats.means))
-        gl[stats.idx1] = c
-        gl[-1] = -1.0
-        lhs = Estimate(c * stats.m - stats.moment, _marginal_se(stats, gl),
-                       stats.method, stats.samples)
-        gr = np.zeros(len(stats.means))
-        gr[stats.idx1] = (2.0 if stats.measure.tag == "complex-gaussian" else 1.0) * (
-            math.log1p(-stats.m) + 1.0
-        )
-        rhs = Estimate(deriv_ref, _marginal_se(stats, gr), stats.method, stats.samples)
+        lhs = derivative_at_one(None, stats=stats)
+        ref, slope = factor.dilation_rate(m)
     else:
-        gl = np.zeros(len(stats.means))
-        gl[-1] = 1.0
-        lhs = Estimate(stats.moment, _marginal_se(stats, gl), stats.method, stats.samples)
-        rhs = Estimate(ref_moment, _marginal_se(stats, _ref_grad(stats)), stats.method, stats.samples)
+        lhs = Estimate(stats.moment, stats.se({-1: 1.0}), stats.method, stats.samples)
+        ref, slope = factor.comparison_moment(m, n)
+    rhs = Estimate(ref, stats.se({stats.idx1: slope}), stats.method, stats.samples)
 
     entropy_form = None
-    if with_entropy_form:
-        half = 0.5 if stats.measure.tag == "complex-gaussian" else 1.0
-        lhs_e = -xlnx(1.0 - stats.m)
-        rhs_e = stats.measure.n * stats.m - half * stats.moment
+    if criterion == "exponential-moment":
+        lhs_e, rhs_e = factor.entropy_sides(m, stats.moment, n)
         entropy_form = EntropyReport(
-            lhs=lhs_e, rhs=rhs_e, slack=half * slack, std_error=half * se,
+            lhs=lhs_e, rhs=rhs_e, slack=slack / factor.d, std_error=se / factor.d,
             lhs_method=stats.method, rhs_method=stats.method,
             note="complement-indicator entropy form of the moment criterion",
         )
@@ -427,15 +379,13 @@ def _criterion_report(
                            entropy_form=entropy_form, note=vnote)
 
 
-def _ref_grad(stats: BodyStats) -> np.ndarray:
-    m = stats.m
-    if stats.measure.tag == "complex-gaussian":
-        d = 2.0 * stats.measure.n - (2.0 * math.log1p(-m) + 2.0)
-    else:
-        d = stats.measure.n - (math.log1p(-m) + 1.0)
-    g = np.zeros(len(stats.means))
-    g[stats.idx1] = d
-    return g
+def _check_criterion(body, engine, stats, experimental, criterion, family=object):
+    engine = engine or Engine()
+    _require_validated(body, experimental)
+    if not isinstance(body, family):
+        raise TypeError(f"the {criterion} criterion applies to {family.__name__} bodies")
+    stats = stats or body_statistics(body, None, (), engine)
+    return _criterion_report(stats, _rechecks(body, stats, engine), criterion)
 
 
 def check_derivative_criterion(
@@ -445,10 +395,7 @@ def check_derivative_criterion(
     experimental: bool = False,
 ) -> CriterionReport:
     """Dilation-derivative comparison against the calibrated comparison set."""
-    engine = engine or Engine()
-    _require_validated(body, experimental)
-    stats = stats or body_statistics(body, None, (), engine)
-    return _criterion_report(stats, _rechecks(body, stats, engine), "derivative")
+    return _check_criterion(body, engine, stats, experimental, "derivative")
 
 
 def check_moment_criterion_gaussian(
@@ -459,12 +406,7 @@ def check_moment_criterion_gaussian(
 ) -> CriterionReport:
     """Second-moment form: the |z|^2 mass of K must not exceed
     2n*m + 2(1-m)ln(1-m) at m = measure(K)."""
-    engine = engine or Engine()
-    _require_validated(body, experimental)
-    if not isinstance(body, ReinhardtBody):
-        raise TypeError("gaussian moment criterion applies to Reinhardt bodies")
-    stats = stats or body_statistics(body, complex_gaussian(body.dim), (), engine)
-    return _criterion_report(stats, _rechecks(body, stats, engine), "gaussian-moment")
+    return _check_criterion(body, engine, stats, experimental, "gaussian-moment", ReinhardtBody)
 
 
 def check_moment_criterion_exponential(
@@ -475,13 +417,8 @@ def check_moment_criterion_exponential(
 ) -> CriterionReport:
     """First-moment form under the exponential measure, with the
     complement-indicator entropy reformulation attached."""
-    engine = engine or Engine()
-    _require_validated(body, experimental)
-    if not isinstance(body, UnconditionalBody):
-        raise TypeError("exponential moment criterion applies to unconditional bodies")
-    stats = stats or body_statistics(body, exponential(body.dim), (), engine)
-    return _criterion_report(stats, _rechecks(body, stats, engine), "exponential-moment",
-                             with_entropy_form=True)
+    return _check_criterion(body, engine, stats, experimental, "exponential-moment",
+                            UnconditionalBody)
 
 
 # ---------------------------------------------------------------------------
@@ -520,60 +457,27 @@ class DilationReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = {p.verdict for p in self.points}
-        if "violated" in verdicts:
-            return "violated"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "holds"
+        return _worst(p.verdict for p in self.points)
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "kind": "dilation",
-                "body": self.body,
-                "t": p.t,
-                "value": p.value,
-                "std_error": p.std_error,
-                "reference": p.reference,
-                "margin": p.margin,
-                "verdict": p.verdict,
-                "seed": self.seed,
-                "samples": self.samples,
-            }
-            for p in self.points
-        ]
-
-
-def _reference_curve_value(measure_tag: str, m1: float, t: float) -> float:
-    # measure of the calibrated comparison set at scale t, written directly
-    # in the t = 1 measure: 1 - (1-m)^(t^2) (cylinder) or 1 - (1-m)^t (strip)
-    e = t * t if measure_tag == "complex-gaussian" else t
-    return -math.expm1(e * math.log1p(-m1))
+        return [_record("dilation", self.body, p.t, p.value, p.std_error, p.reference, p.margin,
+                        p.verdict, self.seed, self.samples) for p in self.points]
 
 
 def _curve_margin(stats: BodyStats, i: int) -> tuple[float, float, float, str]:
+    """(margin, std error, reference, direction) of curve point i against
+    the calibrated comparison set at scale t."""
     t = stats.t_grid[i]
     m1 = stats.m
     if i == stats.idx1:
         # the calibration makes t = 1 an identity; computing the reference
-        # through log1p/expm1 would leave a +-1 ulp margin with a 0 std error
+        # through the comparison-set formula would leave a +-1 ulp margin
+        # with a 0 std error
         return 0.0, 0.0, m1, ">="
-    ref = _reference_curve_value(stats.measure.tag, m1, t)
-    e = t * t if stats.measure.tag == "complex-gaussian" else t
-    dref = e * (1.0 - m1) ** (e - 1.0) if m1 < 1.0 else 0.0
-    body_val = stats.curve_value(i)
-    direction = ">=" if t >= 1.0 else "<="
-    raw = body_val - ref
+    ref, slope = stats.measure.factor.comparison_measure(m1, t)
+    raw = stats.curve_value(i) - ref
     margin = raw if t >= 1.0 else -raw
-    if stats.deterministic:
-        return margin, 0.0, ref, direction
-    var = (
-        float(stats.cov[i, i])
-        + dref * dref * float(stats.cov[stats.idx1, stats.idx1])
-        - 2.0 * dref * float(stats.cov[i, stats.idx1])
-    )
-    return margin, math.sqrt(max(var, 0.0)), ref, direction
+    return margin, stats.se({i: 1.0, stats.idx1: -slope}), ref, ">=" if t >= 1.0 else "<="
 
 
 def dilation_curve(
@@ -613,11 +517,8 @@ def _curve_report(stats: BodyStats, rechecks: _Rechecks) -> DilationReport:
         margin, mse, ref, direction = _curve_margin(stats, i)
         verdict, _ = _certified_verdict(margin, mse, stats.deterministic,
                                         lambda k, _i=i: _curve_margin(rechecks(k), _i)[:2])
-        points.append(
-            DilationPoint(t, stats.curve_value(i),
-                          math.sqrt(max(float(stats.cov[i, i]), 0.0)) if not stats.deterministic else 0.0,
-                          ref, margin, mse, direction, verdict)
-        )
+        points.append(DilationPoint(t, stats.curve_value(i), stats.se({i: 1.0}),
+                                    ref, margin, mse, direction, verdict))
     return DilationReport(
         body=stats.body_desc,
         measure=stats.measure.describe(),
@@ -640,12 +541,7 @@ class TensorizationReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = [p.verdict for p in self.parts] + [self.combined.verdict]
-        if "violated" in verdicts:
-            return "violated"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "holds"
+        return _worst([p.verdict for p in self.parts] + [self.combined.verdict])
 
 
 def check_tensorization(
@@ -656,18 +552,13 @@ def check_tensorization(
     """Each factor's criterion plus the criterion of the Cartesian product
     (stability of the dilation inequality under products)."""
     engine = engine or Engine()
-    part_reports = tuple(
+    reports = [
         check_moment_criterion_gaussian(
             b, replace(engine, stream=engine.stream + i), experimental=experimental
         )
-        for i, b in enumerate(parts)
-    )
-    combined_body = product(*parts)
-    combined = check_moment_criterion_gaussian(
-        combined_body, replace(engine, stream=engine.stream + len(parts)),
-        experimental=experimental,
-    )
-    return TensorizationReport(parts=part_reports, combined=combined)
+        for i, b in enumerate([*parts, product(*parts)])
+    ]
+    return TensorizationReport(parts=tuple(reports[:-1]), combined=reports[-1])
 
 
 @dataclass(frozen=True)
@@ -679,12 +570,7 @@ class FullCheckReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = [self.derivative.verdict, self.moment.verdict, self.curve.verdict]
-        if "violated" in verdicts:
-            return "violated"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "holds"
+        return _worst([self.derivative.verdict, self.moment.verdict, self.curve.verdict])
 
     @property
     def min_margin(self) -> float:
@@ -707,14 +593,10 @@ def full_check(
     recheck passes."""
     engine = engine or Engine()
     _require_validated(body, experimental)
-    measure = _default_measure(body)
-    stats = body_statistics(body, measure, t_grid, engine)
+    stats = body_statistics(body, None, t_grid, engine)
     rechecks = _rechecks(body, stats, engine)
     deriv = _criterion_report(stats, rechecks, "derivative")
-    if measure.tag == "complex-gaussian":
-        mom = _criterion_report(stats, rechecks, "gaussian-moment")
-    else:
-        mom = _criterion_report(stats, rechecks, "exponential-moment", with_entropy_form=True)
+    mom = _criterion_report(stats, rechecks, _MOMENT_CRITERION[stats.measure.tag])
     curve = _curve_report(stats, rechecks)
     return FullCheckReport(body=stats.body_desc, derivative=deriv, moment=mom, curve=curve)
 
@@ -735,8 +617,6 @@ class SweepReport:
 
 
 def _random_body(family: str, n: int, rng: np.random.Generator):
-    from . import bodies as _b
-
     if family == "polydisc":
         return _b.polydisc(rng.uniform(0.3, 2.5, size=n))
     if family == "weighted-lp-ball":
@@ -771,36 +651,21 @@ def sweep(
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng([engine.seed, 0x5EED])
     rows = []
-    holds = violated = inconclusive = 0
-    min_margin = math.inf
     for i in range(count):
         n = int(dims[i % len(dims)])
         body = _random_body(family, n, rng)
         rep = full_check(body, replace(engine, stream=engine.stream + i), t_grid)
-        verdict = rep.verdict
-        holds += verdict == "holds"
-        violated += verdict == "violated"
-        inconclusive += verdict == "inconclusive"
-        min_margin = min(min_margin, rep.min_margin)
-        rows.append(
-            {
-                "index": i,
-                "body": rep.body,
-                "n": n,
-                "verdict": verdict,
-                "min_margin": rep.min_margin,
-                "method": rep.curve.method,
-                "seed": engine.seed,
-                "stream": engine.stream + i,
-                "samples": rep.curve.samples,
-            }
-        )
-    return SweepReport(
-        family=family,
-        count=count,
-        holds=holds,
-        violated=violated,
-        inconclusive=inconclusive,
-        min_margin=min_margin,
-        rows=tuple(rows),
-    )
+        rows.append({
+            "index": i,
+            "body": rep.body,
+            "n": n,
+            "verdict": rep.verdict,
+            "min_margin": rep.min_margin,
+            "method": rep.curve.method,
+            "seed": engine.seed,
+            "stream": engine.stream + i,
+            "samples": rep.curve.samples,
+        })
+    tally = Counter(row["verdict"] for row in rows)
+    return SweepReport(family, count, tally["holds"], tally["violated"], tally["inconclusive"],
+                       min([math.inf] + [row["min_margin"] for row in rows]), tuple(rows))

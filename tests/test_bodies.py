@@ -267,3 +267,17 @@ class TestValidateBody:
 
         with pytest.raises(ValueError):
             validate_body(upper_set_body(1.0, 2), rng_seed=3)
+
+
+class TestCustomDilationDescriptor:
+    def test_dilation_is_part_of_the_descriptor(self):
+        body = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
+        assert body.descriptor() == "custom:n=2"
+        assert body.dilate(2.0).descriptor() == "custom:n=2,dilation=2.0"
+        assert dilate(dilate(body, 2.0), 3.0).descriptor() == "custom:n=2,dilation=6.0"
+
+    def test_dilated_membership_scales(self):
+        body = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
+        r = np.array([[0.7, 0.7], [1.2, 0.9]])
+        assert body.radial_member(r).tolist() == [False, False]
+        assert body.dilate(2.0).radial_member(r).tolist() == [True, False]

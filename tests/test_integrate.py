@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -307,3 +308,50 @@ class TestEstimate:
     def test_deterministic_flag(self):
         assert Estimate(1.0, 0.0, "closed-form").deterministic
         assert not Estimate(1.0, 0.1, "mc(10, 1)").deterministic
+
+
+class TestSamplingContract:
+    """Draws pinned across commits: a change here is a sampling-contract
+    change and has to be versioned and recorded."""
+
+    # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
+    PINNED = {
+        ("complex-gaussian", 2): (
+            "839abbb208a8592b49d233f4cea54c4359f9771b616563c64e706466c00c827d",
+            [-0.7659574203621172, 0.2510802832065968, 0.3730490210656415, -2.135003094719878],
+        ),
+        ("exponential", 3): (
+            "393974c1c47f670a20085dffa93a0c3ff5cda97341be33e9162625400f0497a0",
+            [0.4867506117432065, 0.7735696006491972, -0.7916126734367893],
+        ),
+        ("radial-mu", 2): (
+            "908efe07283d3c318dae77166e483df90c5a7535f3610441ed128254c554a562",
+            [1.536162616589241, 1.712726937494207],
+        ),
+        ("exponential-1d", 3): (
+            "76fe75004454f32ff9735f8f669edc134831fe015e45486cbf3bc21725240d89",
+            [1.1798977923031517, 1.4667167812091426, 0.3194386973835255],
+        ),
+    }
+
+    @pytest.mark.parametrize("tag, n", list(PINNED), ids=lambda v: str(v))
+    def test_draw_points_pinned(self, tag, n):
+        pts = draw_points(MeasureKind(tag, n), SampleStream(2026, 9), 3, 1000)
+        digest, first = self.PINNED[(tag, n)]
+        assert pts.shape == (1000, MeasureKind(tag, n).point_dim)
+        assert pts[0].tolist() == first
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("sampler, tag, n, next_row", [
+        (sample_complex_gaussian, "complex-gaussian", 2,
+         [0.23892700086745122, 1.1987060976574802, -1.1902765720064954, -2.0130644062498235]),
+        (sample_exponential, "exponential", 3,
+         [0.13792244773203385, -0.2751632676724314, 0.5367960315814053]),
+        (sample_radial, "radial-mu", 2, [1.289239797936737, 0.5062548547758754]),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_samplers_pinned(self, sampler, tag, n, next_row):
+        stream = SampleStream(2026, 9, counter=3)
+        pts = sampler(n, stream, 1000)
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == self.PINNED[(tag, n)][0]
+        assert stream.counter == 4
+        assert sampler(n, stream).tolist() == next_row

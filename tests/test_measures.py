@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from sineq.bodies import polydisc, strip_body
+from sineq.integrate import Engine
 from sineq.measures import (
+    EXP_FACTOR,
+    RADIAL_FACTOR,
     MeasureKind,
     abs_moment_exponential,
     complex_gaussian,
@@ -18,6 +22,7 @@ from sineq.measures import (
     radial_cdf_inverse,
     xlnx,
 )
+from sineq.verify import body_statistics
 
 SQRT_2LN2 = 1.1774100225154747  # radius of the half-measure cylinder
 
@@ -211,3 +216,32 @@ class TestMeasureKind:
             MeasureKind("gaussian", 1)
         with pytest.raises(ValueError):
             MeasureKind("exponential", 0)
+
+
+class TestRestrictedWeight:
+    """int_0^a r^d dmu against quadrature: the u-space form holds its
+    accuracy at small a, where 2F + 2(1-F)ln(1-F) cancels."""
+
+    RADII = (0.01, 0.03, 0.1, 1.0, 3.0)
+
+    @staticmethod
+    def _quad(density, a):
+        return quad(density, 0.0, a, epsabs=0.0, epsrel=1e-13)[0]
+
+    @pytest.mark.parametrize("a", RADII)
+    def test_radial_factor(self, a):
+        truth = self._quad(lambda r: r**3 * math.exp(-0.5 * r * r), a)
+        assert abs(RADIAL_FACTOR.weight(a) - truth) <= 1e-11 * truth
+        # the same number reaches the closed-form moment of a disc
+        moment = body_statistics(polydisc([a]), None, (), Engine(method="exact")).moment
+        assert abs(moment - truth) <= 1e-11 * truth
+
+    @pytest.mark.parametrize("a", RADII)
+    def test_exponential_factor(self, a):
+        truth = self._quad(lambda x: x * math.exp(-x), a)
+        assert abs(EXP_FACTOR.weight(a) - truth) <= 1e-11 * truth
+        moment = body_statistics(strip_body(a, 1), None, (), Engine(method="exact")).moment
+        assert abs(moment - truth) <= 1e-11 * truth
+
+    def test_full_space(self):
+        assert (RADIAL_FACTOR.weight(math.inf), EXP_FACTOR.weight(math.inf)) == (2.0, 1.0)

@@ -406,3 +406,40 @@ class TestNonFiniteNorm:
         ball = norm_ball(lambda m: np.full(m.shape[0], np.nan), 1.0, 2)
         with pytest.raises(NonFiniteIntegrandError):
             full_check(ball, Engine(method="mc", samples=20_000), experimental=True)
+
+
+class TestRecheckStreams:
+    ANNULUS_ENGINE = Engine(method="mc", samples=20_000, seed=7)
+
+    def test_recheck_keys_are_distinct_and_reserved(self, stats_calls):
+        rep = full_check(annulus_body(1.0, 2.0), self.ANNULUS_ENGINE, experimental=True)
+        assert rep.verdict == "violated"
+        assert len(stats_calls) == 4
+        golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
+        assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
+        engines = [call[3] for call in stats_calls]
+        keys = [(e.seed, e.stream) for e in engines]
+        assert keys[0] == (7, 0)
+        assert len(set(keys)) == 4
+        for k, e in enumerate(engines[1:], start=1):
+            assert (e.seed, e.samples) == (7, 40_000)
+            assert e.stream == verify_module.recheck_stream(0, k) == k << 62
+
+    def test_recheck_does_not_alias_a_primary_pass(self, stats_calls):
+        # recheck 1 used to be seed 8 on the primary stream: the primary
+        # pass of seed 8 at 40,000 samples
+        body = annulus_body(1.0, 2.0)
+        full_check(body, self.ANNULUS_ENGINE, experimental=True)
+        recheck = body_statistics(body, None, DEFAULT_T_GRID, stats_calls[1][3])
+        neighbour = body_statistics(body, None, DEFAULT_T_GRID,
+                                    Engine(method="mc", samples=40_000, seed=8))
+        assert not np.array_equal(recheck.means, neighbour.means)
+        assert not np.array_equal(recheck.cov, neighbour.cov)
+
+    def test_sweep_and_tensorization_streams_stay_primary(self):
+        # primary streams are engine.stream + offset; a recheck stream sits
+        # above 2**62 for every k and keeps the primary stream in its low bits
+        for stream in (0, 1, 199, 2**40):
+            rechecks = {verify_module.recheck_stream(stream, k) for k in (1, 2, 3)}
+            assert len(rechecks) == 3
+            assert all(s >= 2**62 and s % 2**62 == stream for s in rechecks)
