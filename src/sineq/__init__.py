@@ -55,8 +55,6 @@ from .integrate import (
     tensor_quadrature,
 )
 from .measures import (
-    EXPONENTIAL_1D,
-    RADIAL_MU,
     MeasureKind,
     abs_moment_exponential,
     complex_gaussian,

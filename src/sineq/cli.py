@@ -6,8 +6,9 @@ identical configuration (including the seed) produces byte-identical
 output.  Exit codes: 0 success, 1 numerical abort, 2 invalid input,
 3 certified inequality violation.
 
-A JSON config file (``--config``) may hold any long option name; explicit
-flags override it.
+A JSON config file (``--config``) may hold any long option name of the
+command; flags on the command line, in any form argparse accepts, override
+it.  Verdicts and the ``tolerance`` column come from :mod:`integrate`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .entropy import (
     check_subadditivity,
     complement_indicator,
 )
-from .integrate import Engine, NonFiniteIntegrandError, mc_measure
+from .integrate import Engine, NonFiniteIntegrandError, measure_estimate, tolerance
 from .measures import FACTORS, MeasureKind
 
 SCHEMA_VERSION = 1
@@ -97,14 +98,10 @@ def _family_for_measure(name: str) -> str:
     return "reinhardt" if name == "complex-gaussian" else "unconditional"
 
 
-def _tolerance(std_error: float) -> float:
-    return 3.0 * std_error if std_error > 0 else _verify.DET_TOL
-
-
 def _finish_record(rec: dict) -> dict:
     rec.setdefault("schema_version", SCHEMA_VERSION)
     if "tolerance" not in rec:
-        rec["tolerance"] = _tolerance(float(rec.get("std_error", 0.0) or 0.0))
+        rec["tolerance"] = tolerance(float(rec.get("std_error", 0.0) or 0.0))
     return rec
 
 
@@ -145,13 +142,7 @@ def _check_family(body, measure: str) -> MeasureKind:
 
 def cmd_measure(cfg: RunConfig) -> int:
     body = _parse_body(cfg)
-    kind = _check_family(body, cfg.measure)
-    engine = cfg.make_engine()
-    if engine.method == "mc":
-        est = mc_measure(body, kind, engine.samples, engine.seed, workers=engine.workers)
-    else:
-        stats = _verify.body_statistics(body, kind, (), engine)
-        est = stats.measure_estimate()
+    est = measure_estimate(body, _check_family(body, cfg.measure), cfg.make_engine())
     _emit([
         {
             "kind": "measure",
@@ -234,10 +225,10 @@ def cmd_entropy(cfg: RunConfig) -> int:
     rec = rep.to_record()
     rec.update({"kind": f"entropy-{cfg.lemma}", "body": desc,
                 "value": rep.lhs, "reference": rep.rhs, "margin": rep.slack,
-                "verdict": "holds" if rep.holds else "violated",
+                "verdict": rep.verdict,
                 "seed": cfg.seed, "samples": samples, "method": rep.lhs_method})
     _emit([rec], cfg)
-    return _EXIT_OK if rep.holds else _EXIT_VIOLATION
+    return _EXIT_VIOLATION if rep.verdict == "violated" else _EXIT_OK
 
 
 def _parse_norm(cfg: RunConfig):
@@ -265,7 +256,7 @@ def cmd_moments(cfg: RunConfig) -> int:
                 "reference": pair.bound, "margin": pair.bound - pair.ratio,
                 "method": pair.moment_p.method})
     _emit([rec], cfg)
-    return _EXIT_OK if pair.holds else _EXIT_VIOLATION
+    return _EXIT_VIOLATION if pair.verdict == "violated" else _EXIT_OK
 
 
 def cmd_fuzz(cfg: RunConfig) -> int:
@@ -376,6 +367,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given_options(tokens: list[str], options) -> set[str]:
+    """The ``options`` that parsed ``tokens`` set, in every form argparse
+    accepts: ``--name value``, ``--name=value``, a unique prefix of the name."""
+    keys = [t[2:].split("=", 1)[0].replace("-", "_") for t in tokens if t.startswith("--")]
+    return {k if k in options else next(o for o in options if o.startswith(k))
+            for k in keys if k}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -391,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
             return _EXIT_INVALID
         # config fills in anything not given explicitly on the command line
-        explicit = {tok[2:].split("=", 1)[0].replace("-", "_")
-                    for tok in argv if tok.startswith("--")}
+        explicit = _given_options(argv[argv.index(args.command) + 1:],
+                                  vars(args).keys() - {"command", "config"})
         for key, value in defaults.items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):

@@ -23,6 +23,11 @@ int g(z) (|z|^2/2 - n) for bounded g that is per-coordinate phase invariant
 and nondecreasing in each modulus; the exponential analogue uses the weight
 (|x|_1 - n).  Taking g = 1 - indicator(K) turns these into the moment form
 of the dilation inequality, which is how `verify` consumes this module.
+
+Both checks read their sides off one :class:`integrate.Pass` of three
+column means (g ln g, g and the right side's integrand) on every path,
+the closed form of a box complement included, and take their verdicts
+from :func:`integrate.certify`.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import integrate as _integ
-from .bodies import ReinhardtBody, UnconditionalBody, interval_radii
-from .integrate import Engine, delta_se
-from .measures import FACTORS, MeasureKind, box_closed_forms, xlnx
+from .bodies import ReinhardtBody, UnconditionalBody
+from .integrate import Engine, Pass
+from .measures import FACTORS, MeasureKind, xlnx
 
 __all__ = [
     "StepFunction",
@@ -264,7 +269,8 @@ def entropy(
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Both sides of an entropy inequality plus the verdict bookkeeping."""
+    """Both sides of an entropy inequality plus the verdict bookkeeping
+    (``verdict``, "" on invalid input, and its note stay out of the record)."""
 
     lhs: float
     rhs: float
@@ -274,12 +280,12 @@ class EntropyReport:
     rhs_method: str
     status: str = "ok"  # ok | invalid-input
     note: str = ""
+    verdict: str = ""
+    verdict_note: str = ""
 
     @property
     def holds(self) -> bool:
-        if self.status != "ok":
-            return False
-        return self.slack >= -3.0 * self.std_error - 1e-10
+        return self.status == "ok" and self.verdict == "holds"
 
     def to_record(self) -> dict:
         return {
@@ -356,9 +362,10 @@ def check_lemma_1d(
             rhs = float(w @ (-vals * (1.0 - measure.factor.u(nodes))))
             method, note = "quadrature(graded)", "general-f quadrature path, tolerance ~1e-6"
     if rhs == math.inf:
-        return EntropyReport(lhs, rhs, math.inf, 0.0, method, method,
-                             note="rhs infinite: tail vanishes where f > 0")
-    return EntropyReport(lhs, rhs, rhs - lhs, 0.0, method, method, note=note)
+        note = "rhs infinite: tail vanishes where f > 0"
+    slack = rhs - lhs  # inf when rhs is: Ent(f) is finite for bounded f
+    verdict = "holds" if _integ.within_tolerance(slack, 0.0) else "violated"
+    return EntropyReport(lhs, rhs, slack, 0.0, method, method, note=note, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -411,36 +418,35 @@ def complement_indicator(body: ReinhardtBody | UnconditionalBody) -> MonotoneRad
     )
 
 
-def closed_complement_sides(
-    body, measure: MeasureKind
-) -> tuple[float, float] | None:
-    """(lhs, rhs) of the multidimensional inequality for g = 1 - 1_K when
-    the body region is a coordinate box; None otherwise."""
-    radii = interval_radii(body)
-    if radii is None:
-        return None
-    forms = box_closed_forms(radii, measure.factor)
-    return measure.factor.entropy_sides(forms.curve[0], forms.moment, body.dim)
-
-
-def _invalid_input(g: MonotoneRadialFunction, n: int, engine: Engine) -> EntropyReport | None:
-    """The invalid-input report when g breaks its hypotheses, else None."""
+def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=False):
+    """Ent(g) against the right side of an inequality, both read off one
+    pass of three columns; ``layout`` gives the places of the means of
+    g ln g, of g and of the right side's integrand.  A g that breaks its
+    hypotheses gets the invalid-input report."""
     if g.dim != n:
         raise ValueError(f"function dimension {g.dim} != n = {n}")
     bad = g.hypothesis_violations(rng_seed=engine.seed)
-    if not bad:
-        return None
-    return EntropyReport(
-        lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
-        lhs_method="none", rhs_method="none",
-        status="invalid-input", note="; ".join(bad),
-    )
+    if bad:
+        return EntropyReport(
+            lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
+            lhs_method="none", rhs_method="none",
+            status="invalid-input", note="; ".join(bad),
+        )
+    a, b, w = layout
 
+    def run(e: Engine) -> Pass:
+        return _integ.estimate(e, measure, columns, 3, closed, quadrature, "this g")
 
-def _mc_entropy(A: float, B: float) -> tuple[float, float]:
-    """Ent = A - B ln B from the means A of f ln f and B of f, and its
-    derivative in B."""
-    return A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
+    def sides(est: Pass) -> tuple[float, float, float, float]:
+        """lhs, rhs, slack and its error; Ent = A - B ln B from the means
+        A of g ln g and B of g."""
+        A, B, W = (float(est.means[i]) for i in layout)
+        lhs, dlhs_dB = A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
+        return lhs, W, W - lhs, est.se({a: -1.0, b: -dlhs_dB, w: 1.0})
+
+    est = run(engine)
+    verdict, note = _integ.certify(est, lambda p: sides(p)[2:], _integ.rechecks(engine, run))
+    return EntropyReport(*sides(est), est.method, est.method, verdict=verdict, verdict_note=note)
 
 
 def check_lemma_multidim(
@@ -463,47 +469,21 @@ def check_lemma_multidim(
     engine = engine or Engine()
     if measure_tag not in ("complex-gaussian", "exponential"):
         raise ValueError(f"measure must be complex-gaussian or exponential, got {measure_tag!r}")
-    invalid = _invalid_input(g, n, engine)
-    if invalid is not None:
-        return invalid
-    measure = MeasureKind(measure_tag, n)
-    body = g.complement_body
-    sides = closed_complement_sides(body, measure) if body is not None else None
-    method = engine.method
-    if method == "auto":
-        method = "exact" if sides is not None else "mc"
-    if method == "exact":
-        if sides is None:
-            raise ValueError("exact path needs a complement indicator of a coordinate-box body")
-        lhs, rhs = sides
-        return EntropyReport(lhs, rhs, rhs - lhs, 0.0, "closed-form", "closed-form")
-    factor = measure.factor
-
-    def weight(r: np.ndarray) -> np.ndarray:
-        return factor.u(r).sum(axis=1) - n
-
-    if method == "quadrature":
-        ent_g = _integ.tensor_quadrature(lambda r: _np_xlnx(g(r)), n, engine.order, factor.tag)
-        mean_g = _integ.tensor_quadrature(g, n, engine.order, factor.tag)
-        rhs_est = _integ.tensor_quadrature(lambda r: g(r) * weight(r), n, engine.order, factor.tag)
-        lhs = ent_g.value - xlnx(max(mean_g.value, 0.0))
-        return EntropyReport(
-            lhs, rhs_est.value, rhs_est.value - lhs, 0.0,
-            f"quadrature({engine.order})", f"quadrature({engine.order})",
-        )
+    factor = MeasureKind(measure_tag, n).factor
+    forms = _integ.box_forms(g.complement_body, factor)
+    closed = None
+    if forms is not None:
+        # g = 1 - 1_K takes the values 0 and 1, so g ln g vanishes; as -0.0,
+        # Ent = A - (1-m) ln(1-m) is -xlnx(1-m) to the bit, at m = 0 and 1 too
+        m = forms.curve[0]
+        closed = [-0.0, 1.0 - m, factor.entropy_sides(m, forms.moment, n)[1]]
 
     def columns(r: np.ndarray) -> np.ndarray:
         vals = g(r)
-        return np.stack([_np_xlnx(vals), vals, vals * weight(r)], axis=1)
+        return np.stack([_np_xlnx(vals), vals, vals * (factor.u(r).sum(axis=1) - n)], axis=1)
 
-    nsamp, mean, cov = _integ.run_chunked(
-        MeasureKind(factor.tag, n), engine.samples, engine.seed, engine.stream,
-        columns, 3, engine.workers,
-    )
-    A, B, W = mean
-    lhs, dlhs_dB = _mc_entropy(A, B)
-    mc = _integ.mc_method(engine.samples, engine.seed)
-    return EntropyReport(lhs, W, W - lhs, delta_se([-1.0, -dlhs_dB, 1.0], cov), mc, mc)
+    return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed, (0, 1, 2),
+                          quadrature=True)
 
 
 # ---------------------------------------------------------------------------
@@ -576,22 +556,15 @@ def check_subadditivity(
     average over the product measure of the summed per-coordinate slice
     entropies.  Subadditivity of entropy makes the left side the smaller
     one; this check measures both sides, it does not re-derive the fact.
+    Engines: "exact" (complement indicator of a coordinate-box body), "mc"
+    and "auto" (exact when available, else mc).
     """
     engine = engine or Engine()
     if factor not in FACTORS:
         raise ValueError(f"factor must be radial-mu or exponential-1d, got {factor!r}")
-    invalid = _invalid_input(g, n, engine)
-    if invalid is not None:
-        return invalid
     body = g.complement_body
-    method = engine.method
-    radii = interval_radii(body) if body is not None else None
-    if method in ("auto", "exact") and radii is not None:
-        forms = box_closed_forms(radii, FACTORS[factor])
-        lhs, rhs = -xlnx(1.0 - forms.curve[0]), forms.slice_entropy
-        return EntropyReport(lhs, rhs, rhs - lhs, 0.0, "closed-form", "closed-form")
-    if method == "exact":
-        raise ValueError("exact path needs a complement indicator of a coordinate-box body")
+    forms = _integ.box_forms(body, FACTORS[factor])
+    closed = None if forms is None else [forms.slice_entropy, -0.0, 1.0 - forms.curve[0]]
 
     def columns(r: np.ndarray) -> np.ndarray:
         if body is not None:
@@ -601,11 +574,4 @@ def check_subadditivity(
         vals = g(r)
         return np.stack([slices, _np_xlnx(vals), vals], axis=1)
 
-    nsamp, mean, cov = _integ.run_chunked(
-        MeasureKind(factor, n), engine.samples, engine.seed, engine.stream,
-        columns, 3, engine.workers,
-    )
-    S, A, B = mean
-    lhs, dlhs_dB = _mc_entropy(A, B)
-    mc = _integ.mc_method(engine.samples, engine.seed)
-    return EntropyReport(lhs, S, S - lhs, delta_se([1.0, -1.0, -dlhs_dB], cov), mc, mc)
+    return _entropy_check(g, n, engine, MeasureKind(factor, n), columns, closed, (1, 2, 0))

@@ -16,19 +16,29 @@ rows are the same whatever the request size.  Partial sums are reduced in
 block order with exact summation, which makes every estimate
 bit-identical across runs and across any degree of parallelism for equal
 ``(seed, samples)``.
+
+Estimation passes and verdicts
+------------------------------
+Every check reads its values off one :class:`Pass` (column means and
+their covariance) made by :func:`estimate`, the one rule for the engine
+paths.  :func:`certify` is the one verdict protocol: "holds" needs margin
+>= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
+Monte Carlo margin below it is "violated" only when all three
+:func:`rechecks` passes reproduce it ("inconclusive" when they disagree).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import NonFiniteIntegrandError
-from .measures import FACTORS, MeasureKind, complex_gaussian, exponential
+from .bodies import NonFiniteIntegrandError, interval_radii
+from .measures import FACTORS, MeasureKind, box_closed_forms, complex_gaussian, exponential
 
 __all__ = [
     "CHUNK",
@@ -41,6 +51,17 @@ __all__ = [
     "sample_complex_gaussian",
     "sample_exponential",
     "sample_radial",
+    "Pass",
+    "estimate",
+    "DET_TOL",
+    "tolerance",
+    "within_tolerance",
+    "recheck_stream",
+    "rechecks",
+    "certify",
+    "worst",
+    "box_forms",
+    "measure_estimate",
     "mc_measure",
     "mc_integral",
     "tensor_quadrature",
@@ -49,13 +70,15 @@ __all__ = [
     "draw_points",
     "point_drawer",
     "orthant_map",
-    "delta_se",
 ]
 
 CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 MAX_QUADRATURE_ORDER = 180  # laggauss weight computation overflows beyond this
+DET_TOL = 1e-10
+RECHECK_PASSES = 3
+_RECHECK_SHIFT = 62
 
 
 @dataclass(frozen=True)
@@ -80,22 +103,14 @@ class Estimate:
     def deterministic(self) -> bool:
         return self.std_error == 0.0 and not self.method.startswith("mc")
 
-    def to_record(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "samples": self.samples,
-        }
-
 
 @dataclass(frozen=True)
 class Engine:
     """Estimation configuration shared by the checking modules.
 
-    ``method``: "auto" picks the exact closed form when the body supports
-    one and Monte Carlo otherwise; "exact", "mc" and "quadrature" force a
-    path (forcing "exact" on a body without closed forms raises).
+    ``method``: "auto" picks the exact closed form when the check has one
+    and Monte Carlo otherwise; "exact", "mc" and "quadrature" force a path
+    (:func:`estimate`; forcing a path the check does not have raises).
     """
 
     method: str = "auto"
@@ -229,14 +244,6 @@ class SampleMoments:
         return n, mean, cov / n
 
 
-def delta_se(grad, cov: np.ndarray) -> float:
-    """Delta-method standard error sqrt(grad . cov . grad) of a smooth
-    function of estimated means, ``grad`` its gradient at the means and
-    ``cov`` the covariance of the means."""
-    g = np.asarray(grad, dtype=float)
-    return math.sqrt(max(float(g @ cov @ g), 0.0))
-
-
 def run_chunked(
     measure: MeasureKind,
     samples: int,
@@ -284,8 +291,140 @@ def _body_indicator(body, measure: MeasureKind) -> Callable[[np.ndarray], np.nda
     return lambda pts: body.base(orthant(pts))
 
 
-def mc_method(samples: int, seed: int) -> str:
-    return f"mc({samples}, {seed})"
+@dataclass(frozen=True)
+class Pass:
+    """One estimation pass: the means of per-sample columns and the
+    covariance of those means (zeros on a deterministic path)."""
+
+    method: str  # closed-form | quadrature(order) | mc(samples, seed)
+    seed: int
+    stream: int
+    samples: int
+    means: np.ndarray
+    cov: np.ndarray
+
+    @property
+    def deterministic(self) -> bool:
+        return not self.method.startswith("mc(")
+
+    def se(self, grad: dict[int, float]) -> float:
+        """Delta-method standard error sqrt(g . cov . g) of a smooth function
+        of the means whose gradient g at the means has the entries ``grad``
+        (index: value, all others 0); 0 on a deterministic path."""
+        if self.deterministic:
+            return 0.0
+        g = np.zeros(len(self.means))
+        for i, c in grad.items():
+            g[i] = c
+        return math.sqrt(max(float(g @ self.cov @ g), 0.0))
+
+
+def estimate(engine: Engine, measure: MeasureKind, columns: Callable[[np.ndarray], np.ndarray],
+             ncols: int, closed: Sequence[float] | None = None, quadrature: bool = False,
+             subject: str = "this check") -> Pass:
+    """The pass of ``engine`` over ``columns`` of ``measure``'s points.
+    "auto" takes the exact column means ``closed`` when the caller has them
+    and Monte Carlo otherwise; "quadrature" needs columns smooth in the
+    points of a factor measure (``quadrature``).  A path that does not
+    apply raises ``ValueError`` naming ``subject``."""
+    method = engine.method
+    if method == "auto":
+        method = "exact" if closed is not None else "mc"
+    if method == "exact":
+        if closed is None:
+            raise ValueError(f"no closed form for {subject}")
+        means = np.array(closed, dtype=float)
+        return Pass("closed-form", engine.seed, engine.stream, 0, means, np.zeros((ncols, ncols)))
+    if method == "quadrature":
+        if not quadrature:
+            raise ValueError(f"no quadrature path for {subject}")
+        est = [tensor_quadrature(lambda r, j=j: np.array(columns(r)[:, j]), measure.n,
+                                 engine.order, measure.factor.tag) for j in range(ncols)]
+        return Pass(est[0].method, engine.seed, engine.stream, est[0].samples,
+                    np.array([e.value for e in est]), np.zeros((ncols, ncols)))
+    n, means, cov = run_chunked(measure, engine.samples, engine.seed, engine.stream,
+                                columns, ncols, engine.workers)
+    return Pass(f"mc({engine.samples}, {engine.seed})", engine.seed, engine.stream, n, means, cov)
+
+
+def tolerance(se: float) -> float:
+    """How far below 0 a margin of standard error ``se`` may lie and hold:
+    3 * se, or ``DET_TOL`` where se is 0 (every deterministic path)."""
+    return 3.0 * se if se > 0 else DET_TOL
+
+
+def within_tolerance(margin: float, se: float) -> bool:
+    """The verdict rule of one pass: margin >= -tolerance(se), False on NaN."""
+    return margin >= -tolerance(se)
+
+
+def recheck_stream(stream: int, k: int) -> int:
+    """Stream index of recheck pass ``k`` (1..3) of primary stream
+    ``stream``: k * 2**62 + stream.  Primary streams lie in [0, 2**62)
+    (:func:`rechecks` enforces it), so no primary draw, of this run or of
+    any other seed's, repeats a recheck draw."""
+    return (k << _RECHECK_SHIFT) | (stream & ((1 << _RECHECK_SHIFT) - 1))
+
+
+Rechecks = Callable[[int], Pass]
+
+
+def rechecks(engine: Engine, run: Callable[[Engine], Pass]) -> Rechecks:
+    """Recheck pass ``k`` (1..3) of ``run(engine)``: Monte Carlo, same seed,
+    reserved stream :func:`recheck_stream`, doubled samples; each pass runs
+    once however many margins ask for it."""
+    if not 0 <= engine.stream < 1 << _RECHECK_SHIFT:
+        raise ValueError(f"engine stream {engine.stream} outside [0, 2**{_RECHECK_SHIFT}): "
+                         "higher streams are reserved for rechecks")
+
+    @functools.cache
+    def rechecked(k: int) -> Pass:
+        return run(replace(engine, method="mc", stream=recheck_stream(engine.stream, k),
+                           samples=engine.samples * 2))
+
+    return rechecked
+
+
+def certify(primary: Pass, margin: Callable[[Pass], tuple[float, float]],
+            recheck: Rechecks) -> tuple[str, str]:
+    """(verdict, note) of the margin that ``margin`` reads off a pass as
+    (margin, std_error): holds / violated / inconclusive."""
+    if within_tolerance(*margin(primary)):
+        return "holds", ""
+    if primary.deterministic:
+        return "violated", "deterministic margin"
+    outcomes = [not within_tolerance(*margin(recheck(k))) for k in range(1, RECHECK_PASSES + 1)]
+    if all(outcomes):
+        return "violated", f"reproduced by {RECHECK_PASSES} recheck passes at doubled samples"
+    if not any(outcomes):
+        return "holds", "initial 3-sigma excursion not reproduced"
+    return "inconclusive", "rechecks disagree"
+
+
+def worst(verdicts) -> str:
+    """Roll-up of several verdicts: violated > inconclusive > holds."""
+    verdicts = set(verdicts)
+    return next((v for v in ("violated", "inconclusive") if v in verdicts), "holds")
+
+
+def box_forms(body, factor, t_grid: Sequence[float] = (1.0,)):
+    """:func:`measures.box_closed_forms` of ``body`` when it is a coordinate
+    box; None otherwise and for no body."""
+    radii = interval_radii(body) if body is not None else None
+    return None if radii is None else box_closed_forms(radii, factor, t_grid)
+
+
+def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
+    """measure(K): the closed form of a coordinate box, or the indicator
+    mean with binomial standard error."""
+    forms = box_forms(body, measure.factor)
+    ind = _body_indicator(body, measure)
+    p = estimate(engine, measure, lambda pts: ind(pts)[:, None].astype(float), 1,
+                 None if forms is None else forms.curve,
+                 subject=f"the measure of {body.descriptor()!r}")
+    m = float(p.means[0])
+    se = 0.0 if p.deterministic else math.sqrt(max(m * (1.0 - m), 0.0) / p.samples)
+    return Estimate(m, se, p.method, p.samples)
 
 
 def mc_measure(
@@ -298,14 +437,8 @@ def mc_measure(
 ) -> Estimate:
     """Indicator-mean estimate of the body's measure with binomial
     standard error; reproducible per (seed, stream)."""
-    ind = _body_indicator(body, measure)
-    n, mean, _ = run_chunked(
-        measure, samples, seed, stream,
-        lambda pts: ind(pts)[:, None].astype(float), 1, workers,
-    )
-    m = float(mean[0])
-    se = math.sqrt(max(m * (1.0 - m), 0.0) / n)
-    return Estimate(m, se, mc_method(samples, seed), n)
+    engine = Engine(method="mc", samples=samples, seed=seed, stream=stream, workers=workers)
+    return measure_estimate(body, measure, engine)
 
 
 def mc_integral(
@@ -341,8 +474,9 @@ def mc_integral(
             )
         return vals[:, None]
 
-    n, mean, cov = run_chunked(measure, samples, seed, stream, columns, 1, workers)
-    return Estimate(float(mean[0]), delta_se([1.0], cov), mc_method(samples, seed), n)
+    engine = Engine(method="mc", samples=samples, seed=seed, stream=stream, workers=workers)
+    p = estimate(engine, measure, columns, 1)
+    return Estimate(float(p.means[0]), p.se({0: 1.0}), p.method, p.samples)
 
 
 def laguerre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,8 +38,6 @@ __all__ = [
     "box_closed_forms",
     "complex_gaussian",
     "exponential",
-    "RADIAL_MU",
-    "EXPONENTIAL_1D",
     "moduli",
     "xlnx",
     "lanczos_gamma",
@@ -215,10 +213,6 @@ def complex_gaussian(n: int) -> MeasureKind:
 
 def exponential(n: int) -> MeasureKind:
     return MeasureKind("exponential", n)
-
-
-RADIAL_MU = MeasureKind("radial-mu", 1)
-EXPONENTIAL_1D = MeasureKind("exponential-1d", 1)
 
 
 class BoxForms(NamedTuple):

@@ -9,6 +9,8 @@ For exponents p >= q > 0 the p-th norm moment is controlled by the q-th:
 with the coordinate functional |x_1| attaining the constant.  Both moments
 are estimated on one shared sample stream, so their errors are positively
 correlated and the ratio is much tighter than the individual moments.
+The estimate is Monte Carlo only; its verdict comes from
+:func:`integrate.certify`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import integrate as _integ
 from .bodies import UnconditionalBody, interval_radii
-from .integrate import Engine, Estimate, delta_se
+from .integrate import Engine, Estimate, Pass
 from .measures import abs_moment_exponential, exponential
 
 __all__ = [
@@ -135,6 +137,7 @@ class MomentPair:
     verdict: str
     seed: int
     samples: int
+    verdict_note: str = ""  # how the verdict was certified; not part of the record
 
     @property
     def holds(self) -> bool:
@@ -207,30 +210,43 @@ def moment_ratio(
             raise _integ.NonFiniteIntegrandError("norm returned non-finite values")
         return np.stack([v**p, v**q], axis=1)
 
-    nsamp, mean, cov = _integ.run_chunked(
-        exponential(n), engine.samples, engine.seed, engine.stream, columns, 2, engine.workers
-    )
-    A, B = float(mean[0]), float(mean[1])
-    if A <= 0 or B <= 0:
-        raise ValueError("norm moments vanished; degenerate norm")
-    mom_p, mom_q = A ** (1.0 / p), B ** (1.0 / q)
-    ratio = mom_p / mom_q
-    # d ln(ratio) = dA / (p A) - dB / (q B)
-    ratio_se = ratio * delta_se([1.0 / (p * A), -1.0 / (q * B)], cov)
+    def run(e: Engine) -> Pass:
+        return _integ.estimate(e, exponential(n), columns, 2,
+                               subject=f"the moment ratio of {norm_desc}")
+
+    def moments(est: Pass) -> tuple[Estimate, Estimate, float, float]:
+        """(E||x||^p)^(1/p) and (E||x||^q)^(1/q), their ratio and its error."""
+        A, B = float(est.means[0]), float(est.means[1])
+        if A <= 0 or B <= 0:
+            raise ValueError("norm moments vanished; degenerate norm")
+        mom_p, mom_q = A ** (1.0 / p), B ** (1.0 / q)
+        ratio = mom_p / mom_q
+        # d ln(ratio) = dA / (p A) - dB / (q B)
+        ratio_se = ratio * est.se({0: 1.0 / (p * A), 1: -1.0 / (q * B)})
+        return (Estimate(mom_p, est.se({0: mom_p / (p * A)}), est.method, est.samples),
+                Estimate(mom_q, est.se({1: mom_q / (q * B)}), est.method, est.samples),
+                ratio, ratio_se)
+
+    def margin(est: Pass) -> tuple[float, float]:
+        ratio, ratio_se = moments(est)[2:]
+        return bound - ratio, ratio_se
+
     bound = cpq(p, q)
-    verdict = "holds" if ratio <= bound + 3.0 * ratio_se else "violated"
-    mc = _integ.mc_method(engine.samples, engine.seed)
+    est = run(engine)
+    moment_p, moment_q, ratio, ratio_se = moments(est)
+    verdict, note = _integ.certify(est, margin, _integ.rechecks(engine, run))
     return MomentPair(
         p=p,
         q=q,
         n=n,
         norm_desc=norm_desc,
-        moment_p=Estimate(mom_p, delta_se([mom_p / (p * A), 0.0], cov), mc, nsamp),
-        moment_q=Estimate(mom_q, delta_se([0.0, mom_q / (q * B)], cov), mc, nsamp),
+        moment_p=moment_p,
+        moment_q=moment_q,
         ratio=ratio,
         ratio_se=ratio_se,
         bound=bound,
         verdict=verdict,
         seed=engine.seed,
-        samples=nsamp,
+        samples=est.samples,
+        verdict_note=note,
     )

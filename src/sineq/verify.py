@@ -19,42 +19,34 @@ package checks three interchangeable formulations:
 
 Every comparison-set formula (calibration, moment, dilation rate, curve)
 comes from the body measure's :class:`measures.Factor`, and coordinate
-boxes get their closed forms from :func:`measures.box_closed_forms`; this
-module holds the protocol, not the formulas.  Every standard error is the
-delta method on the covariance of one estimation pass
-(:meth:`BodyStats.se`).
+boxes get their closed forms from :func:`integrate.box_forms`; this
+module holds the margins, not the formulas.  :class:`BodyStats` is the
+:class:`integrate.Pass` of :func:`body_statistics` plus its body, and every
+standard error is the delta method on that pass's covariance.
 
-Verdict semantics under Monte Carlo noise: "holds" needs margin
->= -3 * std_error; a negative margin beyond that triggers recertification
-under three fresh streams with doubled samples and becomes "violated" only
-when every recheck stays below -3 * std_error (and "inconclusive" when the
-rechecks disagree).  Recheck k keeps the seed and draws from the reserved
-stream :func:`recheck_stream` (k * 2**62 + stream), which no primary pass
-reaches.  The recheck passes are estimated once on the full grid and
-shared by the criteria and every curve point, so a ``full_check`` runs at
-most 3 extra passes however many of its checks fail.  Deterministic
-(closed-form) paths use a fixed 1e-10 tolerance instead.  The curve point
-t = 1 is the calibration itself: its reference is the body's measure and
-its margin is 0 exactly.  Several verdicts roll up as violated >
-inconclusive > holds.
+Verdicts come from :func:`integrate.certify`.  Here the recheck passes are
+estimated once on the full grid and shared by the criteria and every curve
+point, so a ``full_check`` runs at most 3 extra passes however many of its
+checks fail; each report keeps the protocol's note.  The curve point t = 1
+is the calibration itself: its reference is the body's measure and its
+margin is 0 exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bodies as _b
 from . import integrate as _integ
-from .bodies import ReinhardtBody, UnconditionalBody, interval_radii, product
+from .bodies import ReinhardtBody, UnconditionalBody, product
 from .entropy import EntropyReport
-from .integrate import Engine, Estimate
-from .measures import EXP_FACTOR, RADIAL_FACTOR, MeasureKind, box_closed_forms
+from .integrate import DET_TOL, Engine, Estimate, Pass, Rechecks, certify, recheck_stream, worst
+from .measures import EXP_FACTOR, RADIAL_FACTOR, MeasureKind
 
 __all__ = [
     "DET_TOL",
@@ -80,10 +72,7 @@ __all__ = [
     "sweep",
 ]
 
-DET_TOL = 1e-10
 DEFAULT_T_GRID = (1.0, 1.25, 1.5, 2.0, 3.0)
-_RECHECK_SEEDS = 3
-_RECHECK_SHIFT = 62
 
 
 def _calibrate(factor, m: float) -> float:
@@ -119,7 +108,7 @@ def _require_validated(body, experimental: bool) -> None:
 
 
 @dataclass(frozen=True)
-class BodyStats:
+class BodyStats(Pass):
     """Joint measure/moment/dilation statistics from one estimation pass.
 
     ``means`` holds [measure(tK) for t in t_grid] + [weight moment over K];
@@ -130,14 +119,8 @@ class BodyStats:
 
     body_desc: str
     measure: MeasureKind
-    method: str
-    seed: int
-    stream: int
-    samples: int
     t_grid: tuple[float, ...]
     idx1: int
-    means: np.ndarray
-    cov: np.ndarray
 
     @property
     def m(self) -> float:
@@ -149,23 +132,6 @@ class BodyStats:
 
     def curve_value(self, i: int) -> float:
         return float(self.means[i])
-
-    @property
-    def deterministic(self) -> bool:
-        return self.method == "closed-form"
-
-    def se(self, grad: dict[int, float]) -> float:
-        """Delta-method standard error of sum_i grad[i] * means[i]; 0 on
-        the closed-form path."""
-        if self.deterministic:
-            return 0.0
-        g = np.zeros(len(self.means))
-        for i, c in grad.items():
-            g[i] = c
-        return _integ.delta_se(g, self.cov)
-
-    def measure_estimate(self) -> Estimate:
-        return Estimate(self.m, self.se({self.idx1: 1.0}), self.method, self.samples)
 
 
 def body_statistics(
@@ -186,45 +152,20 @@ def body_statistics(
     grid = tuple(sorted(set(grid)))
     idx1 = grid.index(1.0)
 
-    method = engine.method
-    radii = interval_radii(body)
-    closed = None
-    if radii is not None:
-        forms = box_closed_forms(radii, measure.factor, grid)
-        closed = np.array([*forms.curve, forms.moment])
-    if method == "quadrature":
-        raise ValueError("body statistics use closed forms or Monte Carlo; "
-                         "quadrature applies to smooth integrands only")
-    if method == "exact" and closed is None:
-        raise ValueError(f"no closed form for body {body.descriptor()!r}")
-    if method in ("auto", "exact") and closed is not None:
-        method, nsamp, means, cov = "closed-form", 0, closed, np.zeros((len(grid) + 1,) * 2)
-    else:
-        orthant = _integ.orthant_map(body, measure)
+    forms = _integ.box_forms(body, measure.factor, grid)
+    closed = None if forms is None else [*forms.curve, forms.moment]
+    orthant = _integ.orthant_map(body, measure)
 
-        def columns(pts: np.ndarray) -> np.ndarray:
-            r, w = orthant(pts), measure.weight(pts)
-            cols = [body.base(r / t).astype(float) for t in grid]
-            cols.append(w * cols[idx1])
-            return np.stack(cols, axis=1)
+    def columns(pts: np.ndarray) -> np.ndarray:
+        r, w = orthant(pts), measure.weight(pts)
+        cols = [body.base(r / t).astype(float) for t in grid]
+        cols.append(w * cols[idx1])
+        return np.stack(cols, axis=1)
 
-        method = _integ.mc_method(engine.samples, engine.seed)
-        nsamp, means, cov = _integ.run_chunked(
-            measure, engine.samples, engine.seed, engine.stream,
-            columns, len(grid) + 1, engine.workers,
-        )
-    return BodyStats(
-        body_desc=body.descriptor(),
-        measure=measure,
-        method=method,
-        seed=engine.seed,
-        stream=engine.stream,
-        samples=nsamp,
-        t_grid=grid,
-        idx1=idx1,
-        means=means,
-        cov=cov,
-    )
+    est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
+                          subject=f"body {body.descriptor()!r}")
+    return BodyStats(**vars(est), body_desc=body.descriptor(), measure=measure,
+                     t_grid=grid, idx1=idx1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,72 +231,22 @@ def _degenerate(stats: BodyStats) -> str | None:
     return None
 
 
-_Rechecks = Callable[[int], BodyStats]
-
-
-def recheck_stream(stream: int, k: int) -> int:
-    """Stream index of recheck pass ``k`` (1..3) of primary stream
-    ``stream``: k * 2**62 + stream.  Primary streams (an engine's stream
-    plus a sweep or tensorization offset) stay below 2**62, so no primary
-    draw, of this run or of any other seed's, repeats a recheck draw."""
-    return (k << _RECHECK_SHIFT) | (stream & ((1 << _RECHECK_SHIFT) - 1))
-
-
-def _rechecks(body, stats: BodyStats, engine: Engine) -> _Rechecks:
-    """Recheck pass ``k`` (1..3): same seed on the reserved stream
-    :func:`recheck_stream`, doubled samples, on ``stats.t_grid``; each pass
-    is estimated once however many criteria or curve points ask for it."""
-
-    @functools.cache
-    def rechecked(k: int) -> BodyStats:
-        e2 = replace(engine, method="mc", stream=recheck_stream(engine.stream, k),
-                     samples=engine.samples * 2)
-        return body_statistics(body, stats.measure, stats.t_grid, e2)
-
-    return rechecked
-
-
-def _worst(verdicts) -> str:
-    """Roll-up of several verdicts: violated > inconclusive > holds."""
-    verdicts = set(verdicts)
-    return next((v for v in ("violated", "inconclusive") if v in verdicts), "holds")
-
-
-def _certified_verdict(
-    margin: float,
-    se: float,
-    deterministic: bool,
-    recheck: Callable[[int], tuple[float, float]],
-) -> tuple[str, str]:
-    """Apply the holds / violated / inconclusive protocol; ``recheck(k)``
-    is the (margin, std_error) of recheck pass k."""
-    if deterministic:
-        return ("holds", "") if margin >= -DET_TOL else ("violated", "deterministic margin")
-    if margin >= -3.0 * se:
-        return "holds", ""
-    outcomes = []
-    for k in range(1, _RECHECK_SEEDS + 1):
-        m2, se2 = recheck(k)
-        outcomes.append(m2 < -3.0 * se2)
-    if all(outcomes):
-        return "violated", "reproduced by 3 recheck passes at doubled samples"
-    if not any(outcomes):
-        return "holds", "initial 3-sigma excursion not reproduced"
-    return "inconclusive", "rechecks disagree"
+def _rechecks(body, stats: BodyStats, engine: Engine) -> Rechecks:
+    """The shared recheck passes of ``stats``, on its grid."""
+    return _integ.rechecks(engine, lambda e: body_statistics(body, stats.measure, stats.t_grid, e))
 
 
 _MOMENT_CRITERION = {"complex-gaussian": "gaussian-moment", "exponential": "exponential-moment"}
 
 
-def _criterion_report(stats: BodyStats, rechecks: _Rechecks, criterion: str) -> CriterionReport:
+def _criterion_report(stats: BodyStats, rechecks: Rechecks, criterion: str) -> CriterionReport:
     note = _degenerate(stats)
     if note is not None:
         zero = Estimate(0.0, 0.0, stats.method, stats.samples)
         return CriterionReport(criterion, stats.body_desc, zero, zero, 0.0, 0.0,
                                "holds", stats.seed, stats.samples, note=note)
     slack, se = _slack_pieces(stats)
-    verdict, vnote = _certified_verdict(slack, se, stats.deterministic,
-                                        lambda k: _slack_pieces(rechecks(k)))
+    verdict, vnote = certify(stats, _slack_pieces, rechecks)
 
     factor, n, m = stats.measure.factor, stats.measure.n, stats.m
     if criterion == "derivative":
@@ -373,6 +264,7 @@ def _criterion_report(stats: BodyStats, rechecks: _Rechecks, criterion: str) -> 
             lhs=lhs_e, rhs=rhs_e, slack=slack / factor.d, std_error=se / factor.d,
             lhs_method=stats.method, rhs_method=stats.method,
             note="complement-indicator entropy form of the moment criterion",
+            verdict=verdict, verdict_note=vnote,
         )
     return CriterionReport(criterion, stats.body_desc, lhs, rhs, slack, se,
                            verdict, stats.seed, stats.samples,
@@ -435,6 +327,7 @@ class DilationPoint:
     margin_se: float
     direction: str  # ">=" for t >= 1, "<=" for t < 1
     verdict: str
+    note: str = ""  # how the verdict was certified; not part of the records
 
     @property
     def margin_sigmas(self) -> float:
@@ -457,7 +350,7 @@ class DilationReport:
 
     @property
     def verdict(self) -> str:
-        return _worst(p.verdict for p in self.points)
+        return worst(p.verdict for p in self.points)
 
     def to_records(self) -> list[dict]:
         return [_record("dilation", self.body, p.t, p.value, p.std_error, p.reference, p.margin,
@@ -500,7 +393,7 @@ def dilation_curve(
     return _curve_report(stats, _rechecks(body, stats, engine))
 
 
-def _curve_report(stats: BodyStats, rechecks: _Rechecks) -> DilationReport:
+def _curve_report(stats: BodyStats, rechecks: Rechecks) -> DilationReport:
     note = _degenerate(stats)
     reversed_note = (
         "t<1 direction is derived from the t>=1 inequality by rescaling"
@@ -515,10 +408,9 @@ def _curve_report(stats: BodyStats, rechecks: _Rechecks) -> DilationReport:
                                         ">=" if t >= 1 else "<=", "holds"))
             continue
         margin, mse, ref, direction = _curve_margin(stats, i)
-        verdict, _ = _certified_verdict(margin, mse, stats.deterministic,
-                                        lambda k, _i=i: _curve_margin(rechecks(k), _i)[:2])
+        verdict, vnote = certify(stats, lambda s, _i=i: _curve_margin(s, _i)[:2], rechecks)
         points.append(DilationPoint(t, stats.curve_value(i), stats.se({i: 1.0}),
-                                    ref, margin, mse, direction, verdict))
+                                    ref, margin, mse, direction, verdict, vnote))
     return DilationReport(
         body=stats.body_desc,
         measure=stats.measure.describe(),
@@ -541,7 +433,7 @@ class TensorizationReport:
 
     @property
     def verdict(self) -> str:
-        return _worst([p.verdict for p in self.parts] + [self.combined.verdict])
+        return worst([p.verdict for p in self.parts] + [self.combined.verdict])
 
 
 def check_tensorization(
@@ -570,7 +462,7 @@ class FullCheckReport:
 
     @property
     def verdict(self) -> str:
-        return _worst([self.derivative.verdict, self.moment.verdict, self.curve.verdict])
+        return worst([self.derivative.verdict, self.moment.verdict, self.curve.verdict])
 
     @property
     def min_margin(self) -> float:

@@ -216,6 +216,20 @@ class TestReproducibility:
         (rec,) = parse_jsonl(out)
         assert rec["samples"] == 60000
 
+    @pytest.mark.parametrize("flag", [["--samples=60000"], ["--samp", "60000"], ["--samp=60000"]])
+    def test_explicit_flag_in_any_form_beats_config(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 50000, "seed": 3, "engine": "mc"}))
+        code, out = run_cli(capsys, "--config", str(cfg), "measure", "--body", "polydisc:r=1,1",
+                            *flag)
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["samples"], rec["seed"]) == (0, 60000, 3)
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lemma": "1d"}))
+        assert main(["--config", str(cfg), "measure", "--body", "polydisc:r=1,1"]) == 2
+
     def test_missing_config_exits_2(self):
         assert main(["--config", "/nonexistent.json", "measure", "--body", "x:y=1"]) == 2
 
@@ -245,3 +259,47 @@ class TestParserReuse:
         code, out = run_cli(capsys, "measure", "--body", "polydisc:r=1,1")
         assert code == 0
         assert parse_jsonl(out)[0]["method"] == "closed-form"
+
+
+class TestCertifiedExitCodes:
+    def test_entropy_seed9_excursion_exits_0(self, capsys):
+        code, out = run_cli(
+            capsys, "entropy", "--lemma", "multidim", "--body", "cylinder:R=1,n=1",
+            "--engine", "mc", "--samples", "20000", "--seed", "9",
+        )
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["verdict"]) == (0, "holds")
+        assert rec["margin"] < -rec["tolerance"] == -3 * rec["std_error"]
+
+    def test_moments_excursion_exits_0(self, capsys):
+        code, out = run_cli(
+            capsys, "moments", "--norm", "coord", "--n", "1", "--p", "2", "--q", "1",
+            "--samples", "2000", "--seed", "1242",
+        )
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["verdict"]) == (0, "holds")
+        assert rec["margin"] < -rec["tolerance"]
+
+    @pytest.mark.parametrize("args", [
+        ["entropy", "--lemma", "subadditivity", "--body", "polydisc:r=1,1",
+         "--engine", "quadrature"],
+        ["moments", "--norm", "linf", "--n", "2", "--engine", "exact"],
+        ["moments", "--norm", "linf", "--n", "2", "--engine", "quadrature"],
+    ], ids=["subadditivity-quadrature", "moments-exact", "moments-quadrature"])
+    def test_unsupported_path_exits_2(self, capsys, args):
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestMeasureAuto:
+    def test_auto_without_closed_form_is_mc_measure(self, capsys):
+        body = "weighted-lp-ball:p=2,w=1,1,scale=1.5"
+        common = ["measure", "--body", body, "--samples", "5000", "--seed", "3"]
+        _, auto = run_cli(capsys, *common)
+        _, mc = run_cli(capsys, *common, "--engine", "mc")
+        assert auto == mc
+        (rec,) = parse_jsonl(auto)
+        m = rec["value"]
+        assert rec["std_error"] == math.sqrt(m * (1 - m) / 5000)
+        assert rec["method"] == "mc(5000, 3)"
+

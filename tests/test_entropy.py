@@ -331,3 +331,54 @@ class TestSubadditivity:
         rep = check_subadditivity(g, 2, engine=Engine(samples=20_000, seed=10, order=48))
         assert rep.status == "ok"
         assert abs(rep.slack) <= 3 * rep.std_error + 1e-6
+
+
+class TestCertifiedEntropyVerdicts:
+    """The entropy checks take their verdicts from the shared protocol."""
+
+    CYLINDER = "cylinder:R=1,n=1"
+
+    def test_seed9_excursion_is_rechecked(self, monkeypatch):
+        # the equality case reads -3.06 sigma at 20,000 samples, seed 9; the
+        # three recheck passes at 40,000 samples read -1.28, -0.84, -0.01
+        from sineq import integrate
+        from sineq.bodies import parse_descriptor
+
+        seen = []
+        rule = integrate.within_tolerance
+
+        def recording(margin, se):
+            seen.append(margin / se)
+            return rule(margin, se)
+
+        monkeypatch.setattr(integrate, "within_tolerance", recording)
+        g = complement_indicator(parse_descriptor(self.CYLINDER, "reinhardt"))
+        rep = check_lemma_multidim(g, 1, engine=Engine(method="mc", samples=20_000, seed=9))
+        assert [round(z, 2) for z in seen] == [-3.06, -1.28, -0.84, -0.01]
+        assert rep.slack == pytest.approx(-0.0194, abs=5e-5)
+        assert (rep.verdict, rep.holds) == ("holds", True)
+        assert rep.verdict_note == "initial 3-sigma excursion not reproduced"
+
+    def test_exact_verdicts_need_no_rechecks(self):
+        g = complement_indicator(polydisc([1.0, 1.0]))
+        for rep in (check_lemma_multidim(g, 2, engine=Engine(method="exact")),
+                    check_subadditivity(g, 2, engine=Engine(method="exact")),
+                    check_lemma_1d(StepFunction.tail_indicator(0.7), EXP1D)):
+            assert (rep.verdict, rep.verdict_note) == ("holds", "")
+
+    def test_invalid_input_has_no_verdict(self):
+        g = MonotoneRadialFunction(2, 1.0, lambda r: np.exp(-r.sum(axis=1)))
+        rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
+        assert (rep.status, rep.verdict, rep.holds) == ("invalid-input", "", False)
+
+
+class TestUnsupportedPaths:
+    def test_subadditivity_rejects_quadrature(self):
+        g = complement_indicator(polydisc([1.0, 1.3]))
+        with pytest.raises(ValueError, match="quadrature"):
+            check_subadditivity(g, 2, engine=Engine(method="quadrature"))
+
+    def test_subadditivity_exact_needs_box(self):
+        g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))
+        with pytest.raises(ValueError, match="closed form"):
+            check_subadditivity(g, 2, engine=Engine(method="exact"))

@@ -17,10 +17,8 @@ from sineq.bodies import (
     cylinder_body,
     norm_ball,
     polydisc,
-    product,
     reinhardt_lp_ball,
     strip_body,
-    unconditional_lp_ball,
 )
 from sineq.integrate import Engine, NonFiniteIntegrandError
 from sineq.measures import (
@@ -443,3 +441,27 @@ class TestRecheckStreams:
             rechecks = {verify_module.recheck_stream(stream, k) for k in (1, 2, 3)}
             assert len(rechecks) == 3
             assert all(s >= 2**62 and s % 2**62 == stream for s in rechecks)
+
+
+class TestProtocolEntry:
+    ANNULUS_ENGINE = Engine(method="mc", samples=20_000, seed=7)
+
+    @pytest.mark.parametrize("stream, aliased", [(-1, (2**62 - 1, 3)), (2**62 + 5, (5, 1))])
+    def test_out_of_range_primary_stream_rejected(self, stream, aliased):
+        # such a stream would draw exactly the recheck stream of another run
+        from sineq.integrate import SampleStream
+
+        assert (SampleStream(7, stream).stream_index
+                == verify_module.recheck_stream(*aliased))
+        with pytest.raises(ValueError, match="reserved for rechecks"):
+            full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=2000, seed=7,
+                                                    stream=stream))
+
+    def test_curve_points_keep_the_certification_note(self):
+        rep = full_check(annulus_body(1.0, 2.0), self.ANNULUS_ENGINE, experimental=True)
+        violated = [p for p in rep.curve.points if p.verdict == "violated"]
+        assert len(violated) == 4
+        assert {p.note for p in violated} == {"reproduced by 3 recheck passes at doubled samples"}
+        assert {p.note for p in rep.curve.points if p.verdict == "holds"} == {""}
+        golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
+        assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
