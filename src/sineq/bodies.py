@@ -374,8 +374,8 @@ def _dilate_radial(body, t: float):
         raise ValueError(f"dilation scale must be > 0, got {t}")
     parts = body.params.get("parts")
     if parts is not None:
-        return replace(body, params={"parts": tuple(p.dilate(t) for p in parts)},
-                       base=_conjunction([p.dilate(t) for p in parts]))
+        parts = tuple(p.dilate(t) for p in parts)
+        return replace(body, params={"parts": parts}, base=_conjunction(parts))
     params = dict(body.params)
     if body.kind == "custom":
         # the parameters of a custom shadow are opaque; the descriptor
@@ -557,13 +557,25 @@ def check_midpoint_convex(
 # Descriptor parsing
 
 
-def _parse_params(text: str) -> dict[str, list[str]]:
+_KEYS = {
+    "cylinder": {"R", "n"}, "polydisc": {"r"}, "strip": {"p", "n"}, "cube": {"a", "n"},
+    "box": {"a"}, "cross-polytope": {"scale", "n"}, "annulus": {"inner", "outer"},
+    "upper-set": {"c", "n"}, "weighted-lp-ball": {"p", "w", "scale"},
+}
+
+
+def _parse_params(text: str, keys: set[str], desc: str) -> dict[str, list[str]]:
+    """The ``key=v1,v2,...`` parameters of ``text``: each one of ``keys``,
+    and each once."""
     out: dict[str, list[str]] = {}
     current: str | None = None
     for token in text.split(","):
         if "=" in token:
             current, first = token.split("=", 1)
             current = current.strip()
+            if current not in keys or current in out:
+                problem = "repeated" if current in out else f"unknown (takes {sorted(keys)})"
+                raise ValueError(f"descriptor {desc!r}: key {current!r} {problem}")
             out[current] = [first]
         elif current is not None:
             out[current].append(token)
@@ -572,25 +584,22 @@ def _parse_params(text: str) -> dict[str, list[str]]:
     return out
 
 
-def _one_float(params: dict, key: str, desc: str) -> float:
-    if key not in params or len(params[key]) != 1:
+def _one(params: dict, key: str, desc: str, cast=float, default=None):
+    if key not in params and default is not None:
+        return default
+    if len(params.get(key, ())) != 1:
         raise ValueError(f"descriptor {desc!r}: expected a single value for {key!r}")
-    return float(params[key][0])
-
-
-def _one_int(params: dict, key: str, desc: str, default: int | None = None) -> int:
-    if key not in params:
-        if default is not None:
-            return default
-        raise ValueError(f"descriptor {desc!r}: missing {key!r}")
-    return int(params[key][0])
+    return cast(params[key][0])
 
 
 def parse_descriptor(text: str, family: str | None = None) -> _RadialBody:
-    """Parse the documented ``kind:key=value,...`` text form.
+    """Parse the documented ``kind:key=value,...`` text form; an unknown
+    kind, an unknown or repeated key, or a list where one value belongs
+    raises ``ValueError``.
 
     ``family`` ("reinhardt" or "unconditional") disambiguates kinds that
-    exist in both families (weighted-lp-ball, product).
+    exist in both families (weighted-lp-ball, product); only an
+    unconditional weighted-lp-ball takes ``n``.
     """
     text = text.strip()
     if ":" not in text:
@@ -602,31 +611,32 @@ def parse_descriptor(text: str, family: str | None = None) -> _RadialBody:
             raise ValueError(f"product descriptor must be product:parts=...: {text!r}")
         parts = [parse_descriptor(p, family) for p in rest[len("parts="):].split("|")]
         return product(*parts)
-    params = _parse_params(rest)
+    kind = "weighted-lp-ball" if kind == "lp-ball" else kind
+    if kind not in _KEYS:
+        raise ValueError(f"unknown body kind {kind!r} in descriptor {text!r}")
+    unconditional_lp = kind == "weighted-lp-ball" and family == "unconditional"
+    params = _parse_params(rest, _KEYS[kind] | ({"n"} if unconditional_lp else set()), text)
     if kind == "cylinder":
-        return cylinder_body(_one_float(params, "R", text), _one_int(params, "n", text, 1))
+        return cylinder_body(_one(params, "R", text), _one(params, "n", text, int, 1))
     if kind == "polydisc":
         return polydisc([float(v) for v in params.get("r", [])])
-    if kind == "weighted-lp-ball" or kind == "lp-ball":
-        p = _one_float(params, "p", text)
-        scale = float(params["scale"][0]) if "scale" in params else 1.0
-        if family == "unconditional":
-            n = _one_int(params, "n", text, len(params.get("w", [])) or None)
+    if kind == "weighted-lp-ball":
+        p, scale = _one(params, "p", text), _one(params, "scale", text, float, 1.0)
+        if unconditional_lp:
+            n = _one(params, "n", text, int, len(params.get("w", [])) or None)
             w = [float(v) for v in params["w"]] if "w" in params else None
             return unconditional_lp_ball(p, n, scale, w)
         if "w" not in params:
             raise ValueError(f"descriptor {text!r}: Reinhardt lp ball needs weights w=")
         return reinhardt_lp_ball([float(v) for v in params["w"]], p, scale)
     if kind == "strip":
-        return strip_body(_one_float(params, "p", text), _one_int(params, "n", text, 1))
+        return strip_body(_one(params, "p", text), _one(params, "n", text, int, 1))
     if kind == "cube":
-        return cube_body(_one_float(params, "a", text), _one_int(params, "n", text, 1))
+        return cube_body(_one(params, "a", text), _one(params, "n", text, int, 1))
     if kind == "box":
         return box_body([float(v) for v in params.get("a", [])])
     if kind == "cross-polytope":
-        return cross_polytope(_one_float(params, "scale", text), _one_int(params, "n", text, 1))
+        return cross_polytope(_one(params, "scale", text), _one(params, "n", text, int, 1))
     if kind == "annulus":
-        return annulus_body(_one_float(params, "inner", text), _one_float(params, "outer", text))
-    if kind == "upper-set":
-        return upper_set_body(_one_float(params, "c", text), _one_int(params, "n", text, 1))
-    raise ValueError(f"unknown body kind {kind!r} in descriptor {text!r}")
+        return annulus_body(_one(params, "inner", text), _one(params, "outer", text))
+    return upper_set_body(_one(params, "c", text), _one(params, "n", text, int, 1))

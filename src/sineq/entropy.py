@@ -270,7 +270,8 @@ def entropy(
 @dataclass(frozen=True)
 class EntropyReport:
     """Both sides of an entropy inequality plus the verdict bookkeeping
-    (``verdict``, "" on invalid input, and its note stay out of the record)."""
+    (``verdict`` is "" on invalid input; ``verdict_note`` stays out of the
+    record).  ``samples`` is the pass's own count, 0 on a closed form."""
 
     lhs: float
     rhs: float
@@ -282,22 +283,16 @@ class EntropyReport:
     note: str = ""
     verdict: str = ""
     verdict_note: str = ""
+    samples: int = 0
 
     @property
     def holds(self) -> bool:
         return self.status == "ok" and self.verdict == "holds"
 
     def to_record(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "std_error": self.std_error,
-            "lhs_method": self.lhs_method,
-            "rhs_method": self.rhs_method,
-            "status": self.status,
-            "note": self.note,
-        }
+        return dict(_integ.record(self.lhs, self.std_error, self.rhs, self.slack, self.std_error,
+                                  self.verdict, self.samples, self.lhs_method),
+                    status=self.status, note=self.note)
 
 
 def _check_monotone_callable(f, xs: np.ndarray) -> np.ndarray:
@@ -446,7 +441,8 @@ def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=Fa
 
     est = run(engine)
     verdict, note = _integ.certify(est, lambda p: sides(p)[2:], _integ.rechecks(engine, run))
-    return EntropyReport(*sides(est), est.method, est.method, verdict=verdict, verdict_note=note)
+    return EntropyReport(*sides(est), est.method, est.method, verdict=verdict, verdict_note=note,
+                         samples=est.samples)
 
 
 def check_lemma_multidim(

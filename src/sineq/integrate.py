@@ -25,6 +25,8 @@ paths.  :func:`certify` is the one verdict protocol: "holds" needs margin
 >= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
 Monte Carlo margin below it is "violated" only when all three
 :func:`rechecks` passes reproduce it ("inconclusive" when they disagree).
+:func:`record` writes the columns every check's record shares, with the
+tolerance its verdict applied.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "rechecks",
     "certify",
     "worst",
+    "record",
     "box_forms",
     "measure_estimate",
     "mc_measure",
@@ -405,6 +408,14 @@ def worst(verdicts) -> str:
     """Roll-up of several verdicts: violated > inconclusive > holds."""
     verdicts = set(verdicts)
     return next((v for v in ("violated", "inconclusive") if v in verdicts), "holds")
+
+
+def record(value, std_error, reference, margin, margin_se, verdict, samples, method) -> dict:
+    """The record columns every check shares.  ``tolerance`` is the one its
+    verdict applied: :func:`tolerance` of the margin's error ``margin_se``."""
+    return {"value": value, "std_error": std_error, "reference": reference, "margin": margin,
+            "tolerance": tolerance(margin_se), "verdict": verdict, "samples": samples,
+            "method": method}
 
 
 def box_forms(body, factor, t_grid: Sequence[float] = (1.0,)):

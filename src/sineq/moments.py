@@ -155,9 +155,9 @@ class MomentPair:
             "ratio": self.ratio,
             "ratio_se": self.ratio_se,
             "bound": self.bound,
-            "verdict": self.verdict,
             "seed": self.seed,
-            "samples": self.samples,
+            **_integ.record(self.ratio, self.ratio_se, self.bound, self.bound - self.ratio,
+                            self.ratio_se, self.verdict, self.samples, self.moment_p.method),
         }
 
 

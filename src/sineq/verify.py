@@ -210,17 +210,9 @@ class CriterionReport:
     note: str = ""
 
     def to_record(self) -> dict:
-        return _record(self.criterion, self.body, "", self.lhs.value, self.std_error,
-                       self.rhs.value, self.slack, self.verdict, self.seed, self.samples)
-
-
-_RECORD_KEYS = ("kind", "body", "t", "value", "std_error", "reference", "margin", "verdict",
-                "seed", "samples")
-
-
-def _record(*values) -> dict:
-    """One output record of a criterion or a curve point."""
-    return dict(zip(_RECORD_KEYS, values, strict=True))
+        return {"kind": self.criterion, "body": self.body, "t": "", "seed": self.seed,
+                **_integ.record(self.lhs.value, self.std_error, self.rhs.value, self.slack,
+                                self.std_error, self.verdict, self.samples, self.lhs.method)}
 
 
 def _degenerate(stats: BodyStats) -> str | None:
@@ -264,7 +256,7 @@ def _criterion_report(stats: BodyStats, rechecks: Rechecks, criterion: str) -> C
             lhs=lhs_e, rhs=rhs_e, slack=slack / factor.d, std_error=se / factor.d,
             lhs_method=stats.method, rhs_method=stats.method,
             note="complement-indicator entropy form of the moment criterion",
-            verdict=verdict, verdict_note=vnote,
+            verdict=verdict, verdict_note=vnote, samples=stats.samples,
         )
     return CriterionReport(criterion, stats.body_desc, lhs, rhs, slack, se,
                            verdict, stats.seed, stats.samples,
@@ -353,8 +345,9 @@ class DilationReport:
         return worst(p.verdict for p in self.points)
 
     def to_records(self) -> list[dict]:
-        return [_record("dilation", self.body, p.t, p.value, p.std_error, p.reference, p.margin,
-                        p.verdict, self.seed, self.samples) for p in self.points]
+        return [{"kind": "dilation", "body": self.body, "t": p.t, "seed": self.seed,
+                 **_integ.record(p.value, p.std_error, p.reference, p.margin, p.margin_se,
+                                 p.verdict, self.samples, self.method)} for p in self.points]
 
 
 def _curve_margin(stats: BodyStats, i: int) -> tuple[float, float, float, str]:
@@ -502,10 +495,32 @@ class SweepReport:
     inconclusive: int
     min_margin: float
     rows: tuple[dict, ...]
+    engine: Engine
 
     @property
     def certified_violations(self) -> int:
         return self.violated
+
+    def to_records(self) -> list[dict]:
+        """A fuzz-body record per body (value and margin: its smallest
+        margin, with no single error or tolerance) and a fuzz-summary record."""
+        records = [{"kind": "fuzz-body", "body": row["body"], "t": "", "value": row["min_margin"],
+                    "std_error": "", "reference": "", "margin": row["min_margin"],
+                    "tolerance": "", "verdict": row["verdict"], "seed": row["seed"],
+                    "samples": row["samples"], "method": row["method"]} for row in self.rows]
+        records.append({
+            "kind": "fuzz-summary",
+            "body": self.family,
+            "value": self.min_margin,
+            "margin": self.min_margin,
+            "verdict": f"{self.holds} holds / {self.violated} violated / "
+                       f"{self.inconclusive} inconclusive",
+            "seed": self.engine.seed,
+            "samples": self.engine.samples,
+            "method": self.engine.method,
+            "tolerance": "",
+        })
+        return records
 
 
 def _random_body(family: str, n: int, rng: np.random.Generator):
@@ -560,4 +575,4 @@ def sweep(
         })
     tally = Counter(row["verdict"] for row in rows)
     return SweepReport(family, count, tally["holds"], tally["violated"], tally["inconclusive"],
-                       min([math.inf] + [row["min_margin"] for row in rows]), tuple(rows))
+                       min([math.inf] + [row["min_margin"] for row in rows]), tuple(rows), engine)

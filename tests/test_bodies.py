@@ -252,6 +252,89 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             parse_descriptor("polydisc:1,2")
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="key 'N' unknown"):
+            parse_descriptor("strip:p=0.7,N=3", "unconditional")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="key 'r' repeated"):
+            parse_descriptor("polydisc:r=1,r=2")
+
+    def test_list_for_a_single_value_rejected(self):
+        with pytest.raises(ValueError, match="single value for 'n'"):
+            parse_descriptor("cylinder:R=1,n=2,3")
+
+    def test_other_familys_key_rejected(self):
+        text = "weighted-lp-ball:p=3,n=2,scale=1.2,w=1,0.5"
+        with pytest.raises(ValueError, match="key 'n' unknown"):
+            parse_descriptor(text)
+        assert parse_descriptor(text, "unconditional").dim == 2
+
+
+_POS = st.floats(min_value=0.1, max_value=3.0)
+_DIM = st.integers(min_value=1, max_value=3)
+_WEIGHTS = st.lists(_POS, min_size=1, max_size=3)
+_SCALE = st.floats(min_value=0.25, max_value=4.0)
+# every kind parse_descriptor reads, per family
+_KINDS = {
+    "reinhardt": st.one_of(
+        _WEIGHTS.map(polydisc),
+        st.builds(cylinder_body, _POS, _DIM),
+        st.builds(reinhardt_lp_ball, _WEIGHTS, st.floats(min_value=0.5, max_value=4.0), _POS),
+        st.builds(lambda a, b: annulus_body(min(a, b), max(a, b)), _POS, _POS),
+        st.builds(upper_set_body, _POS, _DIM),
+    ),
+    "unconditional": st.one_of(
+        st.builds(strip_body, _POS, _DIM),
+        st.builds(cube_body, _POS, _DIM),
+        _WEIGHTS.map(box_body),
+        st.builds(lambda w, p, s: unconditional_lp_ball(p, len(w), s, w), _WEIGHTS,
+                  st.floats(min_value=1.0, max_value=4.0), _POS),
+        st.builds(cross_polytope, _POS, _DIM),
+    ),
+}
+
+
+def _bodies_of(family: str):
+    """Constructor bodies, their dilations, products of those and dilated
+    products."""
+    dilated = st.builds(dilate, _KINDS[family], _SCALE)
+    single = st.one_of(_KINDS[family], dilated)
+    products = st.builds(product, single, single)
+    return st.one_of(single, products, st.builds(dilate, products, _SCALE))
+
+
+class TestDescriptorRoundTrip:
+    @pytest.mark.parametrize("family", list(_KINDS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_parse_gives_same_descriptor_and_membership(self, family, data):
+        body = data.draw(_bodies_of(family))
+        parsed = parse_descriptor(body.descriptor(), family)
+        assert parsed.descriptor() == body.descriptor()
+        rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        r = rng.exponential(size=(500, body.dim)) * 2.0
+        assert np.array_equal(parsed.radial_member(r), body.radial_member(r))
+
+    def test_product_dilates_each_part_once(self, monkeypatch, rng):
+        from sineq import bodies as bodies_module
+
+        calls = []
+        original = bodies_module._dilate_radial
+
+        def counted(body, t):
+            calls.append(body.kind)
+            return original(body, t)
+
+        monkeypatch.setattr(bodies_module, "_dilate_radial", counted)
+        prod = product(polydisc([1.0]), cylinder_body(0.5, 2))
+        dilated = prod.dilate(2.0)
+        assert calls == ["product", "polydisc", "cylinder"]
+        expected = product(polydisc([2.0]), cylinder_body(1.0, 2))
+        assert dilated.descriptor() == expected.descriptor()
+        z = random_complex_points(rng, 2000, 3)
+        assert np.array_equal(dilated.contains(z), expected.contains(z))
+
 
 class TestValidateBody:
     def test_custom_shadow_gets_validated(self):

@@ -5,7 +5,10 @@ import math
 
 import pytest
 
+from sineq.bodies import polydisc
 from sineq.cli import _build_parser, main
+from sineq.integrate import DET_TOL, Engine, tolerance
+from sineq.verify import full_check
 
 
 def run_cli(capsys, *args) -> tuple[int, str]:
@@ -27,7 +30,7 @@ class TestMeasureCommand:
         (rec,) = parse_jsonl(out)
         assert rec["value"] == pytest.approx(0.5, abs=1e-6)
         assert rec["method"] == "closed-form"
-        assert rec["schema_version"] == 1
+        assert rec["schema_version"] == 2
 
     def test_polydisc_mc(self, capsys):
         code, out = run_cli(
@@ -303,3 +306,81 @@ class TestMeasureAuto:
         assert rec["std_error"] == math.sqrt(m * (1 - m) / 5000)
         assert rec["method"] == "mc(5000, 3)"
 
+
+
+class TestRecordColumns:
+    """Schema 2: each report writes its own columns; the CLI adds only the
+    kind, body and seed a report lacks, and the schema version."""
+
+    def test_curve_tolerance_is_the_one_the_verdict_applied(self, capsys):
+        code, out = run_cli(capsys, "verify", "--body", "polydisc:r=1,1", "--engine", "mc",
+                            "--samples", "20000", "--seed", "1", "--grid", "1,3")
+        assert code == 0
+        curve = [r for r in parse_jsonl(out) if r["kind"] == "dilation"]
+        rep = full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=20_000, seed=1),
+                         (1.0, 3.0))
+        assert [r["tolerance"] for r in curve] == [tolerance(p.margin_se)
+                                                   for p in rep.curve.points]
+        assert curve[0]["tolerance"] == DET_TOL
+        assert curve[1]["tolerance"] == pytest.approx(0.0184, abs=1e-4)
+
+    @pytest.mark.parametrize("lemma, body", [("multidim", "polydisc:r=1,1"),
+                                             ("subadditivity", "cylinder:R=1.0,n=2")])
+    def test_closed_form_entropy_records_carry_no_samples(self, capsys, lemma, body):
+        code, out = run_cli(capsys, "entropy", "--lemma", lemma, "--body", body,
+                            "--engine", "exact")
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["method"], rec["samples"]) == (0, "closed-form", 0)
+        assert not {"lhs", "rhs", "slack", "lhs_method", "rhs_method"} & rec.keys()
+
+    def test_every_record_has_schema_version_2(self, capsys):
+        for args in (["measure", "--body", "polydisc:r=1"],
+                     ["verify", "--body", "box:a=1,2", "--measure", "exponential"],
+                     ["moments", "--samples", "2000"],
+                     ["fuzz", "--count", "2", "--samples", "2000", "--format", "csv"]):
+            code, out = run_cli(capsys, *args)
+            recs = (list(csv.DictReader(io.StringIO(out))) if "csv" in args
+                    else parse_jsonl(out))
+            assert code == 0 and recs
+            assert {str(r["schema_version"]) for r in recs} == {"2"}
+
+
+class TestConfigTyping:
+    """Config entries are parsed and validated like the flags they become."""
+
+    def run_with(self, tmp_path, capsys, config: dict, *args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(capsys, "--config", str(cfg), *args)
+
+    def test_string_number_is_converted(self, tmp_path, capsys):
+        code, out = self.run_with(tmp_path, capsys, {"samples": "5000", "engine": "mc"},
+                                  "measure", "--body", "polydisc:r=1,1")
+        (rec,) = parse_jsonl(out)
+        assert (code, rec["samples"], rec["method"]) == (0, 5000, "mc(5000, 42)")
+
+    @pytest.mark.parametrize("config", [{"samples": "many"}, {"engine": "fast"},
+                                        {"samp": 5000}, {"experimental": True}],
+                             ids=["bad-int", "bad-choice", "abbreviated-key", "foreign-key"])
+    def test_bad_entry_exits_2(self, tmp_path, capsys, config):
+        code, out = self.run_with(tmp_path, capsys, config, "measure", "--body", "polydisc:r=1")
+        assert (code, out) == (2, "")
+
+    def test_true_is_a_bare_flag_and_false_is_dropped(self, tmp_path, capsys):
+        args = ("verify", "--body", "annulus:inner=1,outer=2", "--engine", "mc",
+                "--samples", "2000", "--grid", "1,2")
+        code, _ = self.run_with(tmp_path, capsys, {"experimental": False}, *args)
+        assert code == 2  # an annulus needs --experimental
+        code, out = self.run_with(tmp_path, capsys, {"experimental": True, "output": None}, *args)
+        assert code in (0, 3) and parse_jsonl(out)
+
+
+class TestDescriptorErrors:
+    @pytest.mark.parametrize("body, measure", [
+        ("strip:p=0.7,N=3", "exponential"),
+        ("polydisc:r=1,r=2", "complex-gaussian"),
+        ("cylinder:R=1,n=2,3", "complex-gaussian"),
+    ])
+    def test_malformed_body_exits_2(self, capsys, body, measure):
+        assert main(["measure", "--body", body, "--measure", measure]) == 2
+        assert "error: descriptor" in capsys.readouterr().err

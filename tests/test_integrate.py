@@ -8,17 +8,22 @@ from scipy.integrate import quad
 from sineq.bodies import custom_reinhardt, cylinder_body, polydisc, strip_body
 from sineq.integrate import (
     CHUNK,
+    DET_TOL,
     Estimate,
     NonFiniteIntegrandError,
+    Pass,
     SampleStream,
+    certify,
     draw_points,
     mc_integral,
     mc_measure,
     point_drawer,
+    record,
     sample_complex_gaussian,
     sample_exponential,
     sample_radial,
     tensor_quadrature,
+    tolerance,
 )
 from sineq.measures import MeasureKind, complex_gaussian, exponential
 
@@ -355,3 +360,48 @@ class TestSamplingContract:
         assert hashlib.sha256(pts.tobytes()).hexdigest() == self.PINNED[(tag, n)][0]
         assert stream.counter == 4
         assert sampler(n, stream).tolist() == next_row
+
+
+class TestCertify:
+    """The verdict protocol on hand-made passes: margin = means[0], its
+    error sqrt(cov[0, 0])."""
+
+    @staticmethod
+    def make_pass(method: str, margin: float, se: float = 0.0) -> Pass:
+        return Pass(method, 1, 0, 100, np.array([margin]), np.array([[se**2]]))
+
+    @staticmethod
+    def margin(p: Pass) -> tuple[float, float]:
+        return float(p.means[0]), math.sqrt(float(p.cov[0, 0]))
+
+    def test_negative_deterministic_margin_is_violated_without_rechecks(self):
+        def no_recheck(k):
+            raise AssertionError("a deterministic margin must not be rechecked")
+
+        primary = self.make_pass("closed-form", -1e-6)
+        assert certify(primary, self.margin, no_recheck) == ("violated", "deterministic margin")
+        within = self.make_pass("closed-form", -0.5 * DET_TOL)
+        assert certify(within, self.margin, no_recheck) == ("holds", "")
+
+    def test_disagreeing_rechecks_are_inconclusive(self):
+        primary = self.make_pass("mc(100, 1)", -0.4, 0.1)  # -4 sigma
+        rechecked = {1: self.make_pass("mc(200, 1)", -0.5, 0.1),  # reproduces
+                     2: self.make_pass("mc(200, 1)", 0.1, 0.1),   # holds
+                     3: self.make_pass("mc(200, 1)", -0.5, 0.1)}
+        calls = []
+
+        def recheck(k):
+            calls.append(k)
+            return rechecked[k]
+
+        assert certify(primary, self.margin, recheck) == ("inconclusive", "rechecks disagree")
+        assert calls == [1, 2, 3]
+
+
+class TestRecord:
+    def test_tolerance_column_is_the_margins(self):
+        rec = record(0.5, 0.001, 0.4, 0.1, 0.006, "holds", 1000, "mc(1000, 1)")
+        assert rec == {"value": 0.5, "std_error": 0.001, "reference": 0.4, "margin": 0.1,
+                       "tolerance": tolerance(0.006), "verdict": "holds", "samples": 1000,
+                       "method": "mc(1000, 1)"}
+        assert record(1.0, 0.0, 1.0, 0.0, 0.0, "holds", 0, "closed-form")["tolerance"] == DET_TOL

@@ -465,3 +465,26 @@ class TestProtocolEntry:
         assert {p.note for p in rep.curve.points if p.verdict == "holds"} == {""}
         golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
         assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
+
+
+class TestDegenerateCurve:
+    """Measure 0 and measure 1 bodies skip the protocol: every check holds
+    and the reports say why."""
+
+    @pytest.mark.parametrize("body, note, value", [
+        (polydisc([0.0, 0.0]), "degenerate: measure 0", 0.0),
+        (cylinder_body(math.inf, 2), "degenerate: measure 1 (dilation invariant)", 1.0),
+    ], ids=["measure-0", "measure-1"])
+    @pytest.mark.parametrize("engine", [EXACT, Engine(method="mc", samples=5000, seed=3)],
+                             ids=["exact", "mc"])
+    def test_full_check_holds_with_degenerate_note(self, body, note, value, engine, stats_calls):
+        rep = full_check(body, engine, (0.5, 1.0, 2.0))
+        assert rep.verdict == "holds"
+        assert rep.derivative.note == rep.moment.note == note
+        assert rep.curve.note.startswith(note)
+        assert [p.verdict for p in rep.curve.points] == ["holds"] * 3
+        assert [(p.value, p.reference, p.margin, p.margin_se) for p in rep.curve.points] == [
+            (value, value, 0.0, 0.0)] * 3
+        assert len(stats_calls) == 1  # no recheck pass
+        assert {r["tolerance"] for r in rep.to_records()} == {DET_TOL}
+
