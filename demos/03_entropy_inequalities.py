@@ -29,10 +29,10 @@ from sineq import (
     check_subadditivity,
     complement_indicator,
     cylinder_body,
-    entropy,
     inverse_tail,
     polydisc,
 )
+from sineq.entropy import entropy
 
 print("1-D inequality, exact step-function oracle")
 print("------------------------------------------")

@@ -11,25 +11,27 @@ Run:  python demos/06_reproducibility.py
 
 import numpy as np
 
-from sineq import (
-    SampleStream,
-    complex_gaussian,
-    mc_measure,
-    polydisc,
-    sample_complex_gaussian,
-)
+from sineq import SampleStream, complex_gaussian, mc_measure, polydisc
+from sineq.integrate import chunk_indices, draw_points
+
+
+def draw(n, stream, count):
+    """The first ``count`` points of ``stream`` in C^n, block by block."""
+    return np.concatenate([draw_points(complex_gaussian(n), stream, block, take)
+                           for block, take in chunk_indices(count)])
+
 
 print("Identical (seed, stream, counter) -> identical draws")
-a = sample_complex_gaussian(2, SampleStream(42, stream_index=0, counter=3), count=5)
-b = sample_complex_gaussian(2, SampleStream(42, stream_index=0, counter=3), count=5)
+a = draw_points(complex_gaussian(2), SampleStream(42, stream_index=0), 3, 5)
+b = draw_points(complex_gaussian(2), SampleStream(42, stream_index=0), 3, 5)
 print(f"  redraw bit-identical: {np.array_equal(a, b)}")
-c = sample_complex_gaussian(2, SampleStream(42, stream_index=1, counter=3), count=5)
+c = draw_points(complex_gaussian(2), SampleStream(42, stream_index=1), 3, 5)
 print(f"  different stream differs: {not np.array_equal(a, c)}")
 
 print()
 print("Sample content does not depend on how much you ask for")
-small = sample_complex_gaussian(1, SampleStream(7), count=1000)
-large = sample_complex_gaussian(1, SampleStream(7), count=500_000)
+small = draw(1, SampleStream(7), 1000)
+large = draw(1, SampleStream(7), 500_000)
 print(f"  first 1000 of 500k == the 1000-draw: {np.array_equal(small, large[:1000])}")
 
 print()

@@ -14,12 +14,10 @@ from .bodies import (
     check_downward_closed,
     check_midpoint_convex,
     check_unconditional,
-    contains,
     cross_polytope,
     cube_body,
     custom_reinhardt,
     cylinder_body,
-    dilate,
     interval_radii,
     norm_ball,
     parse_descriptor,
@@ -40,7 +38,6 @@ from .entropy import (
     check_lemma_multidim,
     check_subadditivity,
     complement_indicator,
-    entropy,
     inverse_tail,
 )
 from .integrate import (
@@ -49,9 +46,6 @@ from .integrate import (
     SampleStream,
     mc_integral,
     mc_measure,
-    sample_complex_gaussian,
-    sample_exponential,
-    sample_radial,
     tensor_quadrature,
 )
 from .measures import (
@@ -64,8 +58,6 @@ from .measures import (
     exp_strip_measure,
     exponential,
     lanczos_gamma,
-    radial_cdf,
-    radial_cdf_inverse,
     xlnx,
 )
 from .moments import MomentPair, cpq, gauge_norm, moment_ratio

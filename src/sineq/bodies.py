@@ -33,7 +33,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind, moduli
+from .measures import MeasureKind
 
 __all__ = [
     "ReinhardtBody",
@@ -50,8 +50,6 @@ __all__ = [
     "unconditional_lp_ball",
     "cross_polytope",
     "norm_ball",
-    "contains",
-    "dilate",
     "product",
     "interval_radii",
     "check_downward_closed",
@@ -61,7 +59,6 @@ __all__ = [
     "parse_descriptor",
     "DownwardClosureReport",
     "NonFiniteIntegrandError",
-    "moduli",
 ]
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
@@ -364,10 +361,6 @@ def norm_ball(
 # Operations
 
 
-def contains(body: _RadialBody, point: np.ndarray) -> np.ndarray:
-    return body.contains(point)
-
-
 def _dilate_radial(body, t: float):
     t = float(t)
     if not t > 0:
@@ -394,10 +387,6 @@ def _dilate_radial(body, t: float):
         return _base(m / _t)
 
     return replace(body, params=params, base=scaled)
-
-
-def dilate(body: _RadialBody, t: float):
-    return body.dilate(t)
 
 
 def _conjunction(parts) -> RadialPredicate:

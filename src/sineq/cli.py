@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -73,6 +74,18 @@ def _emit(records: list[dict], args: argparse.Namespace) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str) -> None:
+    """Fail on an unwritable ``--output`` before any work, leaving an
+    existing file as it is until the records are written."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _body(args: argparse.Namespace):
@@ -297,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, vars(args).keys() - {"command", "config"})
             args = parser.parse_args(argv[:at] + flags + argv[at:])
+        _engine(args)  # bad engine options fail on every command, before any work
+        if args.output:
+            _check_output(args.output)
         records = _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -245,7 +245,6 @@ def _piece_masses(f: StepFunction, measure: TailMeasure1D) -> list[float]:
 def entropy(
     f: StepFunction | Callable[[np.ndarray], np.ndarray],
     measure: TailMeasure1D,
-    engine: Engine | None = None,
 ) -> float:
     """Ent(f) against a 1-D tail measure.
 
@@ -277,8 +276,7 @@ class EntropyReport:
     rhs: float
     slack: float
     std_error: float
-    lhs_method: str
-    rhs_method: str
+    method: str
     status: str = "ok"  # ok | invalid-input
     note: str = ""
     verdict: str = ""
@@ -291,7 +289,7 @@ class EntropyReport:
 
     def to_record(self) -> dict:
         return dict(_integ.record(self.lhs, self.std_error, self.rhs, self.slack, self.std_error,
-                                  self.verdict, self.samples, self.lhs_method),
+                                  self.verdict, self.samples, self.method),
                     status=self.status, note=self.note)
 
 
@@ -360,7 +358,7 @@ def check_lemma_1d(
         note = "rhs infinite: tail vanishes where f > 0"
     slack = rhs - lhs  # inf when rhs is: Ent(f) is finite for bounded f
     verdict = "holds" if _integ.within_tolerance(slack, 0.0) else "violated"
-    return EntropyReport(lhs, rhs, slack, 0.0, method, method, note=note, verdict=verdict)
+    return EntropyReport(lhs, rhs, slack, 0.0, method, note=note, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=Fa
     if bad:
         return EntropyReport(
             lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
-            lhs_method="none", rhs_method="none",
+            method="none",
             status="invalid-input", note="; ".join(bad),
         )
     a, b, w = layout
@@ -441,7 +439,7 @@ def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=Fa
 
     est = run(engine)
     verdict, note = _integ.certify(est, lambda p: sides(p)[2:], _integ.rechecks(engine, run))
-    return EntropyReport(*sides(est), est.method, est.method, verdict=verdict, verdict_note=note,
+    return EntropyReport(*sides(est), est.method, verdict=verdict, verdict_note=note,
                          samples=est.samples)
 
 

@@ -4,18 +4,17 @@ quadrature.
 
 Reproducibility contract
 ------------------------
-All Monte Carlo draws come from the Philox counter-based generator keyed
-by ``(seed, stream_index)``.  Sampling is organized in fixed blocks of
-``CHUNK`` points; block ``c`` always starts the Philox counter at
-``c * 2**64``, so the content of a block depends only on
-``(seed, stream_index, c)`` and never on which worker produced it or how
-many points were requested in total.  A block that is only partly used
-draws just the ``take`` rows it needs: Philox fills ``standard_normal``
-and ``random`` row-major in counter order, so a block's first ``take``
-rows are the same whatever the request size.  Partial sums are reduced in
-block order with exact summation, which makes every estimate
-bit-identical across runs and across any degree of parallelism for equal
-``(seed, samples)``.
+All Monte Carlo draws come from the Philox generator keyed by
+``(seed, stream_index)`` (:class:`SampleStream`), in fixed blocks of
+``CHUNK`` points: block ``c`` starts the Philox counter at ``c * 2**64``,
+so its content depends only on ``(seed, stream_index, c)``, never on the
+worker or the total request.  :func:`draw_points` is the one draw: the
+first ``take`` rows of one block (Philox fills ``standard_normal`` and
+``random`` row-major in counter order, so they are the same whatever the
+request size); :func:`chunk_indices` splits a longer draw into blocks.
+Partial sums are reduced in block order with exact summation, which makes
+every estimate bit-identical across runs and across any degree of
+parallelism for equal ``(seed, samples)``.
 
 Estimation passes and verdicts
 ------------------------------
@@ -40,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bodies import NonFiniteIntegrandError, interval_radii
-from .measures import FACTORS, MeasureKind, box_closed_forms, complex_gaussian, exponential
+from .measures import FACTORS, MeasureKind, box_closed_forms
 
 __all__ = [
     "CHUNK",
@@ -50,9 +49,6 @@ __all__ = [
     "Engine",
     "SampleStream",
     "NonFiniteIntegrandError",
-    "sample_complex_gaussian",
-    "sample_exponential",
-    "sample_radial",
     "Pass",
     "estimate",
     "DET_TOL",
@@ -102,10 +98,6 @@ class Estimate:
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
 
-    @property
-    def deterministic(self) -> bool:
-        return self.std_error == 0.0 and not self.method.startswith("mc")
-
 
 @dataclass(frozen=True)
 class Engine:
@@ -128,20 +120,17 @@ class Engine:
             raise ValueError(f"unknown engine method {self.method!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
 class SampleStream:
-    """Cursor into the counter-based sample space.
-
-    Identical ``(seed, stream_index, counter)`` always yields identical
-    draws; the counter advances by whole blocks, so interleaving draw
-    calls with different counts never shifts later blocks.
-    """
+    """The Philox key ``(seed, stream_index)`` of a sample stream; block
+    ``b`` is ``generator(b)``, and :func:`draw_points` reads its points."""
 
     seed: int
     stream_index: int = 0
-    counter: int = 0
 
     def __post_init__(self) -> None:
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
@@ -151,14 +140,6 @@ class SampleStream:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
         counter = np.array([0, block, 0, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-    def draw(self, draw_fn: Callable[[np.random.Generator, int], np.ndarray], count: int) -> np.ndarray:
-        """Materialize ``count`` points, consuming whole blocks."""
-        blocks = max(1, -(-count // CHUNK))
-        pieces = [draw_fn(self.generator(self.counter + b), min(CHUNK, count - b * CHUNK))
-                  for b in range(blocks)]
-        self.counter += blocks
-        return np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0]
 
 
 def point_drawer(measure: MeasureKind) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -178,26 +159,6 @@ def point_drawer(measure: MeasureKind) -> Callable[[np.random.Generator, int], n
 
         return laplace
     return lambda gen, count: quantile(gen.random((count, n)))
-
-
-def _sample(measure: MeasureKind, stream: SampleStream, count: int | None) -> np.ndarray:
-    pts = stream.draw(point_drawer(measure), count or 1)
-    return pts if count is not None else pts[0]
-
-
-def sample_complex_gaussian(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
-    """Points of C^n as 2n interleaved reals; each |z_k|^2 has mean 2."""
-    return _sample(complex_gaussian(n), stream, count)
-
-
-def sample_exponential(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
-    """Points of R^n with i.i.d. symmetric unit-rate exponential coordinates."""
-    return _sample(exponential(n), stream, count)
-
-
-def sample_radial(n: int, stream: SampleStream, count: int | None = None) -> np.ndarray:
-    """Vectors in [0, inf)^n with i.i.d. coordinates of density r*exp(-r^2/2)."""
-    return _sample(MeasureKind("radial-mu", n), stream, count)
 
 
 def chunk_indices(samples: int) -> list[tuple[int, int]]:

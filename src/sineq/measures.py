@@ -14,7 +14,9 @@ exponential law of u.  :class:`Factor` writes every one-dimensional
 formula once, in u, and scales by d where the weight r^d = d*u enters:
 CDF, tail, quantile, restricted weight, and the closed forms of the
 comparison sets (cylinder {|z_1| <= R}, strip {|x_1| <= p}).
-:func:`box_closed_forms` builds the coordinate-box closed forms from them.
+:func:`box_closed_forms` builds the coordinate-box closed forms from them,
+:func:`cylinder_measure` and the other scalar forms are a line over it each,
+and ``verify.calibrate_cylinder`` / ``calibrate_strip`` invert them.
 
 All formulas are exact in binary64; no arbitrary precision is used.  The
 convention 0 * ln 0 = 0 applies throughout (see :func:`xlnx`).
@@ -43,8 +45,6 @@ __all__ = [
     "lanczos_gamma",
     "cylinder_measure",
     "cylinder_second_moment",
-    "radial_cdf",
-    "radial_cdf_inverse",
     "exp_strip_measure",
     "exp_strip_first_moment",
     "abs_moment_exponential",
@@ -293,7 +293,9 @@ def cylinder_measure(R: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return radial_cdf(R)
+    if R < 0.0:
+        raise ValueError(f"radius must be >= 0, got {R}")
+    return RADIAL_FACTOR.cdf(R)
 
 
 def cylinder_second_moment(R: float, n: int) -> float:
@@ -306,26 +308,6 @@ def cylinder_second_moment(R: float, n: int) -> float:
     with 0*ln 0 = 0 covering the full-space limit (value 2n there).
     """
     return RADIAL_FACTOR.comparison_moment(cylinder_measure(R, n), n)[0]
-
-
-def radial_cdf(r: float) -> float:
-    """CDF of the radial factor measure: F(r) = 1 - exp(-r^2/2)."""
-    if r < 0.0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    return RADIAL_FACTOR.cdf(r)
-
-
-def radial_cdf_inverse(u: float) -> float:
-    """Quantile of the radial factor measure: sqrt(-2*ln(1-u)) for u in [0, 1).
-
-    The r -> u -> r round trip is exact to ~1e-12 for r up to about 4.5;
-    beyond that the tail 1-u is smaller than ~1e-10 and binary64 cannot
-    carry enough of it through the CDF value (measured drift 7.5e-5 at
-    r = 8).  The u-side round trip is stable on all of [0, 1).
-    """
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
-    return RADIAL_FACTOR.quantile(u)
 
 
 def exp_strip_measure(p: float) -> float:

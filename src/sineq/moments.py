@@ -57,6 +57,8 @@ def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     """|x_index|: the extremal (constant-attaining) functional."""
 
     def norm(x: np.ndarray) -> np.ndarray:
+        if not 0 <= index < x.shape[1]:
+            raise ValueError(f"coordinate index {index} outside [0, {x.shape[1]})")
         return np.abs(x[:, index])
 
     return norm

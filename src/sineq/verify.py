@@ -45,11 +45,10 @@ from . import bodies as _b
 from . import integrate as _integ
 from .bodies import ReinhardtBody, UnconditionalBody, product
 from .entropy import EntropyReport
-from .integrate import DET_TOL, Engine, Estimate, Pass, Rechecks, certify, recheck_stream, worst
+from .integrate import Engine, Estimate, Pass, Rechecks, certify, worst
 from .measures import EXP_FACTOR, RADIAL_FACTOR, MeasureKind
 
 __all__ = [
-    "DET_TOL",
     "DEFAULT_T_GRID",
     "calibrate_cylinder",
     "calibrate_strip",
@@ -67,7 +66,6 @@ __all__ = [
     "check_tensorization",
     "FullCheckReport",
     "full_check",
-    "recheck_stream",
     "SweepReport",
     "sweep",
 ]
@@ -82,7 +80,11 @@ def _calibrate(factor, m: float) -> float:
 
 
 def calibrate_cylinder(m: float) -> float:
-    """Radius R with cylinder measure m: R = sqrt(-2 ln(1-m))."""
+    """Radius R with cylinder measure m: R = sqrt(-2 ln(1-m)).
+
+    ``calibrate_cylinder(cylinder_measure(r, 1))`` is r to ~1e-12 up to
+    r ~ 4.5: beyond, binary64 loses the tail 1-m < 1e-10 (drift 7.5e-5 at
+    r = 8).  The m-side round trip is stable on all of [0, 1)."""
     return _calibrate(RADIAL_FACTOR, m)
 
 
@@ -254,7 +256,7 @@ def _criterion_report(stats: BodyStats, rechecks: Rechecks, criterion: str) -> C
         lhs_e, rhs_e = factor.entropy_sides(m, stats.moment, n)
         entropy_form = EntropyReport(
             lhs=lhs_e, rhs=rhs_e, slack=slack / factor.d, std_error=se / factor.d,
-            lhs_method=stats.method, rhs_method=stats.method,
+            method=stats.method,
             note="complement-indicator entropy form of the moment criterion",
             verdict=verdict, verdict_note=vnote, samples=stats.samples,
         )

@@ -10,14 +10,11 @@ from sineq.bodies import (
     check_downward_closed,
     check_midpoint_convex,
     check_unconditional,
-    contains,
     cross_polytope,
     cube_body,
     custom_reinhardt,
     cylinder_body,
-    dilate,
     interval_radii,
-    moduli,
     parse_descriptor,
     polydisc,
     product,
@@ -26,6 +23,7 @@ from sineq.bodies import (
     unconditional_lp_ball,
     upper_set_body,
 )
+from sineq.measures import moduli
 
 
 def random_complex_points(rng, count, n, scale=2.0):
@@ -34,19 +32,19 @@ def random_complex_points(rng, count, n, scale=2.0):
 
 class TestReinhardtMembership:
     def test_origin_inside_polydisc(self):
-        assert contains(polydisc([1.0, 2.0]), np.zeros(4))
+        assert polydisc([1.0, 2.0]).contains(np.zeros(4))
 
     def test_first_radius_exceeded(self):
         z = np.array([1.5, 0.0, 0.0, 0.0])
-        assert not contains(polydisc([1.0, 2.0]), z)
+        assert not polydisc([1.0, 2.0]).contains(z)
 
     def test_lp_ball_strict_interior(self):
         z = np.array([0.7, 0.0, 0.0, 0.7])  # |z1|^2 + |z2|^2 = 0.98
-        assert contains(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.0), z)
+        assert reinhardt_lp_ball([1.0, 1.0], 2.0, 1.0).contains(z)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            contains(polydisc([1.0]), np.zeros(4))
+            polydisc([1.0]).contains(np.zeros(4))
 
     def test_phase_invariance(self, rng):
         body = reinhardt_lp_ball([1.0, 0.7], 1.5, 1.3)
@@ -73,19 +71,19 @@ class TestReinhardtMembership:
 
 class TestDilation:
     def test_polydisc_params_scale(self):
-        d = dilate(polydisc([1.0, 2.0]), 2.0)
+        d = polydisc([1.0, 2.0]).dilate(2.0)
         assert d.kind == "polydisc"
         assert d.params["r"] == (2.0, 4.0)
 
     def test_cylinder_params_scale(self):
-        d = dilate(cylinder_body(1.0, 2), 3.0)
+        d = cylinder_body(1.0, 2).dilate(3.0)
         assert d.kind == "cylinder"
         assert d.params["R"] == 3.0
 
     def test_identity(self, rng):
         body = reinhardt_lp_ball([1.0, 1.0], 2.5, 1.1)
         z = random_complex_points(rng, 1000, 2)
-        assert np.array_equal(dilate(body, 1.0).contains(z), body.contains(z))
+        assert np.array_equal(body.dilate(1.0).contains(z), body.contains(z))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -96,18 +94,18 @@ class TestDilation:
         rng = np.random.default_rng(11)
         body = polydisc([1.0, 1.4])
         z = random_complex_points(rng, 400, 2)
-        lhs = dilate(dilate(body, s), t).contains(z)
-        rhs = dilate(body, s * t).contains(z)
+        lhs = body.dilate(s).dilate(t).contains(z)
+        rhs = body.dilate(s * t).contains(z)
         assert np.array_equal(lhs, rhs)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            dilate(polydisc([1.0]), 0.0)
+            polydisc([1.0]).dilate(0.0)
         with pytest.raises(ValueError):
-            dilate(polydisc([1.0]), -2.0)
+            polydisc([1.0]).dilate(-2.0)
 
     def test_strip_halfwidth_scales(self):
-        d = dilate(strip_body(0.5, 2), 2.0)
+        d = strip_body(0.5, 2).dilate(2.0)
         assert d.params["p"] == 1.0
 
 
@@ -298,10 +296,12 @@ _KINDS = {
 def _bodies_of(family: str):
     """Constructor bodies, their dilations, products of those and dilated
     products."""
-    dilated = st.builds(dilate, _KINDS[family], _SCALE)
-    single = st.one_of(_KINDS[family], dilated)
+    def dilated(bodies):
+        return st.builds(lambda body, t: body.dilate(t), bodies, _SCALE)
+
+    single = st.one_of(_KINDS[family], dilated(_KINDS[family]))
     products = st.builds(product, single, single)
-    return st.one_of(single, products, st.builds(dilate, products, _SCALE))
+    return st.one_of(single, products, dilated(products))
 
 
 class TestDescriptorRoundTrip:
@@ -357,7 +357,7 @@ class TestCustomDilationDescriptor:
         body = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
         assert body.descriptor() == "custom:n=2"
         assert body.dilate(2.0).descriptor() == "custom:n=2,dilation=2.0"
-        assert dilate(dilate(body, 2.0), 3.0).descriptor() == "custom:n=2,dilation=6.0"
+        assert body.dilate(2.0).dilate(3.0).descriptor() == "custom:n=2,dilation=6.0"
 
     def test_dilated_membership_scales(self):
         body = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from sineq.bodies import polydisc
+from sineq import cli
 from sineq.cli import _build_parser, main
 from sineq.integrate import DET_TOL, Engine, tolerance
 from sineq.verify import full_check
@@ -331,7 +332,9 @@ class TestRecordColumns:
                             "--engine", "exact")
         (rec,) = parse_jsonl(out)
         assert (code, rec["method"], rec["samples"]) == (0, "closed-form", 0)
-        assert not {"lhs", "rhs", "slack", "lhs_method", "rhs_method"} & rec.keys()
+        assert rec.keys() == {"schema_version", "kind", "body", "seed", "value", "std_error",
+                              "reference", "margin", "tolerance", "verdict", "samples",
+                              "method", "status", "note"}
 
     def test_every_record_has_schema_version_2(self, capsys):
         for args in (["measure", "--body", "polydisc:r=1"],
@@ -384,3 +387,60 @@ class TestDescriptorErrors:
     def test_malformed_body_exits_2(self, capsys, body, measure):
         assert main(["measure", "--body", body, "--measure", measure]) == 2
         assert "error: descriptor" in capsys.readouterr().err
+
+
+class TestFailLoudly:
+    """Bad input exits 2 with one ``error:`` line and no traceback, before
+    any estimation runs."""
+
+    @staticmethod
+    def assert_invalid(capsys, argv) -> str:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_coordinate_index_outside_dimension(self, capsys):
+        err = self.assert_invalid(
+            capsys, ["moments", "--norm", "coord:5", "--n", "2", "--samples", "1000"])
+        assert "coordinate index 5 outside [0, 2)" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--body", "weighted-lp-ball:p=2,w=1,scale=1", "--engine", "mc",
+         "--samples", "10"],
+        ["entropy", "--lemma", "1d", "--f", "step:0.6931:0,1"],
+    ], ids=["measure", "entropy-1d"])
+    def test_workers_below_one(self, capsys, argv, workers):
+        err = self.assert_invalid(capsys, argv + ["--workers", workers])
+        assert "workers must be >= 1" in err
+
+    @pytest.mark.parametrize("output", ["missing/x.json", "."], ids=["no-directory", "directory"])
+    def test_unwritable_output_fails_before_the_command(self, capsys, monkeypatch, tmp_path,
+                                                        output):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "measure", never)
+        err = self.assert_invalid(
+            capsys, ["measure", "--body", "polydisc:r=1", "--output", str(tmp_path / output)])
+        assert "cannot write --output" in err
+
+    def test_failed_command_keeps_an_existing_output(self, capsys, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n")
+        self.assert_invalid(capsys, ["measure", "--body", "polydisc:r=1,r=2", "--output", str(out)])
+        assert out.read_text() == "kept\n"
+
+    def test_failed_command_creates_no_output(self, capsys, tmp_path):
+        out = tmp_path / "out.jsonl"
+        self.assert_invalid(capsys, ["measure", "--body", "polydisc:r=1,r=2", "--output", str(out)])
+        assert not out.exists()
+
+    def test_valid_output_is_overwritten_on_success(self, capsys, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_text("old line that is longer than the record\n" * 40)
+        assert main(["measure", "--body", "polydisc:r=1", "--output", str(out)]) == 0
+        (rec,) = parse_jsonl(out.read_text())
+        assert rec["kind"] == "measure"

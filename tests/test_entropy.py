@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -72,6 +73,12 @@ class TestStepFunction:
 
 
 class TestEntropy:
+    def test_package_attribute_is_the_module(self):
+        import sineq
+
+        assert inspect.ismodule(sineq.entropy)
+        assert sineq.entropy.entropy is entropy
+
     def test_constant_is_zero(self):
         f = StepFunction((), (2.7,))
         assert entropy(f, RADIAL) == pytest.approx(0.0, abs=1e-15)
@@ -202,7 +209,7 @@ class TestLemma1d:
     def test_callable_path_smooth_function(self):
         rep = check_lemma_1d(lambda x: 1.0 - np.exp(-0.7 * x), EXP1D)
         assert rep.slack >= -1e-6
-        assert rep.lhs_method.startswith("quadrature")
+        assert rep.method.startswith("quadrature")
 
     def test_callable_path_matches_step_oracle(self):
         f = StepFunction((0.8,), (0.0, 1.0))

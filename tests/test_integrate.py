@@ -9,19 +9,18 @@ from sineq.bodies import custom_reinhardt, cylinder_body, polydisc, strip_body
 from sineq.integrate import (
     CHUNK,
     DET_TOL,
+    Engine,
     Estimate,
     NonFiniteIntegrandError,
     Pass,
     SampleStream,
     certify,
+    chunk_indices,
     draw_points,
     mc_integral,
     mc_measure,
     point_drawer,
     record,
-    sample_complex_gaussian,
-    sample_exponential,
-    sample_radial,
     tensor_quadrature,
     tolerance,
 )
@@ -35,63 +34,69 @@ def within_3se(estimate: Estimate, truth: float) -> bool:
     return abs(estimate.value - truth) <= 3 * estimate.std_error
 
 
+def draw(measure: MeasureKind, stream: SampleStream, count: int) -> np.ndarray:
+    """The first ``count`` points of ``stream``, block by block."""
+    return np.concatenate([draw_points(measure, stream, block, take)
+                           for block, take in chunk_indices(count)])
+
+
 class TestSamplers:
     def test_complex_gaussian_second_moment(self):
-        z = sample_complex_gaussian(2, SampleStream(101), count=N)
+        z = draw(complex_gaussian(2), SampleStream(101), N)
         w = (z * z).sum(axis=1)
         se = w.std(ddof=1) / math.sqrt(N)
         assert abs(w.mean() - 4.0) <= 3 * se
 
     def test_complex_gaussian_cylinder_probability(self):
-        z = sample_complex_gaussian(1, SampleStream(102), count=N)
+        z = draw(complex_gaussian(1), SampleStream(102), N)
         r = np.hypot(z[:, 0], z[:, 1])
         p = (r <= SQRT_2LN2).mean()
         assert abs(p - 0.5) <= 3 * math.sqrt(0.25 / N)
 
     def test_exponential_l1_mean(self):
-        x = sample_exponential(3, SampleStream(103), count=N)
+        x = draw(exponential(3), SampleStream(103), N)
         w = np.abs(x).sum(axis=1)
         se = w.std(ddof=1) / math.sqrt(N)
         assert abs(w.mean() - 3.0) <= 3 * se
 
     def test_exponential_strip_probability(self):
-        x = sample_exponential(1, SampleStream(104), count=N)
+        x = draw(exponential(1), SampleStream(104), N)
         p = (np.abs(x[:, 0]) <= math.log(2)).mean()
         assert abs(p - 0.5) <= 3 * math.sqrt(0.25 / N)
 
     def test_exponential_is_symmetric(self):
-        x = sample_exponential(2, SampleStream(105), count=N)
+        x = draw(exponential(2), SampleStream(105), N)
         se = x[:, 0].std(ddof=1) / math.sqrt(N)
         assert abs(x[:, 0].mean()) <= 3 * se
 
     def test_radial_mean_square(self):
-        r = sample_radial(2, SampleStream(106), count=N)
+        r = draw(MeasureKind("radial-mu", 2), SampleStream(106), N)
         w = (r * r).sum(axis=1)
         se = w.std(ddof=1) / math.sqrt(N)
         assert abs(w.mean() - 4.0) <= 3 * se
 
     def test_identical_stream_coordinates_are_bitwise_equal(self):
-        a = sample_complex_gaussian(2, SampleStream(42, 0, 5), count=1000)
-        b = sample_complex_gaussian(2, SampleStream(42, 0, 5), count=1000)
+        a = draw_points(complex_gaussian(2), SampleStream(42, 0), 5, 1000)
+        b = draw_points(complex_gaussian(2), SampleStream(42, 0), 5, 1000)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = sample_complex_gaussian(2, SampleStream(42, 0), count=100)
-        b = sample_complex_gaussian(2, SampleStream(42, 1), count=100)
+        a = draw_points(complex_gaussian(2), SampleStream(42, 0), 0, 100)
+        b = draw_points(complex_gaussian(2), SampleStream(42, 1), 0, 100)
         assert not np.array_equal(a, b)
 
     def test_counter_advances_by_blocks(self):
-        s = SampleStream(42)
-        first = sample_complex_gaussian(1, s, count=10)
-        assert s.counter == 1
-        again = sample_complex_gaussian(1, SampleStream(42, 0, 0), count=10)
+        # 10 points take block 0 alone; the stream index defaults to 0
+        assert chunk_indices(10) == [(0, 10)]
+        first = draw_points(complex_gaussian(1), SampleStream(42), 0, 10)
+        again = draw_points(complex_gaussian(1), SampleStream(42, 0), 0, 10)
         assert np.array_equal(first, again)
 
     def test_prefix_independence_of_total_count(self):
         # sample i depends only on (seed, stream, block), not on how many
         # samples were requested in total
-        small = sample_exponential(2, SampleStream(9), count=CHUNK + 10)
-        large = sample_exponential(2, SampleStream(9), count=2 * CHUNK)
+        small = draw(exponential(2), SampleStream(9), CHUNK + 10)
+        large = draw(exponential(2), SampleStream(9), 2 * CHUNK)
         assert np.array_equal(small, large[: CHUNK + 10])
 
 
@@ -115,9 +120,8 @@ class TestTakeRows:
         fn = point_drawer(measure)
         whole = np.concatenate([fn(SampleStream(77, 3).generator(b), CHUNK) for b in (0, 1)])
         for count in TAKES + (CHUNK + 999,):
-            stream = SampleStream(77, 3)
-            assert np.array_equal(stream.draw(fn, count), whole[:count])
-            assert stream.counter == -(-count // CHUNK)
+            assert np.array_equal(draw(measure, SampleStream(77, 3), count), whole[:count])
+            assert len(chunk_indices(count)) == -(-count // CHUNK)
 
 
 class TestMcMeasure:
@@ -305,14 +309,28 @@ class TestTensorQuadrature:
         assert est.value == pytest.approx(oracle, abs=1e-9)
 
 
+class TestEngine:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Engine(workers=workers)
+
+
 class TestEstimate:
     def test_negative_std_error_rejected(self):
         with pytest.raises(ValueError):
             Estimate(1.0, -0.1, "mc(10, 1)")
 
+
+class TestPass:
+    @staticmethod
+    def make_pass(method: str) -> Pass:
+        return Pass(method, 1, 0, 10, np.zeros(1), np.zeros((1, 1)))
+
     def test_deterministic_flag(self):
-        assert Estimate(1.0, 0.0, "closed-form").deterministic
-        assert not Estimate(1.0, 0.1, "mc(10, 1)").deterministic
+        assert self.make_pass("closed-form").deterministic
+        assert self.make_pass("quadrature(64)").deterministic
+        assert not self.make_pass("mc(10, 1)").deterministic
 
 
 class TestSamplingContract:
@@ -347,19 +365,18 @@ class TestSamplingContract:
         assert pts[0].tolist() == first
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("sampler, tag, n, next_row", [
-        (sample_complex_gaussian, "complex-gaussian", 2,
-         [0.23892700086745122, 1.1987060976574802, -1.1902765720064954, -2.0130644062498235]),
-        (sample_exponential, "exponential", 3,
-         [0.13792244773203385, -0.2751632676724314, 0.5367960315814053]),
-        (sample_radial, "radial-mu", 2, [1.289239797936737, 0.5062548547758754]),
-    ], ids=lambda v: getattr(v, "__name__", ""))
-    def test_samplers_pinned(self, sampler, tag, n, next_row):
-        stream = SampleStream(2026, 9, counter=3)
-        pts = sampler(n, stream, 1000)
-        assert hashlib.sha256(pts.tobytes()).hexdigest() == self.PINNED[(tag, n)][0]
-        assert stream.counter == 4
-        assert sampler(n, stream).tolist() == next_row
+    # (tag, n) -> first row of block 4, same key
+    NEXT_BLOCK = {
+        ("complex-gaussian", 2):
+            [0.23892700086745122, 1.1987060976574802, -1.1902765720064954, -2.0130644062498235],
+        ("exponential", 3): [0.13792244773203385, -0.2751632676724314, 0.5367960315814053],
+        ("radial-mu", 2): [1.289239797936737, 0.5062548547758754],
+    }
+
+    @pytest.mark.parametrize("tag, n", list(NEXT_BLOCK), ids=str)
+    def test_next_block_pinned(self, tag, n):
+        pts = draw_points(MeasureKind(tag, n), SampleStream(2026, 9), 4, 1)
+        assert pts[0].tolist() == self.NEXT_BLOCK[(tag, n)]
 
 
 class TestCertify:

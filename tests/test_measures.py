@@ -18,11 +18,9 @@ from sineq.measures import (
     exp_strip_first_moment,
     exp_strip_measure,
     lanczos_gamma,
-    radial_cdf,
-    radial_cdf_inverse,
     xlnx,
 )
-from sineq.verify import body_statistics
+from sineq.verify import body_statistics, calibrate_cylinder
 
 SQRT_2LN2 = 1.1774100225154747  # radius of the half-measure cylinder
 
@@ -84,33 +82,36 @@ class TestCylinderSecondMoment:
 
 
 class TestRadialCdf:
+    """The radial factor's CDF is the measure of a cylinder, and its quantile
+    the cylinder calibration."""
+
     def test_at_zero(self):
-        assert radial_cdf(0.0) == 0.0
+        assert cylinder_measure(0.0, 1) == 0.0
 
     def test_inverse_at_half(self):
-        assert radial_cdf_inverse(0.5) == pytest.approx(SQRT_2LN2, abs=1e-14)
+        assert calibrate_cylinder(0.5) == pytest.approx(SQRT_2LN2, abs=1e-14)
 
     def test_u_side_round_trip(self):
         for u in (0.0, 0.1, 0.5, 0.9, 0.999999):
-            assert radial_cdf(radial_cdf_inverse(u)) == pytest.approx(u, abs=1e-12)
+            assert cylinder_measure(calibrate_cylinder(u), 1) == pytest.approx(u, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=4.5))
     def test_r_side_round_trip_on_stable_range(self, r):
         # binary64 cannot carry tails below ~1e-10 through the CDF value,
         # so the identity is only exact-to-1e-12 up to r ~ 4.5
-        assert radial_cdf_inverse(radial_cdf(r)) == pytest.approx(r, abs=2e-12)
+        assert calibrate_cylinder(cylinder_measure(r, 1)) == pytest.approx(r, abs=2e-12)
 
     def test_r_side_degradation_is_bounded(self):
-        assert abs(radial_cdf_inverse(radial_cdf(6.0)) - 6.0) < 1e-8
-        assert abs(radial_cdf_inverse(radial_cdf(8.0)) - 8.0) < 1e-3
+        assert abs(calibrate_cylinder(cylinder_measure(6.0, 1)) - 6.0) < 1e-8
+        assert abs(calibrate_cylinder(cylinder_measure(8.0, 1)) - 8.0) < 1e-3
 
     def test_inverse_rejects_one(self):
         with pytest.raises(ValueError):
-            radial_cdf_inverse(1.0)
+            calibrate_cylinder(1.0)
 
     def test_inverse_rejects_outside(self):
         with pytest.raises(ValueError):
-            radial_cdf_inverse(-0.01)
+            calibrate_cylinder(-0.01)
 
 
 class TestExpStrip:

@@ -95,6 +95,11 @@ class TestMomentRatio:
         with pytest.raises(ValueError):
             moment_ratio(shifted, 2.0, 1.0, 2, ENGINE)
 
+    @pytest.mark.parametrize("index", [5, 2, -1])
+    def test_coordinate_index_outside_dimension_raises(self, index):
+        with pytest.raises(ValueError, match=f"coordinate index {index} outside"):
+            moment_ratio(coordinate_norm(index), 2, 1, 2)
+
     def test_body_argument_uses_gauge(self):
         pair = moment_ratio(cube_body(2.0, 2), 2.0, 1.0, 2, ENGINE)
         direct = moment_ratio(lambda x: np.abs(x).max(axis=1) / 2.0, 2.0, 1.0, 2,

@@ -20,7 +20,7 @@ from sineq.bodies import (
     reinhardt_lp_ball,
     strip_body,
 )
-from sineq.integrate import Engine, NonFiniteIntegrandError
+from sineq.integrate import DET_TOL, Engine, NonFiniteIntegrandError, recheck_stream
 from sineq.measures import (
     complex_gaussian,
     cylinder_measure,
@@ -29,7 +29,6 @@ from sineq.measures import (
 )
 from sineq.verify import (
     DEFAULT_T_GRID,
-    DET_TOL,
     body_statistics,
     calibrate_cylinder,
     calibrate_strip,
@@ -421,7 +420,7 @@ class TestRecheckStreams:
         assert len(set(keys)) == 4
         for k, e in enumerate(engines[1:], start=1):
             assert (e.seed, e.samples) == (7, 40_000)
-            assert e.stream == verify_module.recheck_stream(0, k) == k << 62
+            assert e.stream == recheck_stream(0, k) == k << 62
 
     def test_recheck_does_not_alias_a_primary_pass(self, stats_calls):
         # recheck 1 used to be seed 8 on the primary stream: the primary
@@ -438,7 +437,7 @@ class TestRecheckStreams:
         # primary streams are engine.stream + offset; a recheck stream sits
         # above 2**62 for every k and keeps the primary stream in its low bits
         for stream in (0, 1, 199, 2**40):
-            rechecks = {verify_module.recheck_stream(stream, k) for k in (1, 2, 3)}
+            rechecks = {recheck_stream(stream, k) for k in (1, 2, 3)}
             assert len(rechecks) == 3
             assert all(s >= 2**62 and s % 2**62 == stream for s in rechecks)
 
@@ -452,7 +451,7 @@ class TestProtocolEntry:
         from sineq.integrate import SampleStream
 
         assert (SampleStream(7, stream).stream_index
-                == verify_module.recheck_stream(*aliased))
+                == recheck_stream(*aliased))
         with pytest.raises(ValueError, match="reserved for rechecks"):
             full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=2000, seed=7,
                                                     stream=stream))
