@@ -13,6 +13,15 @@ Predicates are vectorized: they accept an (m, n) array of nonnegative
 vectors and return an (m,) boolean array.  Bodies are immutable and their
 predicates must be pure, so concurrent evaluation is safe.
 
+Every constructor body is star-shaped and carries its Minkowski gauge
+rho_K(r) = inf{t > 0 : r in tK}, so tK = {rho_K <= t}: one gauge
+evaluation answers membership of every dilation, and the predicate is
+derived as ``gauge(r) <= 1``.  Where the shadow has one, a body also
+carries its exact coordinate section: ``section(r, k)`` gives
+c_k(r) = sup{x : r with r_k = x lies in K} and the mask of rows whose
+section is not empty.  Custom shadows, the annulus and the upper set
+keep bare predicates, with neither.
+
 Descriptors
 -----------
 Every constructor-built body serializes to a one-line text form
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -62,6 +72,8 @@ __all__ = [
 ]
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
+Gauge = Callable[[np.ndarray], np.ndarray]
+Section = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -80,13 +92,23 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class _RadialBody:
-    """Shared plumbing for shadow-driven bodies."""
+    """Shared plumbing for shadow-driven bodies.  ``base`` may be left out
+    when a ``gauge`` is given; it is then ``gauge(r) <= 1``."""
 
     dim: int
     kind: str
     params: dict
-    base: RadialPredicate = field(repr=False)
+    base: RadialPredicate | None = field(default=None, repr=False)
     validated: bool = True
+    gauge: Gauge | None = field(default=None, repr=False)
+    section: Section | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.base is None:
+            if self.gauge is None:
+                raise ValueError(f"{self.kind} body needs a predicate or a gauge")
+            gauge = self.gauge
+            object.__setattr__(self, "base", lambda m: gauge(m) <= 1.0)
 
     def radial_member(self, r: np.ndarray) -> np.ndarray:
         """Membership of nonnegative vectors, shape (m, dim) -> (m,) bool."""
@@ -150,6 +172,62 @@ class UnconditionalBody(_RadialBody):
 
 
 # ---------------------------------------------------------------------------
+# Gauges and exact sections
+
+
+def _divide(a) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> x / a for radii a >= 0, with 0/0 read as 0: a zero radius still
+    admits a zero coordinate, and an infinite radius admits every value."""
+    a = np.asarray(a, dtype=float)
+    if (a > 0).all():
+        return lambda x: x / a
+
+    def divide(x: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x == 0, 0.0, x / a)
+
+    return divide
+
+
+def _row_max(q: np.ndarray) -> np.ndarray:
+    """Row maxima of an (m, n) array, taken column by column: numpy reduces
+    along a short row axis several times slower than it compares columns."""
+    return reduce(np.maximum, q.T)
+
+
+def _box_geometry(radii: Sequence[float]) -> dict:
+    """The box {r : r_k <= a_k} (entries may be inf): gauge max_k r_k / a_k,
+    section c_k = a_k wherever the other coordinates are inside."""
+    a = np.asarray(radii, dtype=float)
+    divide = _divide(a)
+
+    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        inside = r <= a
+        inside[:, k] = True
+        return np.full(r.shape[0], a[k]), inside.all(axis=1)
+
+    return {"gauge": lambda m: _row_max(divide(m)), "section": section}
+
+
+def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
+    """The weighted l_p ball {sum_k (w_k r_k)^p <= scale^p}: gauge
+    (sum_k (w_k r_k)^p)^(1/p) / scale (max_k w_k r_k / scale at p = inf),
+    section c_k = (scale^p - sum_{j != k} (w_j r_j)^p)^(1/p) / w_k."""
+    w = np.asarray(weights, dtype=float)
+    if math.isinf(exponent):
+        return {"gauge": lambda m: _row_max(w * m) / scale,
+                "section": _box_geometry(scale / w)["section"]}
+    rhs = scale**exponent
+
+    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        room = rhs - np.delete((w * r) ** exponent, k, axis=1).sum(axis=1)
+        return np.maximum(room, 0.0) ** (1.0 / exponent) / w[k], room >= 0
+
+    return {"gauge": lambda m: ((w * m) ** exponent).sum(axis=1) ** (1.0 / exponent) / scale,
+            "section": section}
+
+
+# ---------------------------------------------------------------------------
 # Reinhardt constructors
 
 
@@ -165,13 +243,7 @@ def polydisc(radii: Sequence[float]) -> ReinhardtBody:
     r = tuple(float(v) for v in radii)
     if not r or any(v < 0 for v in r):
         raise ValueError(f"polydisc radii must be nonnegative and nonempty, got {r}")
-    arr = np.asarray(r)
-    return ReinhardtBody(
-        dim=len(r),
-        kind="polydisc",
-        params={"r": r},
-        base=lambda m: (m <= arr).all(axis=1),
-    )
+    return ReinhardtBody(dim=len(r), kind="polydisc", params={"r": r}, **_box_geometry(r))
 
 
 def cylinder_body(R: float, n: int) -> ReinhardtBody:
@@ -181,23 +253,8 @@ def cylinder_body(R: float, n: int) -> ReinhardtBody:
         raise ValueError(f"cylinder radius must be >= 0, got {R}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return ReinhardtBody(
-        dim=n,
-        kind="cylinder",
-        params={"R": R, "n": n},
-        base=lambda m: m[:, 0] <= R,
-    )
-
-
-def _lp_base(weights: np.ndarray, exponent: float, scale: float) -> RadialPredicate:
-    if math.isinf(exponent):
-        return lambda m: (weights * m).max(axis=1) <= scale
-    rhs = scale**exponent
-
-    def base(m: np.ndarray) -> np.ndarray:
-        return ((weights * m) ** exponent).sum(axis=1) <= rhs
-
-    return base
+    return ReinhardtBody(dim=n, kind="cylinder", params={"R": R, "n": n},
+                         **_box_geometry((R,) + (math.inf,) * (n - 1)))
 
 
 def reinhardt_lp_ball(
@@ -214,7 +271,7 @@ def reinhardt_lp_ball(
         dim=len(w),
         kind="weighted-lp-ball",
         params={"p": exponent, "w": w, "scale": scale},
-        base=_lp_base(np.asarray(w), exponent, scale),
+        **_lp_geometry(w, exponent, scale),
     )
 
 
@@ -274,12 +331,8 @@ def strip_body(p: float, n: int) -> UnconditionalBody:
         raise ValueError(f"half-width must be >= 0, got {p}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return UnconditionalBody(
-        dim=n,
-        kind="strip",
-        params={"p": p, "n": n},
-        base=lambda a: a[:, 0] <= p,
-    )
+    return UnconditionalBody(dim=n, kind="strip", params={"p": p, "n": n},
+                             **_box_geometry((p,) + (math.inf,) * (n - 1)))
 
 
 def cube_body(a: float, n: int) -> UnconditionalBody:
@@ -287,12 +340,8 @@ def cube_body(a: float, n: int) -> UnconditionalBody:
     a = float(a)
     if a < 0:
         raise ValueError(f"half-width must be >= 0, got {a}")
-    return UnconditionalBody(
-        dim=n,
-        kind="cube",
-        params={"a": a, "n": n},
-        base=lambda m: (m <= a).all(axis=1),
-    )
+    return UnconditionalBody(dim=n, kind="cube", params={"a": a, "n": n},
+                             **_box_geometry((a,) * n))
 
 
 def box_body(half_widths: Sequence[float]) -> UnconditionalBody:
@@ -318,19 +367,21 @@ def unconditional_lp_ball(
         dim=n,
         kind="weighted-lp-ball",
         params={"p": exponent, "n": n, "scale": scale, "w": w},
-        base=_lp_base(np.asarray(w), exponent, scale),
+        **_lp_geometry(w, exponent, scale),
     )
 
 
 def cross_polytope(scale: float, n: int) -> UnconditionalBody:
-    """{x : sum |x_k| <= scale}."""
+    """{x : sum |x_k| <= scale}: gauge sum_k r_k / scale, section
+    c_k = scale - sum_{j != k} r_j."""
     scale = _check_positive("scale", scale)
-    return UnconditionalBody(
-        dim=n,
-        kind="cross-polytope",
-        params={"scale": scale, "n": n},
-        base=lambda m: m.sum(axis=1) <= scale,
-    )
+
+    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        room = scale - np.delete(r, k, axis=1).sum(axis=1)
+        return np.maximum(room, 0.0), room >= 0
+
+    return UnconditionalBody(dim=n, kind="cross-polytope", params={"scale": scale, "n": n},
+                             gauge=lambda m: m.sum(axis=1) / scale, section=section)
 
 
 def norm_ball(
@@ -341,19 +392,19 @@ def norm_ball(
     :func:`check_midpoint_convex` before trusting results."""
     scale = _check_positive("scale", scale)
 
-    def base(m: np.ndarray) -> np.ndarray:
+    def gauge(m: np.ndarray) -> np.ndarray:
         vals = np.asarray(norm(m), dtype=float)
         if not np.isfinite(vals).all():
             bad = int(np.nonzero(~np.isfinite(vals))[0][0])
             raise NonFiniteIntegrandError(f"norm returned {vals[bad]} at {m[bad].tolist()}")
-        return vals <= scale
+        return vals / scale
 
     return UnconditionalBody(
         dim=n,
         kind="norm-ball",
         params={"scale": scale, "n": n},
-        base=base,
         validated=False,
+        gauge=gauge,
     )
 
 
@@ -368,7 +419,7 @@ def _dilate_radial(body, t: float):
     parts = body.params.get("parts")
     if parts is not None:
         parts = tuple(p.dilate(t) for p in parts)
-        return replace(body, params={"parts": parts}, base=_conjunction(parts))
+        return replace(body, params={"parts": parts}, **_product_geometry(parts))
     params = dict(body.params)
     if body.kind == "custom":
         # the parameters of a custom shadow are opaque; the descriptor
@@ -381,25 +432,51 @@ def _dilate_radial(body, t: float):
                 params[key] = tuple(v * t for v in val) if isinstance(val, tuple) else val * t
         if body.kind == "strip":
             params["p"] = body.params["p"] * t
-    base = body.base
+    base, gauge, section = body.base, body.gauge, body.section
+    if gauge is None:
+        return replace(body, params=params, base=lambda m: base(m / t))
 
-    def scaled(m: np.ndarray, _base=base, _t=t) -> np.ndarray:
-        return _base(m / _t)
+    def dilated_section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        c, active = section(r / t, k)
+        return t * c, active
 
-    return replace(body, params=params, base=scaled)
+    # rho_{tK} = rho_K / t, so membership of tK reads gauge(r) / t <= 1
+    return replace(body, params=params, base=None, gauge=lambda m: gauge(m) / t,
+                   section=None if section is None else dilated_section)
 
 
-def _conjunction(parts) -> RadialPredicate:
-    dims = [p.dim for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+def _product_geometry(parts) -> dict:
+    """Predicate, gauge and section of the product of ``parts``.  The gauge
+    is the max of the parts' gauges; the section of coordinate k is that of
+    the part holding k, active where every other part holds its own
+    coordinates.  A part without a gauge (or section) leaves the product
+    without one, and then the predicate is the conjunction of the parts'."""
+    offsets = np.concatenate([[0], np.cumsum([p.dim for p in parts])])
+    spans = list(zip(parts, offsets[:-1], offsets[1:]))
 
-    def base(m: np.ndarray) -> np.ndarray:
+    def conjunction(m: np.ndarray) -> np.ndarray:
         out = np.ones(m.shape[0], dtype=bool)
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        for part, lo, hi in spans:
             out &= part.radial_member(m[:, lo:hi])
         return out
 
-    return base
+    def gauge(m: np.ndarray) -> np.ndarray:
+        return reduce(np.maximum, (part.gauge(m[:, lo:hi]) for part, lo, hi in spans))
+
+    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        active = np.ones(r.shape[0], dtype=bool)
+        for part, lo, hi in spans:
+            if lo <= k < hi:
+                c, own = part.section(r[:, lo:hi], k - lo)
+                active &= own
+            else:
+                active &= part.base(r[:, lo:hi])
+        return c, active
+
+    if any(p.gauge is None for p in parts):
+        return {"base": conjunction, "gauge": None, "section": None}
+    return {"base": None, "gauge": gauge,
+            "section": section if all(p.section is not None for p in parts) else None}
 
 
 def product(*bodies: _RadialBody) -> _RadialBody:
@@ -418,8 +495,8 @@ def product(*bodies: _RadialBody) -> _RadialBody:
         dim=sum(b.dim for b in flat),
         kind="product",
         params={"parts": tuple(flat)},
-        base=_conjunction(flat),
         validated=all(b.validated for b in flat),
+        **_product_geometry(flat),
     )
 
 

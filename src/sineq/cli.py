@@ -161,7 +161,8 @@ def cmd_entropy(args: argparse.Namespace) -> list[dict]:
         if not args.f:
             raise ValueError("--f step:JUMPS:VALUES is required for the 1d lemma")
         f, inline_measure = _parse_step(args.f)
-        rep = check_lemma_1d(f, _parse_tail_measure(inline_measure or args.tail_measure))
+        rep = check_lemma_1d(f, _parse_tail_measure(inline_measure or args.tail_measure),
+                             _engine(args))
         desc = args.f
     else:
         body, kind = _body(args)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -319,6 +319,7 @@ def _discrete_rhs(measure: TailMeasure1D, vals: np.ndarray) -> float:
 def check_lemma_1d(
     f: StepFunction | Callable[[np.ndarray], np.ndarray],
     measure: TailMeasure1D,
+    engine: Engine | None = None,
 ) -> EntropyReport:
     """The 1-D entropy inequality: Ent(f) vs -int f (1 + ln tail) dmu.
 
@@ -333,8 +334,18 @@ def check_lemma_1d(
     fall back to the graded CDF-domain rule on both sides (documented
     tolerance 1e-6 for bounded f; the rule itself does far better);
     against discrete measures they stay exact.
+
+    So the lemma has one path for each input: "exact" for step functions
+    and discrete measures, "quadrature" otherwise.  ``engine`` may force
+    that path or leave it to "auto"; forcing another raises ``ValueError``.
     """
     step = isinstance(f, StepFunction)
+    path = "exact" if step or measure.factor is None else "quadrature"
+    forced = (engine or Engine()).method
+    if forced not in ("auto", path):
+        raise ValueError(f"the 1-D entropy lemma has no {forced} path for this input "
+                         f"(it takes {path}: closed forms for step functions and discrete "
+                         "measures, graded quadrature for callables against a factor measure)")
     method, note = "closed-form", ""
     if step and measure.factor is not None:
         lhs = entropy(f, measure)
@@ -484,35 +495,44 @@ def check_lemma_multidim(
 # Subadditivity
 
 
-def _slice_entropies_indicator(
-    body, factor, r: np.ndarray, hi_cap: float = 64.0
-) -> np.ndarray:
+def _bisected_section(body, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The section c_k(r) and its active mask by vectorized bisection on the
+    membership predicate, for bodies without an exact section (custom
+    shadows, norm balls).  c is capped at 64, where either factor's tail
+    is at most e^-64."""
+    pts = r.copy()
+    pts[:, k] = 0.0
+    active = body.radial_member(pts)
+    c = np.zeros(r.shape[0])
+    if not active.any():
+        return c, active
+    lo = np.zeros(int(active.sum()))
+    hi = np.full_like(lo, 64.0)
+    sub = pts[active]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        sub[:, k] = mid
+        inside = body.radial_member(sub)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    c[active] = lo
+    return c, active
+
+
+def _slice_entropies_indicator(body, factor, r: np.ndarray) -> np.ndarray:
     """Sum over coordinates of the slice entropies of g = 1 - 1_K at the
     sampled radius vectors.
 
     Downward closure makes every coordinate section an interval [0, c], so
     the slice of g is a tail indicator with entropy -s*ln(s), s = factor
-    tail at c.  The threshold c is found by vectorized bisection on the
-    membership predicate.
+    tail at c.  The body's exact section gives c (inf, so s = 0, along an
+    unbounded coordinate); bisection is the fallback for bodies without one.
     """
-    m, n = r.shape
-    total = np.zeros(m)
-    for k in range(n):
-        pts = r.copy()
-        pts[:, k] = 0.0
-        active = body.radial_member(pts)
-        if not active.any():
-            continue
-        lo = np.zeros(int(active.sum()))
-        hi = np.full_like(lo, hi_cap)
-        sub = pts[active]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            sub[:, k] = mid
-            inside = body.radial_member(sub)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        total[active] += -_np_xlnx(factor.tail(lo))
+    section = body.section or partial(_bisected_section, body)
+    total = np.zeros(r.shape[0])
+    for k in range(r.shape[1]):
+        c, active = section(r, k)
+        total[active] += -_np_xlnx(factor.tail(c[active]))
     return total
 
 

@@ -15,14 +15,13 @@ The estimate is Monte Carlo only; its verdict comes from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import integrate as _integ
-from .bodies import UnconditionalBody, interval_radii
+from .bodies import UnconditionalBody
 from .integrate import Engine, Estimate, Pass
 from .measures import abs_moment_exponential, exponential
 
@@ -79,48 +78,15 @@ def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
-    """Minkowski gauge of an unconditional body as a norm evaluator.
-
-    Coordinate boxes get the closed form; everything else is resolved by
-    bisection on the membership predicate (bounded bodies only).
-    """
-    radii = interval_radii(body)
-    if radii is not None:
-        if any(math.isinf(a) for a in radii):
-            raise ValueError("gauge of an unbounded body is not a norm")
-        arr = np.asarray(radii)
-        return lambda x: (np.abs(x) / arr).max(axis=1)
-    if body.kind == "weighted-lp-ball":
-        w = np.asarray(body.params["w"])
-        p = body.params["p"]
-        scale = body.params["scale"]
-        if math.isinf(p):
-            return lambda x: (w * np.abs(x)).max(axis=1) / scale
-        return lambda x: ((w * np.abs(x)) ** p).sum(axis=1) ** (1.0 / p) / scale
-    if body.kind == "cross-polytope":
-        scale = body.params["scale"]
-        return lambda x: np.abs(x).sum(axis=1) / scale
-
-    def norm(x: np.ndarray) -> np.ndarray:
-        a = np.abs(np.asarray(x, dtype=float))
-        m = a.shape[0]
-        lo = np.zeros(m)
-        hi = np.ones(m)
-        # grow the bracket until x/hi is inside for every row
-        for _ in range(80):
-            outside = ~body.radial_member(a / hi[:, None])
-            if not outside.any():
-                break
-            hi[outside] *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            safe = np.where(mid > 0, mid, 1.0)
-            inside = body.radial_member(a / safe[:, None]) & (mid > 0)
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
-        return hi
-
-    return norm
+    """Minkowski gauge of an unconditional body as a norm evaluator: the
+    body's own gauge at |x|.  A body without a gauge, or one unbounded
+    along some axis (its gauge vanishes there), raises ``ValueError``."""
+    gauge = body.gauge
+    if gauge is None:
+        raise ValueError(f"body {body.descriptor()!r} has no gauge")
+    if not (gauge(np.eye(body.dim)) > 0).all():
+        raise ValueError("gauge of an unbounded body is not a norm")
+    return lambda x: gauge(np.abs(x))
 
 
 @dataclass(frozen=True)

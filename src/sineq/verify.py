@@ -157,12 +157,18 @@ def body_statistics(
     forms = _integ.box_forms(body, measure.factor, grid)
     closed = None if forms is None else [*forms.curve, forms.moment]
     orthant = _integ.orthant_map(body, measure)
+    gauge = body.gauge
 
     def columns(pts: np.ndarray) -> np.ndarray:
         r, w = orthant(pts), measure.weight(pts)
-        cols = [body.base(r / t).astype(float) for t in grid]
-        cols.append(w * cols[idx1])
-        return np.stack(cols, axis=1)
+        out = np.empty((r.shape[0], len(grid) + 1))
+        # a gauge body answers every t from one evaluation: r lies in tK
+        # exactly when rho_K(r) / t <= 1, the rule of body.dilate(t)
+        rho = None if gauge is None else gauge(r)
+        for i, t in enumerate(grid):
+            out[:, i] = body.base(r / t) if rho is None else rho / t <= 1.0
+        out[:, -1] = w * out[:, idx1]
+        return out
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
                           subject=f"body {body.descriptor()!r}")

@@ -364,3 +364,159 @@ class TestCustomDilationDescriptor:
         r = np.array([[0.7, 0.7], [1.2, 0.9]])
         assert body.radial_member(r).tolist() == [False, False]
         assert body.dilate(2.0).radial_member(r).tolist() == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# Gauges and exact sections
+
+
+def _head_lp(w, p, scale):
+    """The l_p ball predicate as written before bodies carried gauges."""
+    w = np.asarray(w, dtype=float)
+    if math.isinf(p):
+        return lambda m: (w * m).max(axis=1) <= scale
+    return lambda m: ((w * m) ** p).sum(axis=1) <= scale**p
+
+
+def _head_product(*pieces):
+    def pred(m):
+        out = np.ones(m.shape[0], dtype=bool)
+        lo = 0
+        for part, dim in pieces:
+            out &= part(m[:, lo : lo + dim])
+            lo += dim
+        return out
+
+    return pred
+
+
+# (id, body, the predicate of the body's kind before gauges)
+GAUGE_CASES = [
+    ("polydisc-zero-radius", polydisc([1.0, 0.0, 2.0]),
+     lambda m: (m <= np.array([1.0, 0.0, 2.0])).all(axis=1)),
+    ("cylinder-R0", cylinder_body(0.0, 3), lambda m: m[:, 0] <= 0.0),
+    ("strip-p0", strip_body(0.0, 2), lambda a: a[:, 0] <= 0.0),
+    ("lp-p0.5", reinhardt_lp_ball([1.0, 2.0, 0.5], 0.5, 1.3), _head_lp([1.0, 2.0, 0.5], 0.5, 1.3)),
+    ("lp-p2", unconditional_lp_ball(2.0, 3, 1.2, [1.0, 2.0, 0.5]),
+     _head_lp([1.0, 2.0, 0.5], 2.0, 1.2)),
+    ("lp-pinf", reinhardt_lp_ball([1.0, 2.0, 3.0], math.inf, 1.3),
+     _head_lp([1.0, 2.0, 3.0], math.inf, 1.3)),
+    ("cube", cube_body(0.7, 3), lambda m: (m <= 0.7).all(axis=1)),
+    ("cross-polytope", cross_polytope(1.5, 3), lambda m: m.sum(axis=1) <= 1.5),
+    ("cylinder-x-lp", product(cylinder_body(1.0, 2), reinhardt_lp_ball([1.0, 1.0], 3.0, 1.2)),
+     _head_product((lambda m: m[:, 0] <= 1.0, 2), (_head_lp([1.0, 1.0], 3.0, 1.2), 2))),
+    ("strip-x-lp", product(strip_body(0.5, 2), unconditional_lp_ball(2.0, 2, 1.1)),
+     _head_product((lambda a: a[:, 0] <= 0.5, 2), (_head_lp([1.0, 1.0], 2.0, 1.1), 2))),
+]
+
+gauge_cases = pytest.mark.parametrize("body, head", [c[1:] for c in GAUGE_CASES],
+                                      ids=[c[0] for c in GAUGE_CASES])
+
+
+def _orthant_points(seed: int, count: int, dim: int) -> np.ndarray:
+    """Radius vectors at mixed scales, a quarter of the entries exactly 0
+    so that zero radii meet zero coordinates."""
+    rng = np.random.default_rng(seed)
+    r = rng.exponential(size=(count, dim)) * rng.uniform(0.1, 2.0, size=(count, 1))
+    r[rng.random(r.shape) < 0.25] = 0.0
+    return r
+
+
+class TestGauges:
+    @gauge_cases
+    def test_statistics_columns_are_the_dilated_membership(self, monkeypatch, body, head):
+        from sineq import verify
+        from sineq.integrate import Engine
+
+        captured = {}
+        estimate = verify._integ.estimate
+
+        def spy(engine, measure, columns, ncols, *args, **kwargs):
+            captured["columns"] = columns
+            return estimate(engine, measure, columns, ncols, *args, **kwargs)
+
+        monkeypatch.setattr(verify._integ, "estimate", spy)
+        grid = (0.5, 1.0, 1.25, 2.0, 3.0)
+        measure = verify.body_statistics(body, t_grid=grid,
+                                         engine=Engine(method="mc", samples=100)).measure
+        r = _orthant_points(1, 20_000, body.dim)
+        # add points within rounding of the boundary of every dilate
+        rho = body.gauge(r)
+        finite = (rho > 0) & np.isfinite(rho)
+        r = np.concatenate([r] + [r[finite] * (t / rho[finite])[:, None] for t in grid])
+        pts = np.zeros((len(r), measure.point_dim))
+        if measure.tag == "complex-gaussian":
+            pts[:, 0::2] = r
+        else:
+            pts[:] = r
+        r = measure.orthant(pts)
+        cols = captured["columns"](pts)
+        for i, t in enumerate(grid):
+            assert np.array_equal(cols[:, i], body.dilate(t).radial_member(r).astype(float))
+
+    @gauge_cases
+    def test_membership_matches_the_predicate_formulas(self, body, head):
+        r = _orthant_points(2, 100_000, body.dim)
+        assert np.array_equal(body.radial_member(r), head(r))
+        assert np.array_equal(body.dilate(1.5).radial_member(r), head(r / 1.5))
+
+    @gauge_cases
+    def test_gauge_is_positively_homogeneous(self, body, head):
+        r = _orthant_points(3, 20_000, body.dim)
+        c = np.random.default_rng(4).uniform(0.1, 10.0, size=len(r))
+        np.testing.assert_allclose(body.gauge(c[:, None] * r), c * body.gauge(r),
+                                   rtol=1e-12, atol=0)
+
+    @gauge_cases
+    @pytest.mark.parametrize("t", [1.0, 1.7])
+    def test_sections_match_the_bisection_fallback(self, body, head, t):
+        from sineq.entropy import _slice_entropies_indicator
+        from sineq.measures import FACTORS
+
+        body = body.dilate(t)
+        fallback = custom_reinhardt(body.dim, body.base)
+        assert body.section is not None and fallback.section is None
+        r = _orthant_points(5, 20_000, body.dim)
+        for factor in FACTORS.values():
+            exact = _slice_entropies_indicator(body, factor, r)
+            bisected = _slice_entropies_indicator(fallback, factor, r)
+            np.testing.assert_allclose(exact, bisected, rtol=0, atol=1e-12)
+
+    def test_zero_radius_admits_only_zero(self):
+        body = polydisc([1.0, 0.0])
+        r = np.array([[0.5, 0.0], [0.5, 1e-300], [0.0, 0.0]])
+        assert body.gauge(r).tolist() == [0.5, math.inf, 0.0]
+        assert body.radial_member(r).tolist() == [True, False, True]
+
+    def test_infinite_radius_reads_zero(self):
+        assert cylinder_body(2.0, 2).gauge(np.array([[1.0, 1e300]])).tolist() == [0.5]
+
+    def test_predicate_bodies_have_neither(self):
+        shadow = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
+        for body in (shadow, annulus_body(0.5, 1.0), upper_set_body(1.0, 2),
+                     product(shadow, polydisc([1.0]))):
+            assert body.gauge is None and body.section is None
+        mixed = product(shadow, polydisc([1.0]))
+        r = np.array([[0.2, 0.3, 0.9], [0.2, 0.3, 1.1], [0.8, 0.3, 0.1]])
+        assert mixed.radial_member(r).tolist() == [True, False, False]
+
+    def test_a_replaced_predicate_is_kept(self):
+        import dataclasses
+
+        calls = []
+        body = polydisc([1.0, 2.0])
+
+        def traced(m):
+            calls.append(len(m))
+            return body.base(m)
+
+        wrapped = dataclasses.replace(body, base=traced)
+        assert wrapped.gauge is body.gauge
+        assert wrapped.radial_member(np.array([[0.5, 2.5]])).tolist() == [False]
+        assert calls == [1]
+
+    def test_body_needs_a_predicate_or_a_gauge(self):
+        from sineq.bodies import ReinhardtBody
+
+        with pytest.raises(ValueError, match="needs a predicate or a gauge"):
+            ReinhardtBody(dim=1, kind="custom", params={})

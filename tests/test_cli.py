@@ -134,6 +134,11 @@ class TestEntropyCommand:
         (rec,) = parse_jsonl(out)
         assert rec["reference"] == math.inf or rec["reference"] == float("inf")
 
+    def test_1d_exact_prints_the_auto_bytes(self, capsys):
+        argv = ["entropy", "--lemma", "1d", "--f", "step:0.6931:0,1",
+                "--tail-measure", "exponential-1d"]
+        assert run_cli(capsys, *argv, "--engine", "exact") == run_cli(capsys, *argv)
+
     def test_multidim_exact(self, capsys):
         code, out = run_cli(
             capsys, "entropy", "--lemma", "multidim", "--body", "polydisc:r=1,1",
@@ -415,6 +420,12 @@ class TestFailLoudly:
     def test_workers_below_one(self, capsys, argv, workers):
         err = self.assert_invalid(capsys, argv + ["--workers", workers])
         assert "workers must be >= 1" in err
+
+    @pytest.mark.parametrize("engine", ["mc", "quadrature"])
+    def test_1d_lemma_rejects_a_path_it_lacks(self, capsys, engine):
+        err = self.assert_invalid(
+            capsys, ["entropy", "--lemma", "1d", "--f", "step:0.6931:0,1", "--engine", engine])
+        assert f"the 1-D entropy lemma has no {engine} path" in err
 
     @pytest.mark.parametrize("output", ["missing/x.json", "."], ids=["no-directory", "directory"])
     def test_unwritable_output_fails_before_the_command(self, capsys, monkeypatch, tmp_path,

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from sineq.bodies import (
     cube_body,
+    custom_reinhardt,
     cylinder_body,
     polydisc,
     reinhardt_lp_ball,
@@ -222,6 +223,29 @@ class TestLemma1d:
         with pytest.raises(ValueError):
             check_lemma_1d(lambda x: np.exp(-x), EXP1D)
 
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_step_function_takes_auto_and_exact(self, method):
+        f = StepFunction((0.8,), (0.0, 1.0))
+        rep = check_lemma_1d(f, EXP1D, Engine(method=method))
+        assert rep == check_lemma_1d(f, EXP1D)
+        assert rep.method == "closed-form"
+
+    @pytest.mark.parametrize("f, mu, method", [
+        (StepFunction((0.8,), (0.0, 1.0)), EXP1D, "mc"),
+        (StepFunction((0.8,), (0.0, 1.0)), EXP1D, "quadrature"),
+        (lambda x: 1.0 - np.exp(-x), TailMeasure1D.discrete([0.0, 1.0], [0.5, 0.5]), "quadrature"),
+        (lambda x: 1.0 - np.exp(-x), RADIAL, "exact"),
+        (lambda x: 1.0 - np.exp(-x), RADIAL, "mc"),
+    ], ids=["step-mc", "step-quadrature", "discrete-quadrature", "callable-exact",
+            "callable-mc"])
+    def test_forcing_a_path_the_lemma_lacks_raises(self, f, mu, method):
+        with pytest.raises(ValueError, match=f"1-D entropy lemma has no {method} path"):
+            check_lemma_1d(f, mu, Engine(method=method))
+
+    def test_callable_takes_forced_quadrature(self):
+        f = lambda x: 1.0 - np.exp(-0.7 * x)  # noqa: E731
+        assert check_lemma_1d(f, EXP1D, Engine(method="quadrature")) == check_lemma_1d(f, EXP1D)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.01, max_value=4.0), st.floats(min_value=0.0, max_value=3.0))
     def test_two_step_slack_nonnegative(self, a, extra):
@@ -310,17 +334,37 @@ class TestSubadditivity:
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.rhs == pytest.approx(0.0, abs=1e-10)
 
-    def test_mc_bisection_matches_closed(self):
+    def test_mc_exact_section_matches_closed(self):
         g = complement_indicator(polydisc([1.0, 1.3]))
         closed = check_subadditivity(g, 2, engine=Engine(method="exact"))
         mc = check_subadditivity(g, 2, engine=Engine(method="mc", samples=60_000, seed=8))
         assert abs(mc.slack - closed.slack) <= 3.5 * mc.std_error
 
-    def test_lp_ball_bisection_path(self):
+    def test_mc_bisection_matches_closed(self):
+        # the polydisc shadow wrapped as a custom body has no section, so
+        # its slices are bisected
+        body = polydisc([1.0, 1.3])
+        closed = check_subadditivity(complement_indicator(body), 2, engine=Engine(method="exact"))
+        g = complement_indicator(custom_reinhardt(2, body.base))
+        mc = check_subadditivity(g, 2, engine=Engine(method="mc", samples=60_000, seed=8))
+        assert abs(mc.slack - closed.slack) <= 3.5 * mc.std_error
+
+    def test_lp_ball_section_path(self):
         g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))
         rep = check_subadditivity(g, 2, engine=Engine(samples=30_000, seed=9))
         assert rep.status == "ok"
         assert rep.slack >= -3 * rep.std_error
+
+    def test_lp_ball_bisection_path(self):
+        ball = reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5)
+        engine = Engine(samples=30_000, seed=9)
+        rep = check_subadditivity(complement_indicator(custom_reinhardt(2, ball.base)), 2,
+                                  engine=engine)
+        exact = check_subadditivity(complement_indicator(ball), 2, engine=engine)
+        assert rep.status == "ok"
+        assert rep.slack >= -3 * rep.std_error
+        # the same draws: the section and the bisection agree far below the noise
+        assert rep.slack == pytest.approx(exact.slack, abs=1e-12)
 
     def test_exponential_factor(self):
         g = complement_indicator(cube_body(0.8, 2))

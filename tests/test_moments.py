@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sineq.bodies import cross_polytope, cube_body, norm_ball, unconditional_lp_ball
+from sineq.bodies import (
+    UnconditionalBody,
+    box_body,
+    cross_polytope,
+    cube_body,
+    norm_ball,
+    product,
+    strip_body,
+    unconditional_lp_ball,
+)
 from sineq.integrate import Engine
 from sineq.moments import (
     coordinate_norm,
@@ -125,17 +134,46 @@ class TestGaugeNorm:
         expected = ((np.abs(x) * [1.0, 2.0]) ** 3).sum(axis=1) ** (1 / 3) / 1.2
         assert np.allclose(g(x), expected)
 
-    def test_bisection_fallback_matches_closed(self, rng):
+    def test_norm_ball_gauge_matches_closed(self, rng):
         ball = norm_ball(lambda x: (np.abs(x) ** 2).sum(axis=1) ** 0.5, 1.0, 2)
         g = gauge_norm(ball)
         x = rng.standard_normal((200, 2)) * 2
-        assert np.allclose(g(x), np.hypot(x[:, 0], x[:, 1]), rtol=1e-9, atol=1e-9)
+        assert np.allclose(g(x), np.hypot(x[:, 0], x[:, 1]), rtol=1e-12, atol=0)
+
+    def test_small_gauges_resolve(self):
+        # a bisection bracketed from [0, 1] read 8.7e-19 at both points
+        g = gauge_norm(norm_ball(lp_norm(2.0), 1e30, 2))
+        small, zero = g(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert small == pytest.approx(5e-30, rel=1e-15)
+        assert zero == 0.0
+
+    def test_box_gauge_keeps_its_bits(self, rng):
+        x = rng.standard_normal((500, 3)) * 2
+        radii = np.array([0.5, 1.5, 2.5])
+        assert np.array_equal(gauge_norm(box_body(radii))(x), (np.abs(x) / radii).max(axis=1))
+        assert np.array_equal(gauge_norm(cube_body(2.0, 3))(x), (np.abs(x) / 2.0).max(axis=1))
 
     def test_unbounded_body_rejected(self):
-        from sineq.bodies import strip_body
-
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unbounded"):
             gauge_norm(strip_body(1.0, 2))
+
+    def test_unbounded_product_rejected(self):
+        # no coordinate box, yet unbounded along the strip's free axis
+        with pytest.raises(ValueError, match="unbounded"):
+            gauge_norm(product(strip_body(1.0, 2), unconditional_lp_ball(2.0, 2)))
+
+    def test_body_without_gauge_rejected(self):
+        body = UnconditionalBody(dim=2, kind="custom", params={"n": 2},
+                                 base=lambda m: m.sum(axis=1) <= 1.0)
+        with pytest.raises(ValueError, match="has no gauge"):
+            gauge_norm(body)
+
+    def test_non_homogeneous_norm_ball_fails_the_norm_contract(self):
+        # the unit ball of |x|^2 is the l2 ball, but its gauge is the
+        # function itself, which is not a norm
+        ball = norm_ball(lambda x: (x**2).sum(axis=1), 1.0, 2)
+        with pytest.raises(ValueError, match="not positively homogeneous"):
+            moment_ratio(ball, 2.0, 1.0, 2, ENGINE)
 
 
 class TestCertifiedRatio:
