@@ -238,22 +238,31 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_nonnegative(name: str, value: float) -> float:
+    """``value`` as a float in [0, inf], NaN rejected."""
+    value = float(value)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _check_dim(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    return n
+
+
 def polydisc(radii: Sequence[float]) -> ReinhardtBody:
     """{z : |z_k| <= r_k for all k}."""
-    r = tuple(float(v) for v in radii)
-    if not r or any(v < 0 for v in r):
-        raise ValueError(f"polydisc radii must be nonnegative and nonempty, got {r}")
-    return ReinhardtBody(dim=len(r), kind="polydisc", params={"r": r}, **_box_geometry(r))
+    r = tuple(_check_nonnegative("polydisc radius", v) for v in radii)
+    return ReinhardtBody(dim=_check_dim(len(r)), kind="polydisc", params={"r": r},
+                         **_box_geometry(r))
 
 
 def cylinder_body(R: float, n: int) -> ReinhardtBody:
     """{z in C^n : |z_1| <= R}, the comparison set of the dilation inequality."""
-    R = float(R)
-    if R < 0:
-        raise ValueError(f"cylinder radius must be >= 0, got {R}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return ReinhardtBody(dim=n, kind="cylinder", params={"R": R, "n": n},
+    R = _check_nonnegative("cylinder radius", R)
+    return ReinhardtBody(dim=_check_dim(n), kind="cylinder", params={"R": R, "n": n},
                          **_box_geometry((R,) + (math.inf,) * (n - 1)))
 
 
@@ -268,7 +277,7 @@ def reinhardt_lp_ball(
         raise ValueError(f"exponent must be > 0, got {exponent}")
     scale = _check_positive("scale", scale)
     return ReinhardtBody(
-        dim=len(w),
+        dim=_check_dim(len(w)),
         kind="weighted-lp-ball",
         params={"p": exponent, "w": w, "scale": scale},
         **_lp_geometry(w, exponent, scale),
@@ -280,10 +289,8 @@ def custom_reinhardt(
 ) -> ReinhardtBody:
     """Wrap a user shadow predicate; flagged unvalidated until
     :func:`check_downward_closed` passes."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     return ReinhardtBody(
-        dim=n,
+        dim=_check_dim(n),
         kind="custom",
         params=params or {"n": n},
         base=shadow,
@@ -294,9 +301,9 @@ def custom_reinhardt(
 def upper_set_body(c: float, n: int = 1) -> ReinhardtBody:
     """Shadow {r : r_1 >= c}: an upward set, deliberately NOT downward
     closed.  Negative-testing fixture for the closure checker."""
-    c = float(c)
+    c = _check_nonnegative("upper-set threshold", c)
     return ReinhardtBody(
-        dim=n,
+        dim=_check_dim(n),
         kind="upper-set",
         params={"c": c, "n": n},
         base=lambda m: m[:, 0] >= c,
@@ -326,21 +333,15 @@ def annulus_body(inner: float, outer: float) -> ReinhardtBody:
 
 def strip_body(p: float, n: int) -> UnconditionalBody:
     """{x in R^n : |x_1| <= p}."""
-    p = float(p)
-    if p < 0:
-        raise ValueError(f"half-width must be >= 0, got {p}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return UnconditionalBody(dim=n, kind="strip", params={"p": p, "n": n},
+    p = _check_nonnegative("half-width", p)
+    return UnconditionalBody(dim=_check_dim(n), kind="strip", params={"p": p, "n": n},
                              **_box_geometry((p,) + (math.inf,) * (n - 1)))
 
 
 def cube_body(a: float, n: int) -> UnconditionalBody:
     """[-a, a]^n."""
-    a = float(a)
-    if a < 0:
-        raise ValueError(f"half-width must be >= 0, got {a}")
-    return UnconditionalBody(dim=n, kind="cube", params={"a": a, "n": n},
+    a = _check_nonnegative("half-width", a)
+    return UnconditionalBody(dim=_check_dim(n), kind="cube", params={"a": a, "n": n},
                              **_box_geometry((a,) * n))
 
 
@@ -360,9 +361,10 @@ def unconditional_lp_ball(
     if not exponent >= 1:
         raise ValueError(f"convexity needs exponent >= 1, got {exponent}")
     scale = _check_positive("scale", scale)
-    w = tuple(float(v) for v in (weights if weights is not None else [1.0] * n))
-    if len(w) != n or any(v <= 0 for v in w):
-        raise ValueError(f"need {n} positive weights, got {w}")
+    n = _check_dim(n)
+    w = tuple(_check_positive("weight", v) for v in ([1.0] * n if weights is None else weights))
+    if len(w) != n:
+        raise ValueError(f"need {n} weights, got {w}")
     return UnconditionalBody(
         dim=n,
         kind="weighted-lp-ball",
@@ -380,7 +382,8 @@ def cross_polytope(scale: float, n: int) -> UnconditionalBody:
         room = scale - np.delete(r, k, axis=1).sum(axis=1)
         return np.maximum(room, 0.0), room >= 0
 
-    return UnconditionalBody(dim=n, kind="cross-polytope", params={"scale": scale, "n": n},
+    return UnconditionalBody(dim=_check_dim(n), kind="cross-polytope",
+                             params={"scale": scale, "n": n},
                              gauge=lambda m: m.sum(axis=1) / scale, section=section)
 
 
@@ -400,7 +403,7 @@ def norm_ball(
         return vals / scale
 
     return UnconditionalBody(
-        dim=n,
+        dim=_check_dim(n),
         kind="norm-ball",
         params={"scale": scale, "n": n},
         validated=False,

@@ -35,7 +35,7 @@ from .entropy import (
     check_subadditivity,
     complement_indicator,
 )
-from .integrate import Engine, NonFiniteIntegrandError, measure_estimate, tolerance
+from .integrate import Engine, NonFiniteIntegrandError, measure_estimate, record
 from .measures import FACTORS, MeasureKind
 
 SCHEMA_VERSION = 2
@@ -43,6 +43,7 @@ SCHEMA_VERSION = 2
 CSV_COLUMNS = [
     "schema_version", "kind", "body", "norm", "t", "value", "std_error",
     "reference", "margin", "verdict", "seed", "samples", "method", "tolerance",
+    "sampling_contract",
 ]
 
 _EXIT_OK = 0
@@ -103,20 +104,9 @@ def _body(args: argparse.Namespace):
 def cmd_measure(args: argparse.Namespace) -> list[dict]:
     body, kind = _body(args)
     est = measure_estimate(body, kind, _engine(args))
-    return [
-        {
-            "kind": "measure",
-            "body": body.descriptor(),
-            "t": 1.0,
-            "value": est.value,
-            "std_error": est.std_error,
-            "tolerance": tolerance(est.std_error),
-            "verdict": "",
-            "seed": args.seed,
-            "samples": est.samples,
-            "method": est.method,
-        }
-    ]
+    # a measure is not a check: no reference, margin or verdict
+    rec = record(est.value, est.std_error, "", "", est.std_error, "", est.samples, est.method)
+    return [dict(rec, kind="measure", body=body.descriptor(), t=1.0, seed=args.seed)]
 
 
 def cmd_verify(args: argparse.Namespace) -> list[dict]:

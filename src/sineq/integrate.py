@@ -9,12 +9,20 @@ All Monte Carlo draws come from the Philox generator keyed by
 ``CHUNK`` points: block ``c`` starts the Philox counter at ``c * 2**64``,
 so its content depends only on ``(seed, stream_index, c)``, never on the
 worker or the total request.  :func:`draw_points` is the one draw: the
-first ``take`` rows of one block (Philox fills ``standard_normal`` and
-``random`` row-major in counter order, so they are the same whatever the
-request size); :func:`chunk_indices` splits a longer draw into blocks.
-Partial sums are reduced in block order with exact summation, which makes
-every estimate bit-identical across runs and across any degree of
-parallelism for equal ``(seed, samples)``.
+first ``take`` rows of one block (Philox fills ``random`` row-major in
+counter order, so they are the same whatever the request size);
+:func:`chunk_indices` splits a longer draw into blocks.  Partial sums are
+reduced in block order with exact summation, which makes every estimate
+bit-identical across runs and across any degree of parallelism for equal
+``(seed, samples)``.
+
+What a block holds is versioned by ``SAMPLING_CONTRACT``, which every
+record carries; a change to it bumps the contract.  Contract 2: every
+measure draws its coordinate radii directly, one uniform per coordinate
+through the factor quantile, since the bodies of both families read
+nothing else (each is invariant under the phase of every z_k or the sign
+of every x_k).  So ``complex-gaussian(n)`` draws the bits of
+``radial-mu(n)`` and ``exponential(n)`` those of ``exponential-1d(n)``.
 
 Estimation passes and verdicts
 ------------------------------
@@ -42,6 +50,7 @@ from .bodies import NonFiniteIntegrandError, interval_radii
 from .measures import FACTORS, MeasureKind, box_closed_forms
 
 __all__ = [
+    "SAMPLING_CONTRACT",
     "CHUNK",
     "DEFAULT_SAMPLES",
     "DEFAULT_SEED",
@@ -68,9 +77,10 @@ __all__ = [
     "chunk_indices",
     "draw_points",
     "point_drawer",
-    "orthant_map",
+    "check_pairing",
 ]
 
+SAMPLING_CONTRACT = 2
 CHUNK = 1 << 17
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
@@ -143,21 +153,9 @@ class SampleStream:
 
 
 def point_drawer(measure: MeasureKind) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """The Philox kernel ``(generator, count) -> points`` of a measure."""
-    n = measure.n
-    if measure.tag == "complex-gaussian":
-        return lambda gen, count: gen.standard_normal((count, 2 * n))
-    quantile = measure.factor.quantile
-    if measure.tag == "exponential":
-        # Laplace quantile from one uniform per coordinate: sign from the
-        # high bit, magnitude by the factor quantile of the rest
-        def laplace(gen: np.random.Generator, count: int) -> np.ndarray:
-            v = gen.random((count, n))
-            neg = v < 0.5
-            mag = quantile(np.where(neg, 2.0 * v, 2.0 * v - 1.0))
-            return np.where(neg, -mag, mag)
-
-        return laplace
+    """The Philox kernel ``(generator, count) -> radii`` of a measure: one
+    uniform per coordinate through the factor quantile."""
+    n, quantile = measure.n, measure.factor.quantile_in_place
     return lambda gen, count: quantile(gen.random((count, n)))
 
 
@@ -168,7 +166,8 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
 
 
 def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int) -> np.ndarray:
-    """The first ``take`` rows of block ``block`` (``take <= CHUNK``)."""
+    """The first ``take`` rows of coordinate radii of block ``block``
+    (``take <= CHUNK``)."""
     return point_drawer(measure)(stream.generator(block), take)
 
 
@@ -240,19 +239,13 @@ def run_chunked(
     return acc.finalize()
 
 
-def orthant_map(body, measure: MeasureKind) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from sample points of ``measure`` to the orthant points that
-    ``body``'s predicate reads; checks that body and measure pair."""
+def check_pairing(body, measure: MeasureKind) -> None:
+    """Raise unless ``body`` is of ``measure``'s family and dimension, so
+    that the radii ``measure`` draws are the ones ``body.base`` reads."""
     if getattr(body, "measure_tag", None) != measure.tag:
         raise ValueError(f"measure {measure.tag!r} does not pair with {type(body).__name__}")
     if body.dim != measure.n:
         raise ValueError(f"body dimension {body.dim} != measure dimension {measure.n}")
-    return measure.orthant
-
-
-def _body_indicator(body, measure: MeasureKind) -> Callable[[np.ndarray], np.ndarray]:
-    orthant = orthant_map(body, measure)
-    return lambda pts: body.base(orthant(pts))
 
 
 @dataclass(frozen=True)
@@ -373,10 +366,11 @@ def worst(verdicts) -> str:
 
 def record(value, std_error, reference, margin, margin_se, verdict, samples, method) -> dict:
     """The record columns every check shares.  ``tolerance`` is the one its
-    verdict applied: :func:`tolerance` of the margin's error ``margin_se``."""
+    verdict applied: :func:`tolerance` of the margin's error ``margin_se``;
+    ``sampling_contract`` is the :data:`SAMPLING_CONTRACT` of the draws."""
     return {"value": value, "std_error": std_error, "reference": reference, "margin": margin,
             "tolerance": tolerance(margin_se), "verdict": verdict, "samples": samples,
-            "method": method}
+            "method": method, "sampling_contract": SAMPLING_CONTRACT}
 
 
 def box_forms(body, factor, t_grid: Sequence[float] = (1.0,)):
@@ -390,8 +384,8 @@ def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
     """measure(K): the closed form of a coordinate box, or the indicator
     mean with binomial standard error."""
     forms = box_forms(body, measure.factor)
-    ind = _body_indicator(body, measure)
-    p = estimate(engine, measure, lambda pts: ind(pts)[:, None].astype(float), 1,
+    check_pairing(body, measure)
+    p = estimate(engine, measure, lambda r: body.base(r)[:, None].astype(float), 1,
                  None if forms is None else forms.curve,
                  subject=f"the measure of {body.descriptor()!r}")
     m = float(p.means[0])
@@ -424,21 +418,22 @@ def mc_integral(
 ) -> Estimate:
     """Mean of integrand * indicator(body) against the reference measure.
 
-    The integrand is evaluated only on points inside the restriction, and
-    any non-finite value there aborts with a diagnostic.
+    The integrand takes an (m, n) array of coordinate radii, |z_k| or
+    |x_k|, the draws of ``measure``; the integrands this serves depend on
+    the points through their radii only.  It is evaluated only on rows
+    inside the restriction, and any non-finite value there aborts with a
+    diagnostic.
     """
     if measure is None:
         raise ValueError("measure kind is required")
-    ind = _body_indicator(body, measure) if body is not None else None
+    if body is not None:
+        check_pairing(body, measure)
 
-    def columns(pts: np.ndarray) -> np.ndarray:
-        vals = np.zeros(pts.shape[0])
-        if ind is None:
-            vals[:] = np.asarray(integrand(pts), dtype=float)
-        else:
-            inside = ind(pts)
-            if inside.any():
-                vals[inside] = np.asarray(integrand(pts[inside]), dtype=float)
+    def columns(r: np.ndarray) -> np.ndarray:
+        vals = np.zeros(r.shape[0])
+        inside = np.ones(r.shape[0], dtype=bool) if body is None else body.base(r)
+        if inside.any():
+            vals[inside] = np.asarray(integrand(r[inside]), dtype=float)
         if not np.isfinite(vals).all():
             bad = int(np.nonzero(~np.isfinite(vals))[0][0])
             raise NonFiniteIntegrandError(

@@ -8,12 +8,15 @@ Two probability measures drive everything in this package:
 
 Both are products whose coordinate radii (|z_k| or |x_k|) follow one
 factor on [0, inf): the radial factor r*exp(-r^2/2), or the one-sided unit
-exponential.  The two factors differ by one fact: with u = r^d/d, the
-factor of degree d (d = 2 radial, d = 1 exponential) is the unit
-exponential law of u.  :class:`Factor` writes every one-dimensional
-formula once, in u, and scales by d where the weight r^d = d*u enters:
-CDF, tail, quantile, restricted weight, and the closed forms of the
-comparison sets (cylinder {|z_1| <= R}, strip {|x_1| <= p}).
+exponential.  The bodies read nothing else, so Monte Carlo draws the radii
+alone (``integrate.point_drawer``); :func:`moduli` and
+``MeasureKind.orthant`` reduce the points that callers pass in.  The two
+factors differ by one fact: with u = r^d/d, the factor of degree d (d = 2
+radial, d = 1 exponential) is the unit exponential law of u.
+:class:`Factor` writes every one-dimensional formula once, in u, and
+scales by d where the weight r^d = d*u enters: CDF, tail, quantile,
+restricted weight, and the closed forms of the comparison sets (cylinder
+{|z_1| <= R}, strip {|x_1| <= p}).
 :func:`box_closed_forms` builds the coordinate-box closed forms from them,
 :func:`cylinder_measure` and the other scalar forms are a line over it each,
 and ``verify.calibrate_cylinder`` / ``calibrate_strip`` invert them.
@@ -97,7 +100,15 @@ class Factor:
 
     def quantile(self, v):
         """Inverse of the CDF on [0, 1)."""
-        return self.r(-_lib(v).log1p(-v))
+        if isinstance(v, np.ndarray):
+            return self.quantile_in_place(v.astype(float))
+        return self.r(-math.log1p(-v))
+
+    def quantile_in_place(self, v: np.ndarray) -> np.ndarray:
+        """``quantile`` of the float array ``v``, written over it with no
+        temporary array: the Monte Carlo draw kernel."""
+        u = np.negative(np.log1p(np.negative(v, out=v), out=v), out=v)
+        return np.sqrt(np.multiply(u, 2.0, out=u), out=u) if self.d == 2 else u
 
     def inverse_tail(self, y):
         """Inverse of the tail on (0, 1]."""
@@ -186,22 +197,19 @@ class MeasureKind:
 
     @property
     def point_dim(self) -> int:
-        """Number of real coordinates of a sample point."""
+        """Number of real coordinates of a point of the measure's space."""
         return 2 * self.n if self.tag == "complex-gaussian" else self.n
 
     def orthant(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinate radii of sample points: moduli, absolute values, or
-        the points themselves for the factor measures."""
+        """Coordinate radii of points of the measure's space: moduli,
+        absolute values, or the points themselves for the factor measures."""
         if self.tag == "complex-gaussian":
             return moduli(pts)
         return np.abs(pts) if self.tag == "exponential" else pts
 
-    def weight(self, pts: np.ndarray) -> np.ndarray:
-        """sum_k r_k^d per sample point: |z|^2 from the interleaved reals,
-        or |x|_1."""
-        if self.tag == "complex-gaussian":
-            return (pts * pts).sum(axis=1)
-        return self.orthant(pts).sum(axis=1)
+    def weight(self, r) -> np.ndarray:
+        """sum_k r_k^d per row of coordinate radii: |z|^2 or |x|_1."""
+        return (np.asarray(r, dtype=float) ** self.factor.d).sum(axis=1)
 
     def describe(self) -> str:
         return f"{self.tag}(n={self.n})"

@@ -164,6 +164,7 @@ def moment_ratio(
     """
     engine = engine or Engine()
     _check_exponents(p, q)
+    measure = exponential(n)  # rejects n < 1 before the norm sees an empty array
     if isinstance(norm, UnconditionalBody):
         norm_desc = norm_desc or f"gauge[{norm.descriptor()}]"
         norm = gauge_norm(norm)
@@ -173,13 +174,14 @@ def moment_ratio(
         raise ValueError(f"norm contract violated: {'; '.join(bad)}")
 
     def columns(x: np.ndarray) -> np.ndarray:
+        # the draws are |x|; the contract check made the norm sign-invariant
         v = np.asarray(norm(x), dtype=float)
         if not np.isfinite(v).all():
             raise _integ.NonFiniteIntegrandError("norm returned non-finite values")
         return np.stack([v**p, v**q], axis=1)
 
     def run(e: Engine) -> Pass:
-        return _integ.estimate(e, exponential(n), columns, 2,
+        return _integ.estimate(e, measure, columns, 2,
                                subject=f"the moment ratio of {norm_desc}")
 
     def moments(est: Pass) -> tuple[Estimate, Estimate, float, float]:

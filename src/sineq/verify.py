@@ -147,8 +147,8 @@ def body_statistics(
     engine = engine or Engine()
     measure = measure or _default_measure(body)
     grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in grid):
-        raise ValueError("dilation grid must be positive")
+    if not all(t > 0 for t in grid):  # NaN fails too
+        raise ValueError(f"dilation grid must be positive, got {grid}")
     if 1.0 not in grid:
         grid.append(1.0)
     grid = tuple(sorted(set(grid)))
@@ -156,18 +156,17 @@ def body_statistics(
 
     forms = _integ.box_forms(body, measure.factor, grid)
     closed = None if forms is None else [*forms.curve, forms.moment]
-    orthant = _integ.orthant_map(body, measure)
+    _integ.check_pairing(body, measure)
     gauge = body.gauge
 
-    def columns(pts: np.ndarray) -> np.ndarray:
-        r, w = orthant(pts), measure.weight(pts)
+    def columns(r: np.ndarray) -> np.ndarray:
         out = np.empty((r.shape[0], len(grid) + 1))
         # a gauge body answers every t from one evaluation: r lies in tK
         # exactly when rho_K(r) / t <= 1, the rule of body.dilate(t)
         rho = None if gauge is None else gauge(r)
         for i, t in enumerate(grid):
             out[:, i] = body.base(r / t) if rho is None else rho / t <= 1.0
-        out[:, -1] = w * out[:, idx1]
+        out[:, -1] = measure.weight(r) * out[:, idx1]
         return out
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
@@ -515,7 +514,8 @@ class SweepReport:
         records = [{"kind": "fuzz-body", "body": row["body"], "t": "", "value": row["min_margin"],
                     "std_error": "", "reference": "", "margin": row["min_margin"],
                     "tolerance": "", "verdict": row["verdict"], "seed": row["seed"],
-                    "samples": row["samples"], "method": row["method"]} for row in self.rows]
+                    "samples": row["samples"], "method": row["method"],
+                    "sampling_contract": _integ.SAMPLING_CONTRACT} for row in self.rows]
         records.append({
             "kind": "fuzz-summary",
             "body": self.family,
@@ -527,6 +527,7 @@ class SweepReport:
             "samples": self.engine.samples,
             "method": self.engine.method,
             "tolerance": "",
+            "sampling_contract": _integ.SAMPLING_CONTRACT,
         })
         return records
 

@@ -194,6 +194,44 @@ class TestUnconditional:
             unconditional_lp_ball(0.5, 2)
 
 
+class TestConstructorsFailLoudly:
+    """A NaN parameter makes every comparison False, so a body built with
+    one would read as empty or as the whole space; constructors reject it,
+    and a dimension below 1."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: polydisc([math.nan, 1.0]),
+        lambda: cylinder_body(math.nan, 2),
+        lambda: strip_body(math.nan, 2),
+        lambda: cube_body(math.nan, 2),
+        lambda: upper_set_body(math.nan, 1),
+        lambda: box_body([1.0, math.nan]),
+        lambda: unconditional_lp_ball(2.0, 2, 1.0, [math.nan, 1.0]),
+        lambda: reinhardt_lp_ball([1.0, math.nan], 2.0),
+    ], ids=["polydisc", "cylinder", "strip", "cube", "upper-set", "box", "unconditional-lp",
+            "reinhardt-lp"])
+    def test_nan_parameter_rejected(self, make):
+        with pytest.raises(ValueError, match="nan|NaN"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: cube_body(1.0, 0),
+        lambda: cross_polytope(1.0, 0),
+        lambda: unconditional_lp_ball(2.0, 0),
+        lambda: reinhardt_lp_ball([], 2.0),
+        lambda: upper_set_body(1.0, 0),
+    ], ids=["cube", "cross-polytope", "unconditional-lp", "reinhardt-lp", "upper-set"])
+    def test_zero_dimension_rejected(self, make):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            make()
+
+    def test_infinite_half_width_is_a_strip(self):
+        body = parse_descriptor("box:a=1,inf", "unconditional")
+        assert interval_radii(body) == (1.0, math.inf)
+        assert body.radial_member(np.array([[0.5, 1e300], [1.5, 0.0]])).tolist() == [True, False]
+        assert interval_radii(cylinder_body(math.inf, 2)) == (math.inf, math.inf)
+
+
 class TestIntervalRadii:
     def test_polydisc(self):
         assert interval_radii(polydisc([1.0, 2.0])) == (1.0, 2.0)
@@ -444,15 +482,10 @@ class TestGauges:
         rho = body.gauge(r)
         finite = (rho > 0) & np.isfinite(rho)
         r = np.concatenate([r] + [r[finite] * (t / rho[finite])[:, None] for t in grid])
-        pts = np.zeros((len(r), measure.point_dim))
-        if measure.tag == "complex-gaussian":
-            pts[:, 0::2] = r
-        else:
-            pts[:] = r
-        r = measure.orthant(pts)
-        cols = captured["columns"](pts)
+        cols = captured["columns"](r)
         for i, t in enumerate(grid):
             assert np.array_equal(cols[:, i], body.dilate(t).radial_member(r).astype(float))
+        assert np.array_equal(cols[:, -1], measure.weight(r) * cols[:, grid.index(1.0)])
 
     @gauge_cases
     def test_membership_matches_the_predicate_formulas(self, body, head):

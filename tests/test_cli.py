@@ -283,7 +283,7 @@ class TestCertifiedExitCodes:
     def test_moments_excursion_exits_0(self, capsys):
         code, out = run_cli(
             capsys, "moments", "--norm", "coord", "--n", "1", "--p", "2", "--q", "1",
-            "--samples", "2000", "--seed", "1242",
+            "--samples", "2000", "--seed", "1459",
         )
         (rec,) = parse_jsonl(out)
         assert (code, rec["verdict"]) == (0, "holds")
@@ -320,10 +320,10 @@ class TestRecordColumns:
 
     def test_curve_tolerance_is_the_one_the_verdict_applied(self, capsys):
         code, out = run_cli(capsys, "verify", "--body", "polydisc:r=1,1", "--engine", "mc",
-                            "--samples", "20000", "--seed", "1", "--grid", "1,3")
+                            "--samples", "20000", "--seed", "3", "--grid", "1,3")
         assert code == 0
         curve = [r for r in parse_jsonl(out) if r["kind"] == "dilation"]
-        rep = full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=20_000, seed=1),
+        rep = full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=20_000, seed=3),
                          (1.0, 3.0))
         assert [r["tolerance"] for r in curve] == [tolerance(p.margin_se)
                                                    for p in rep.curve.points]
@@ -339,7 +339,7 @@ class TestRecordColumns:
         assert (code, rec["method"], rec["samples"]) == (0, "closed-form", 0)
         assert rec.keys() == {"schema_version", "kind", "body", "seed", "value", "std_error",
                               "reference", "margin", "tolerance", "verdict", "samples",
-                              "method", "status", "note"}
+                              "method", "sampling_contract", "status", "note"}
 
     def test_every_record_has_schema_version_2(self, capsys):
         for args in (["measure", "--body", "polydisc:r=1"],
@@ -401,10 +401,34 @@ class TestFailLoudly:
     @staticmethod
     def assert_invalid(capsys, argv) -> str:
         code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 2
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--body", "polydisc:r=nan,1", "--engine", "mc", "--samples", "1000"],
+        ["verify", "--body", "polydisc:r=nan,1"],
+        ["measure", "--body", "cube:a=nan,n=2", "--measure", "exponential", "--engine", "mc"],
+        ["measure", "--body", "box:a=1,nan", "--measure", "exponential"],
+        ["verify", "--body", "weighted-lp-ball:p=2,n=2,w=1,nan", "--measure", "exponential"],
+    ], ids=["verify-mc", "verify-closed", "measure-mc", "measure-box", "verify-lp-weights"])
+    def test_nan_body_parameter(self, capsys, argv):
+        assert "got nan" in self.assert_invalid(capsys, argv)
+
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    def test_nan_dilation_scale(self, capsys, engine):
+        err = self.assert_invalid(capsys, ["verify", "--body", "polydisc:r=1,1", "--grid", "nan,2",
+                                           "--engine", engine, "--samples", "1000"])
+        assert "dilation grid must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--n", "0"],
+        ["measure", "--body", "cube:a=1,n=0", "--measure", "exponential"],
+        ["measure", "--body", "cross-polytope:scale=1,n=0", "--measure", "exponential"],
+    ], ids=["moments", "cube", "cross-polytope"])
+    def test_zero_dimension(self, capsys, argv):
+        assert "dimension must be >= 1, got 0" in self.assert_invalid(capsys, argv)
 
     def test_coordinate_index_outside_dimension(self, capsys):
         err = self.assert_invalid(

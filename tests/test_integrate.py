@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sineq.bodies import custom_reinhardt, cylinder_body, polydisc, strip_body
+from sineq.bodies import (
+    box_body,
+    cross_polytope,
+    custom_reinhardt,
+    cylinder_body,
+    polydisc,
+    reinhardt_lp_ball,
+    strip_body,
+    unconditional_lp_ball,
+)
 from sineq.integrate import (
     CHUNK,
     DET_TOL,
@@ -13,6 +22,7 @@ from sineq.integrate import (
     Estimate,
     NonFiniteIntegrandError,
     Pass,
+    SAMPLING_CONTRACT,
     SampleStream,
     certify,
     chunk_indices,
@@ -41,33 +51,36 @@ def draw(measure: MeasureKind, stream: SampleStream, count: int) -> np.ndarray:
 
 
 class TestSamplers:
+    """Laws of the drawn coordinate radii |z_k| and |x_k|."""
+
     def test_complex_gaussian_second_moment(self):
-        z = draw(complex_gaussian(2), SampleStream(101), N)
-        w = (z * z).sum(axis=1)
+        r = draw(complex_gaussian(2), SampleStream(101), N)
+        w = (r * r).sum(axis=1)
         se = w.std(ddof=1) / math.sqrt(N)
         assert abs(w.mean() - 4.0) <= 3 * se
 
     def test_complex_gaussian_cylinder_probability(self):
-        z = draw(complex_gaussian(1), SampleStream(102), N)
-        r = np.hypot(z[:, 0], z[:, 1])
+        r = draw(complex_gaussian(1), SampleStream(102), N)[:, 0]
         p = (r <= SQRT_2LN2).mean()
         assert abs(p - 0.5) <= 3 * math.sqrt(0.25 / N)
 
     def test_exponential_l1_mean(self):
         x = draw(exponential(3), SampleStream(103), N)
-        w = np.abs(x).sum(axis=1)
+        w = x.sum(axis=1)
         se = w.std(ddof=1) / math.sqrt(N)
         assert abs(w.mean() - 3.0) <= 3 * se
 
     def test_exponential_strip_probability(self):
         x = draw(exponential(1), SampleStream(104), N)
-        p = (np.abs(x[:, 0]) <= math.log(2)).mean()
+        p = (x[:, 0] <= math.log(2)).mean()
         assert abs(p - 0.5) <= 3 * math.sqrt(0.25 / N)
 
-    def test_exponential_is_symmetric(self):
+    def test_exponential_radii_are_unit_exponential(self):
+        # the draw carries no sign: |x_1| is unit exponential, mean 1
         x = draw(exponential(2), SampleStream(105), N)
         se = x[:, 0].std(ddof=1) / math.sqrt(N)
-        assert abs(x[:, 0].mean()) <= 3 * se
+        assert (x >= 0).all()
+        assert abs(x[:, 0].mean() - 1.0) <= 3 * se
 
     def test_radial_mean_square(self):
         r = draw(MeasureKind("radial-mu", 2), SampleStream(106), N)
@@ -203,7 +216,7 @@ class TestMcIntegral:
         body = cylinder_body(1.0, 1)
 
         def integrand(z):
-            r = np.hypot(z[:, 0], z[:, 1])
+            r = z[:, 0]
             assert (r <= 1.0).all()
             return r
 
@@ -335,17 +348,20 @@ class TestPass:
 
 class TestSamplingContract:
     """Draws pinned across commits: a change here is a sampling-contract
-    change and has to be versioned and recorded."""
+    change and has to be versioned (``SAMPLING_CONTRACT``) and recorded."""
+
+    def test_pins_are_those_of_contract_2(self):
+        assert SAMPLING_CONTRACT == 2
 
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
     PINNED = {
         ("complex-gaussian", 2): (
-            "839abbb208a8592b49d233f4cea54c4359f9771b616563c64e706466c00c827d",
-            [-0.7659574203621172, 0.2510802832065968, 0.3730490210656415, -2.135003094719878],
+            "908efe07283d3c318dae77166e483df90c5a7535f3610441ed128254c554a562",
+            [1.536162616589241, 1.712726937494207],
         ),
         ("exponential", 3): (
-            "393974c1c47f670a20085dffa93a0c3ff5cda97341be33e9162625400f0497a0",
-            [0.4867506117432065, 0.7735696006491972, -0.7916126734367893],
+            "76fe75004454f32ff9735f8f669edc134831fe015e45486cbf3bc21725240d89",
+            [1.1798977923031517, 1.4667167812091426, 0.3194386973835255],
         ),
         ("radial-mu", 2): (
             "908efe07283d3c318dae77166e483df90c5a7535f3610441ed128254c554a562",
@@ -361,15 +377,14 @@ class TestSamplingContract:
     def test_draw_points_pinned(self, tag, n):
         pts = draw_points(MeasureKind(tag, n), SampleStream(2026, 9), 3, 1000)
         digest, first = self.PINNED[(tag, n)]
-        assert pts.shape == (1000, MeasureKind(tag, n).point_dim)
+        assert pts.shape == (1000, n)
         assert pts[0].tolist() == first
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
     # (tag, n) -> first row of block 4, same key
     NEXT_BLOCK = {
-        ("complex-gaussian", 2):
-            [0.23892700086745122, 1.1987060976574802, -1.1902765720064954, -2.0130644062498235],
-        ("exponential", 3): [0.13792244773203385, -0.2751632676724314, 0.5367960315814053],
+        ("complex-gaussian", 2): [1.289239797936737, 0.5062548547758754],
+        ("exponential", 3): [0.8310696282919792, 0.12814698899207133, 1.2299432121413505],
         ("radial-mu", 2): [1.289239797936737, 0.5062548547758754],
     }
 
@@ -377,6 +392,59 @@ class TestSamplingContract:
     def test_next_block_pinned(self, tag, n):
         pts = draw_points(MeasureKind(tag, n), SampleStream(2026, 9), 4, 1)
         assert pts[0].tolist() == self.NEXT_BLOCK[(tag, n)]
+
+    @pytest.mark.parametrize("tag, factor_tag", [("complex-gaussian", "radial-mu"),
+                                                 ("exponential", "exponential-1d")])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_measure_draws_its_factor_radii(self, tag, factor_tag, n):
+        stream = SampleStream(2026, 9)
+        for block, take in ((0, 1000), (4, CHUNK)):
+            assert np.array_equal(draw_points(MeasureKind(tag, n), stream, block, take),
+                                  draw_points(MeasureKind(factor_tag, n), stream, block, take))
+
+
+def _contract_1_radii(measure: MeasureKind, seed: int, count: int) -> np.ndarray:
+    """Coordinate radii by the contract-1 kernels, a law oracle for the
+    direct draws: 2n standard normals reduced by ``hypot`` for the complex
+    Gaussian, signed Laplace points reduced by ``abs`` for the exponential
+    measure."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    n = measure.n
+    if measure.tag == "complex-gaussian":
+        z = gen.standard_normal((count, 2 * n))
+        return np.hypot(z[:, 0::2], z[:, 1::2])
+    v = gen.random((count, n))
+    neg = v < 0.5
+    mag = measure.factor.quantile(np.where(neg, 2.0 * v, 2.0 * v - 1.0))
+    return np.abs(np.where(neg, -mag, mag))
+
+
+class TestContractLaw:
+    """Contract 2 changed the bits of the draws, not their law: the
+    ``body_statistics`` means agree with the same columns over contract-1
+    radii within a two-sample 4-sigma bound."""
+
+    @pytest.mark.parametrize("body", [
+        polydisc([0.8, 1.6]),
+        reinhardt_lp_ball([1.0, 0.7, 1.3], 2.0, 1.5),
+        reinhardt_lp_ball([1.0, 1.0], 1.0, 1.8),
+        box_body([0.5, 1.5]),
+        unconditional_lp_ball(3.0, 3, 1.4),
+        cross_polytope(2.0, 3),
+    ], ids=lambda b: f"{b.measure_tag}-{b.kind}")
+    def test_statistics_match_the_contract_1_draws(self, body):
+        from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+        samples = 200_000
+        stats = body_statistics(body, None, DEFAULT_T_GRID,
+                                Engine(method="mc", samples=samples, seed=61))
+        r = _contract_1_radii(stats.measure, 62, samples)
+        cols = np.stack([body.dilate(t).radial_member(r).astype(float) for t in stats.t_grid]
+                        + [stats.measure.weight(r) * body.radial_member(r)], axis=1)
+        old_mean = cols.mean(axis=0)
+        old_var = cols.var(axis=0, ddof=1) / samples
+        bound = 4.0 * np.sqrt(np.diag(stats.cov) + old_var)
+        assert (np.abs(stats.means - old_mean) <= bound).all(), (stats.means, old_mean, bound)
 
 
 class TestCertify:
@@ -420,5 +488,5 @@ class TestRecord:
         rec = record(0.5, 0.001, 0.4, 0.1, 0.006, "holds", 1000, "mc(1000, 1)")
         assert rec == {"value": 0.5, "std_error": 0.001, "reference": 0.4, "margin": 0.1,
                        "tolerance": tolerance(0.006), "verdict": "holds", "samples": 1000,
-                       "method": "mc(1000, 1)"}
+                       "method": "mc(1000, 1)", "sampling_contract": SAMPLING_CONTRACT}
         assert record(1.0, 0.0, 1.0, 0.0, 0.0, "holds", 0, "closed-form")["tolerance"] == DET_TOL

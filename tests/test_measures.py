@@ -212,11 +212,29 @@ class TestMeasureKind:
         assert complex_gaussian(3).point_dim == 6
         assert MeasureKind("exponential", 3).point_dim == 3
 
+    @pytest.mark.parametrize("tag, weight", [("complex-gaussian", 5.0), ("radial-mu", 5.0),
+                                             ("exponential", 3.0), ("exponential-1d", 3.0)])
+    def test_weight_is_the_sum_of_radii_to_the_degree(self, tag, weight):
+        # sum_k r_k^d of the radii (1, 2): d = 2 gives 5, d = 1 gives 3
+        assert MeasureKind(tag, 2).weight([[1, 2]]).tolist() == [weight]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MeasureKind("gaussian", 1)
         with pytest.raises(ValueError):
             MeasureKind("exponential", 0)
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("factor", [RADIAL_FACTOR, EXP_FACTOR], ids=lambda f: f.tag)
+    def test_in_place_kernel_is_the_quantile(self, factor):
+        v = np.random.default_rng(3).random((1000, 3))
+        kept = v.copy()
+        q = factor.quantile(v)
+        assert np.array_equal(v, kept)  # quantile leaves its argument alone
+        assert np.array_equal(q, factor.r(-np.log1p(-v)))  # the formula, written out
+        assert factor.quantile_in_place(v) is v and np.array_equal(v, q)
+        assert factor.quantile(0.5) == pytest.approx(factor.r(math.log(2.0)), rel=1e-15)
 
 
 class TestRestrictedWeight:
