@@ -2,14 +2,16 @@
 
 Draws come from the Philox generator keyed by (seed, stream index) with a
 256-bit counter; sampling happens in fixed blocks whose content depends
-only on (seed, stream, block).  Estimates reduce per-block partial sums in
-block order with exact summation, so the same configuration gives the same
-bits no matter how the work was scheduled.
+only on (seed, stream, block).  Estimates reduce each block in fixed
+sub-blocks and add the partial sums with exact summation, so the same
+configuration gives the same bits no matter how the work was scheduled.
 
-What a block holds is versioned by the sampling contract.  Under contract
-2 a row is the vector of coordinate radii (|z_1|, ..., |z_n|), one uniform
-per coordinate through the radial quantile: the bodies are invariant under
-rotating each z_k, so the radii are all a check reads.
+What a block holds and how it is reduced is versioned by the sampling
+contract.  Since contract 2 a row is the vector of coordinate radii
+(|z_1|, ..., |z_n|), one uniform per coordinate through the radial
+quantile: the bodies are invariant under rotating each z_k, so the radii
+are all a check reads.  Contract 3 keeps those rows and reduces a block
+``integrate.SUB`` rows at a time.
 
 Run:  python demos/06_reproducibility.py
 """

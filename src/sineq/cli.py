@@ -179,7 +179,7 @@ def _parse_norm(text: str):
         return _moments.coordinate_norm(idx), text
     if text.startswith("body:"):
         body = _bodies.parse_descriptor(text[5:], "unconditional")
-        return _moments.gauge_norm(body), f"gauge[{body.descriptor()}]"
+        return body, f"gauge[{body.descriptor()}]"
     raise ValueError(f"unknown norm {text!r}")
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import integrate as _integ
 from .bodies import ReinhardtBody, UnconditionalBody
 from .integrate import Engine, Pass
-from .measures import FACTORS, MeasureKind, xlnx
+from .measures import FACTORS, MeasureKind, coordinate_sum, xlnx
 
 __all__ = [
     "StepFunction",
@@ -485,7 +485,7 @@ def check_lemma_multidim(
 
     def columns(r: np.ndarray) -> np.ndarray:
         vals = g(r)
-        return np.stack([_np_xlnx(vals), vals, vals * (factor.u(r).sum(axis=1) - n)], axis=1)
+        return np.stack([_np_xlnx(vals), vals, vals * (coordinate_sum(factor.u, r) - n)], axis=1)
 
     return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed, (0, 1, 2),
                           quadrature=True)

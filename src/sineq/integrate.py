@@ -8,21 +8,31 @@ All Monte Carlo draws come from the Philox generator keyed by
 ``(seed, stream_index)`` (:class:`SampleStream`), in fixed blocks of
 ``CHUNK`` points: block ``c`` starts the Philox counter at ``c * 2**64``,
 so its content depends only on ``(seed, stream_index, c)``, never on the
-worker or the total request.  :func:`draw_points` is the one draw: the
-first ``take`` rows of one block (Philox fills ``random`` row-major in
-counter order, so they are the same whatever the request size);
-:func:`chunk_indices` splits a longer draw into blocks.  Partial sums are
-reduced in block order with exact summation, which makes every estimate
-bit-identical across runs and across any degree of parallelism for equal
-``(seed, samples)``.
+worker or the total request.  :func:`draw_points` is the one draw: rows
+``[start, start + take)`` of one block (Philox fills ``random`` row-major
+in counter order, four doubles a counter step, so the rows are the same
+whatever the request size); :func:`chunk_indices` splits a longer draw
+into blocks.  :func:`run_chunked` draws, evaluates and reduces each block
+``SUB`` rows at a time, while the sub-block is still in cache, and
+:class:`SampleMoments` combines the sub-block partials exactly, which makes
+every estimate bit-identical across runs and across any degree of
+parallelism for equal ``(seed, samples)``.
 
-What a block holds is versioned by ``SAMPLING_CONTRACT``, which every
-record carries; a change to it bumps the contract.  Contract 2: every
-measure draws its coordinate radii directly, one uniform per coordinate
-through the factor quantile, since the bodies of both families read
-nothing else (each is invariant under the phase of every z_k or the sign
-of every x_k).  So ``complex-gaussian(n)`` draws the bits of
-``radial-mu(n)`` and ``exponential(n)`` those of ``exponential-1d(n)``.
+What a block holds and how it is reduced is versioned by
+``SAMPLING_CONTRACT``, which every record carries; a change to either
+bumps the contract.  Contract 2: every measure draws its coordinate radii
+directly, one uniform per coordinate through the factor quantile, since
+the bodies of both families read nothing else (each is invariant under the
+phase of every z_k or the sign of every x_k).  So ``complex-gaussian(n)``
+draws the bits of ``radial-mu(n)`` and ``exponential(n)`` those of
+``exponential-1d(n)``.  Contract 3 keeps those draws and reduces each
+block in sub-blocks of ``SUB`` rows: cross products are summed by numpy
+within a sub-block and exactly (``math.fsum``) across sub-blocks and
+blocks; column sums run on from one sub-block of a block to the next
+(numpy adds two or more columns row by row, so they are the sums of the
+whole block) and are summed exactly across blocks.  So contract 3 moved
+the covariances of passes longer than ``SUB`` rows in their last bits, and
+of the means only those of single-column passes.
 
 Estimation passes and verdicts
 ------------------------------
@@ -42,7 +52,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,14 +84,16 @@ __all__ = [
     "mc_integral",
     "tensor_quadrature",
     "SampleMoments",
+    "Sublevels",
     "chunk_indices",
     "draw_points",
     "point_drawer",
     "check_pairing",
 ]
 
-SAMPLING_CONTRACT = 2
+SAMPLING_CONTRACT = 3
 CHUNK = 1 << 17
+SUB = 1 << 15  # rows drawn, evaluated and reduced at a time; divides CHUNK
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 MAX_QUADRATURE_ORDER = 180  # laggauss weight computation overflows beyond this
@@ -165,45 +177,96 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
     return [(b, min(CHUNK, samples - b * CHUNK)) for b in range(blocks)]
 
 
-def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int) -> np.ndarray:
-    """The first ``take`` rows of coordinate radii of block ``block``
-    (``take <= CHUNK``)."""
-    return point_drawer(measure)(stream.generator(block), take)
+def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int,
+                start: int = 0) -> np.ndarray:
+    """Rows ``[start, start + take)`` of coordinate radii of block ``block``
+    (``start + take <= CHUNK``).  The generator skips the ``start * n``
+    doubles before them: a counter step per four, one draw per remaining one."""
+    gen = stream.generator(block)
+    steps, rest = divmod(start * measure.n, 4)
+    gen.bit_generator.advance(steps)
+    if rest:
+        gen.random(rest)
+    return point_drawer(measure)(gen, take)
+
+
+class Sublevels(NamedTuple):
+    """The per-sample columns of a gauge ``rho`` without the column matrix:
+    the indicators 1[rho <= t] for each t of the increasing ``grid`` (nested
+    sets), then ``weight`` * 1[rho <= grid[at]].
+
+    ``rho <= t`` is ``rho / t <= 1.0`` to the bit for finite t > 0, the
+    membership rule of a dilate, and a NaN gauge lies in no set."""
+
+    rho: np.ndarray
+    grid: tuple[float, ...]
+    weight: np.ndarray
+    at: int
+
+    def moments(self, carry: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """(count, ``carry`` + column sums, cross products).  Indicator sums
+        and products are counts; a weight cross entry reads only its own t
+        (the ``at`` sum for t >= grid[at], its own masked sum below), so no
+        entry depends on the rest of the grid."""
+        k, at = len(self.grid), self.at
+        inside = [self.rho <= t for t in self.grid]
+        counts = np.array([np.count_nonzero(m) for m in inside], dtype=float)
+        held = np.where(inside[at], self.weight, 0.0)
+        below = [np.where(inside[i], self.weight, 0.0).sum() for i in range(at)]
+        prods = np.empty((k + 1, k + 1))
+        prods[:k, :k] = counts[np.minimum.outer(np.arange(k), np.arange(k))]
+        prods[:k, k] = prods[k, :k] = below + [held.sum()] * (k - at)
+        prods[k, k] = np.square(held).sum()
+        # the weight's sum runs on row by row, as numpy sums a column of a
+        # matrix of two or more
+        held[0] += carry[k]
+        sums = np.append(carry[:k] + counts, np.cumsum(held, out=held)[-1])
+        return len(self.rho), sums, prods
 
 
 class SampleMoments:
-    """First and second cross moments of per-sample column vectors,
-    accumulated chunk by chunk and reduced in chunk order.
+    """Count, column sums and cross products of per-sample column vectors,
+    added sub-block by sub-block and reduced exactly.
 
-    Chunks may be added out of order (``add_chunk`` records the index);
-    finalization sorts by index and sums exactly, so the result does not
-    depend on scheduling.
+    ``add_chunk(block, cols)`` takes the columns of the next rows of a
+    block, an (m, ncols) array (which it overwrites) or :class:`Sublevels`;
+    the sub-blocks of a block come in row order from one thread, blocks in
+    any order.  A block's column sums run on from one sub-block to the
+    next; cross products are summed per sub-block.  ``finalize`` sums both
+    over blocks and sub-blocks with ``math.fsum``, which is exact, so the
+    result does not depend on scheduling.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        self._sums: dict[int, np.ndarray] = {}  # block -> its column sums so far
+        self._parts: list[tuple[int, np.ndarray]] = []  # (rows, cross products)
 
-    def add_chunk(self, index: int, cols: np.ndarray) -> None:
-        if cols.ndim != 2 or cols.shape[1] != self.ncols:
-            raise ValueError(f"expected (m, {self.ncols}) columns, got {cols.shape}")
-        self._chunks.append(
-            (index, cols.shape[0], cols.sum(axis=0), cols.T @ cols)
-        )
+    def add_chunk(self, block: int, cols) -> None:
+        carry = self._sums.get(block, np.zeros(self.ncols))
+        if isinstance(cols, Sublevels):
+            count, sums, prods = cols.moments(carry)
+        else:
+            cols = np.asarray(cols, dtype=float)
+            if cols.ndim != 2 or cols.shape[1] != self.ncols:
+                raise ValueError(f"expected (m, {self.ncols}) columns, got {cols.shape}")
+            prods = cols.T @ cols
+            # numpy adds two or more columns row by row, so the block's sums
+            # so far, added into the first row, give the whole block's sums
+            cols[0] += carry
+            count, sums = cols.shape[0], cols.sum(axis=0)
+        self._sums[block] = sums
+        self._parts.append((count, prods))
 
     def finalize(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Returns (n, mean vector, covariance matrix of the mean)."""
-        self._chunks.sort(key=lambda t: t[0])
-        n = sum(c[1] for c in self._chunks)
+        n = sum(count for count, _ in self._parts)
         if n < 2:
             raise ValueError("need at least 2 samples")
-        k = self.ncols
-        sums = np.array([math.fsum(c[2][j] for c in self._chunks) for j in range(k)])
-        prods = np.array(
-            [[math.fsum(c[3][i, j] for c in self._chunks) for j in range(k)] for i in range(k)]
-        )
-        mean = sums / n
-        cov = (prods - n * np.outer(mean, mean)) / (n - 1)
+        sums = [math.fsum(col) for col in zip(*(s.tolist() for s in self._sums.values()))]
+        prods = [math.fsum(col) for col in zip(*(p.ravel().tolist() for _, p in self._parts))]
+        mean = np.array(sums) / n
+        cov = (np.reshape(prods, (self.ncols, self.ncols)) - n * np.outer(mean, mean)) / (n - 1)
         return n, mean, cov / n
 
 
@@ -212,30 +275,32 @@ def run_chunked(
     samples: int,
     seed: int,
     stream: int,
-    columns: Callable[[np.ndarray], np.ndarray],
+    columns: Callable[[np.ndarray], np.ndarray | Sublevels],
     ncols: int,
     workers: int = 1,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Evaluate per-sample column vectors over ``samples`` reproducible
-    draws and return (n, means, covariance of the means)."""
+    draws and return (n, means, covariance of the means).  Each block is
+    drawn, evaluated and reduced ``SUB`` rows at a time; workers take whole
+    blocks."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     base = SampleStream(seed, stream)
     acc = SampleMoments(ncols)
 
-    def work(block_take: tuple[int, int]) -> tuple[int, np.ndarray]:
+    def work(block_take: tuple[int, int]) -> None:
         block, take = block_take
-        pts = draw_points(measure, base, block, take)
-        return block, np.atleast_2d(np.asarray(columns(pts), dtype=float))
+        for start in range(0, take, SUB):
+            pts = draw_points(measure, base, block, min(SUB, take - start), start)
+            acc.add_chunk(block, columns(pts))
 
     tasks = chunk_indices(samples)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for block, cols in pool.map(work, tasks):
-                acc.add_chunk(block, cols)
+            list(pool.map(work, tasks))
     else:
-        for block, cols in map(work, tasks):
-            acc.add_chunk(block, cols)
+        for task in tasks:
+            work(task)
     return acc.finalize()
 
 
@@ -276,8 +341,9 @@ class Pass:
         return math.sqrt(max(float(g @ self.cov @ g), 0.0))
 
 
-def estimate(engine: Engine, measure: MeasureKind, columns: Callable[[np.ndarray], np.ndarray],
-             ncols: int, closed: Sequence[float] | None = None, quadrature: bool = False,
+def estimate(engine: Engine, measure: MeasureKind,
+             columns: Callable[[np.ndarray], np.ndarray | Sublevels], ncols: int,
+             closed: Sequence[float] | None = None, quadrature: bool = False,
              subject: str = "this check") -> Pass:
     """The pass of ``engine`` over ``columns`` of ``measure``'s points.
     "auto" takes the exact column means ``closed`` when the caller has them

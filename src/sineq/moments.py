@@ -167,6 +167,9 @@ def moment_ratio(
     measure = exponential(n)  # rejects n < 1 before the norm sees an empty array
     if isinstance(norm, UnconditionalBody):
         norm_desc = norm_desc or f"gauge[{norm.descriptor()}]"
+        if norm.dim != n:
+            raise ValueError(f"norm body {norm.descriptor()!r} has dimension {norm.dim}, "
+                             f"not n = {n}")
         norm = gauge_norm(norm)
     norm_desc = norm_desc or getattr(norm, "__name__", "norm")
     bad = check_norm_contract(norm, n, seed=engine.seed)

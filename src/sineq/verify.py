@@ -147,8 +147,8 @@ def body_statistics(
     engine = engine or Engine()
     measure = measure or _default_measure(body)
     grid = [float(t) for t in t_grid]
-    if not all(t > 0 for t in grid):  # NaN fails too
-        raise ValueError(f"dilation grid must be positive, got {grid}")
+    if not all(0.0 < t < math.inf for t in grid):  # NaN fails too
+        raise ValueError(f"dilation grid must be positive and finite, got {grid}")
     if 1.0 not in grid:
         grid.append(1.0)
     grid = tuple(sorted(set(grid)))
@@ -159,13 +159,14 @@ def body_statistics(
     _integ.check_pairing(body, measure)
     gauge = body.gauge
 
-    def columns(r: np.ndarray) -> np.ndarray:
+    def columns(r: np.ndarray) -> np.ndarray | _integ.Sublevels:
+        if gauge is not None:
+            # a gauge body answers every t from one evaluation: r lies in tK
+            # exactly when rho_K(r) <= t, the rule of body.dilate(t)
+            return _integ.Sublevels(gauge(r), grid, measure.weight(r), idx1)
         out = np.empty((r.shape[0], len(grid) + 1))
-        # a gauge body answers every t from one evaluation: r lies in tK
-        # exactly when rho_K(r) / t <= 1, the rule of body.dilate(t)
-        rho = None if gauge is None else gauge(r)
         for i, t in enumerate(grid):
-            out[:, i] = body.base(r / t) if rho is None else rho / t <= 1.0
+            out[:, i] = body.base(r / t)
         out[:, -1] = measure.weight(r) * out[:, idx1]
         return out
 

@@ -23,6 +23,7 @@ from sineq.bodies import (
     unconditional_lp_ball,
     upper_set_body,
 )
+from sineq.integrate import SampleMoments, Sublevels
 from sineq.measures import moduli
 
 
@@ -482,10 +483,22 @@ class TestGauges:
         rho = body.gauge(r)
         finite = (rho > 0) & np.isfinite(rho)
         r = np.concatenate([r] + [r[finite] * (t / rho[finite])[:, None] for t in grid])
-        cols = captured["columns"](r)
-        for i, t in enumerate(grid):
-            assert np.array_equal(cols[:, i], body.dilate(t).radial_member(r).astype(float))
-        assert np.array_equal(cols[:, -1], measure.weight(r) * cols[:, grid.index(1.0)])
+        # the gauge path hands over sublevels, not columns; their moments are
+        # those of the explicit membership columns of the dilates
+        explicit = np.stack([body.dilate(t).radial_member(r).astype(float) for t in grid]
+                            + [measure.weight(r) * body.radial_member(r)], axis=1)
+        part = captured["columns"](r)
+        assert isinstance(part, Sublevels)
+        fast, slow = SampleMoments(len(grid) + 1), SampleMoments(len(grid) + 1)
+        fast.add_chunk(0, part)
+        slow.add_chunk(0, explicit)
+        (n, mean, cov), (n_slow, mean_slow, cov_slow) = fast.finalize(), slow.finalize()
+        assert n == n_slow == len(r)
+        # counts are exact; the weight entries are sums in another order
+        assert np.array_equal(mean[:-1], mean_slow[:-1])
+        assert np.array_equal(cov[:-1, :-1], cov_slow[:-1, :-1])
+        np.testing.assert_allclose(mean[-1], mean_slow[-1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cov[-1], cov_slow[-1], rtol=1e-12, atol=0)
 
     @gauge_cases
     def test_membership_matches_the_predicate_formulas(self, body, head):

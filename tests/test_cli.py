@@ -422,6 +422,18 @@ class TestFailLoudly:
                                            "--engine", engine, "--samples", "1000"])
         assert "dilation grid must be positive" in err
 
+    @pytest.mark.parametrize("engine", ["auto", "mc"])
+    @pytest.mark.parametrize("grid", ["1,inf", "inf", "2,inf,3"])
+    def test_infinite_dilation_scale(self, capsys, engine, grid):
+        err = self.assert_invalid(capsys, ["verify", "--body", "polydisc:r=1,1", "--grid", grid,
+                                           "--engine", engine, "--samples", "1000"])
+        assert "dilation grid must be positive and finite" in err
+
+    def test_norm_body_of_another_dimension(self, capsys):
+        err = self.assert_invalid(capsys, ["moments", "--norm", "body:cube:a=1,n=4", "--n", "2",
+                                           "--samples", "2000"])
+        assert "norm body 'cube:a=1.0,n=4' has dimension 4, not n = 2" in err
+
     @pytest.mark.parametrize("argv", [
         ["moments", "--n", "0"],
         ["measure", "--body", "cube:a=1,n=0", "--measure", "exponential"],

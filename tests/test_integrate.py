@@ -1,11 +1,14 @@
 import hashlib
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from sineq.bodies import (
+    annulus_body,
     box_body,
     cross_polytope,
     custom_reinhardt,
@@ -23,6 +26,7 @@ from sineq.integrate import (
     NonFiniteIntegrandError,
     Pass,
     SAMPLING_CONTRACT,
+    SUB,
     SampleStream,
     certify,
     chunk_indices,
@@ -135,6 +139,65 @@ class TestTakeRows:
         for count in TAKES + (CHUNK + 999,):
             assert np.array_equal(draw(measure, SampleStream(77, 3), count), whole[:count])
             assert len(chunk_indices(count)) == -(-count // CHUNK)
+
+    @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
+    def test_draw_points_from_a_row_is_the_slice_of_the_block(self, measure):
+        stream = SampleStream(77, 3)
+        whole = point_drawer(measure)(stream.generator(5), CHUNK)
+        for start, take in ((0, 10), (1, 7), (3, 999), (SUB, SUB), (CHUNK - 5, 5)):
+            assert np.array_equal(draw_points(measure, stream, 5, take, start),
+                                  whole[start:start + take])
+
+
+class TestSubBlocks:
+    """A block is reduced ``SUB`` rows at a time without moving a mean."""
+
+    BODIES = [polydisc([0.9, 1.4]), unconditional_lp_ball(3.0, 3, 1.4),
+              annulus_body(1.0, 2.0)]
+
+    @pytest.mark.parametrize("body", BODIES, ids=lambda b: b.kind)
+    def test_workers_do_not_change_a_bit(self, body):
+        # three blocks, the last one partial
+        from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+        engine = Engine(method="mc", samples=2 * CHUNK + 5000, seed=31)
+        one = body_statistics(body, None, DEFAULT_T_GRID, engine)
+        two = body_statistics(body, None, DEFAULT_T_GRID, replace(engine, workers=2))
+        assert one.samples == two.samples == 2 * CHUNK + 5000
+        assert np.array_equal(one.means, two.means) and np.array_equal(one.cov, two.cov)
+
+    def test_many_threads_lose_no_part(self):
+        # worker threads add their sub-blocks to one accumulator; a lost or
+        # doubled part would change the count or a sum
+        from sineq.verify import body_statistics
+
+        body, samples = polydisc([0.9, 1.4]), 6 * CHUNK - 7
+        one = body_statistics(body, None, (1.0, 2.0), Engine(method="mc", samples=samples))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = body_statistics(body, None, (1.0, 2.0),
+                                   Engine(method="mc", samples=samples, workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.samples == samples
+        assert np.array_equal(one.means, many.means) and np.array_equal(one.cov, many.cov)
+
+    @pytest.mark.parametrize("body", BODIES, ids=lambda b: b.kind)
+    def test_means_are_the_whole_block_column_sums(self, body):
+        # the column sums of each whole block in numpy's order, summed
+        # exactly across blocks, as before sub-blocks
+        from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+        samples = CHUNK + 3 * SUB // 2
+        stats = body_statistics(body, None, DEFAULT_T_GRID,
+                                Engine(method="mc", samples=samples, seed=32))
+        r = draw(stats.measure, SampleStream(32), samples)
+        cols = np.stack([body.dilate(t).radial_member(r).astype(float) for t in stats.t_grid]
+                        + [stats.measure.weight(r) * body.radial_member(r)], axis=1)
+        blocks = [cols[:CHUNK].sum(axis=0), cols[CHUNK:].sum(axis=0)]
+        sums = [math.fsum(b[j] for b in blocks) for j in range(cols.shape[1])]
+        assert np.array_equal(stats.means, np.array(sums) / samples)
 
 
 class TestMcMeasure:
@@ -350,8 +413,19 @@ class TestSamplingContract:
     """Draws pinned across commits: a change here is a sampling-contract
     change and has to be versioned (``SAMPLING_CONTRACT``) and recorded."""
 
-    def test_pins_are_those_of_contract_2(self):
-        assert SAMPLING_CONTRACT == 2
+    def test_pins_are_those_of_contract_3(self):
+        assert SAMPLING_CONTRACT == 3
+
+    def test_pass_pinned(self):
+        # the reduction is part of the contract: one pass over two blocks,
+        # the first of them several sub-blocks
+        from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+        stats = body_statistics(polydisc([0.9, 1.4]), None, DEFAULT_T_GRID,
+                                Engine(method="mc", samples=150_000, seed=2026, stream=9))
+        assert CHUNK // SUB > 1 and stats.cov.shape == (6, 6)
+        digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
+        assert digest == "e5ca7d8f67796d9e8340cacab8a33e514654bc3dbd751c5e94fd9360dafbee6e"
 
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
     PINNED = {

@@ -13,6 +13,7 @@ from sineq.measures import (
     MeasureKind,
     abs_moment_exponential,
     complex_gaussian,
+    coordinate_sum,
     cylinder_measure,
     cylinder_second_moment,
     exp_strip_first_moment,
@@ -217,6 +218,20 @@ class TestMeasureKind:
     def test_weight_is_the_sum_of_radii_to_the_degree(self, tag, weight):
         # sum_k r_k^d of the radii (1, 2): d = 2 gives 5, d = 1 gives 3
         assert MeasureKind(tag, 2).weight([[1, 2]]).tolist() == [weight]
+
+    @pytest.mark.parametrize("tag", ["radial-mu", "exponential-1d"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_column_adds_are_the_row_sums_to_the_bit(self, tag, n):
+        # the weight and the sum of u_k are added a column at a time; for
+        # short rows numpy's row sum adds in the same order
+        kind = MeasureKind(tag, n)
+        d, u = kind.factor.d, kind.factor.u
+        for seed in range(10):
+            r = kind.factor.quantile(np.random.default_rng(seed).random((5000, n)))
+            extremes = np.array([0.0, 1e-300, 1e-160, 1.0, 3.5, 40.0, 1e150])
+            r[:7] = extremes[(np.arange(7)[:, None] + np.arange(n)) % 7]
+            assert np.array_equal(kind.weight(r), (r**d).sum(axis=1))
+            assert np.array_equal(coordinate_sum(u, r), u(r).sum(axis=1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
