@@ -13,7 +13,6 @@ from .bodies import (
     box_body,
     check_downward_closed,
     check_midpoint_convex,
-    check_unconditional,
     cross_polytope,
     cube_body,
     custom_reinhardt,

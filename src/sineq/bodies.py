@@ -7,11 +7,14 @@ Both families are driven by a predicate on the nonnegative orthant:
   modulus vectors (|z_1|, ..., |z_n|) it contains; completeness means the
   shadow is downward closed;
 * an unconditional set is determined by where it meets the positive
-  orthant, since membership is invariant under coordinate sign flips.
+  orthant, the set of vectors (|x_1|, ..., |x_n|) it contains.
 
-Predicates are vectorized: they accept an (m, n) array of nonnegative
-vectors and return an (m,) boolean array.  Bodies are immutable and their
-predicates must be pure, so concurrent evaluation is safe.
+Each family's ``contains`` reads those coordinate radii of its points (C^n
+as 2n interleaved reals, or R^n), so phase and sign invariance hold by
+construction.  Predicates are vectorized: they accept an (m, n) array of
+nonnegative vectors and return an (m,) boolean array.  Bodies are
+immutable and their predicates must be pure, so concurrent evaluation is
+safe.
 
 Every constructor body is star-shaped and carries its Minkowski gauge
 rho_K(r) = inf{t > 0 : r in tK}, so tK = {rho_K <= t}: one gauge
@@ -20,7 +23,9 @@ derived as ``gauge(r) <= 1``.  Where the shadow has one, a body also
 carries its exact coordinate section: ``section(r, k)`` gives
 c_k(r) = sup{x : r with r_k = x lies in K} and the mask of rows whose
 section is not empty.  Custom shadows, the annulus and the upper set
-keep bare predicates, with neither.
+keep bare predicates, with neither.  Constructor boxes (polydiscs,
+cylinders, strips, cubes, their products and dilates) carry their radii
+as ``box``, the one source of box closed forms.
 
 Descriptors
 -----------
@@ -43,7 +48,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .measures import MeasureKind
+from .measures import moduli
 
 __all__ = [
     "ReinhardtBody",
@@ -63,7 +68,6 @@ __all__ = [
     "product",
     "interval_radii",
     "check_downward_closed",
-    "check_unconditional",
     "validate_body",
     "check_midpoint_convex",
     "parse_descriptor",
@@ -93,7 +97,8 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 @dataclass(frozen=True)
 class _RadialBody:
     """Shared plumbing for shadow-driven bodies.  ``base`` may be left out
-    when a ``gauge`` is given; it is then ``gauge(r) <= 1``."""
+    when a ``gauge`` is given; it is then ``gauge(r) <= 1``.  ``box`` holds
+    the radii of a constructor's coordinate box (:func:`interval_radii`)."""
 
     dim: int
     kind: str
@@ -102,6 +107,7 @@ class _RadialBody:
     validated: bool = True
     gauge: Gauge | None = field(default=None, repr=False)
     section: Section | None = field(default=None, repr=False)
+    box: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.base is None:
@@ -113,12 +119,6 @@ class _RadialBody:
     def radial_member(self, r: np.ndarray) -> np.ndarray:
         """Membership of nonnegative vectors, shape (m, dim) -> (m,) bool."""
         return self._member(r, self.dim, lambda x: x)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Membership of points of the body's space: C^n as 2n interleaved
-        reals for Reinhardt bodies, R^n for unconditional ones."""
-        measure = MeasureKind(self.measure_tag, self.dim)
-        return self._member(x, measure.point_dim, measure.orthant)
 
     def _member(self, x: np.ndarray, width: int, orthant) -> np.ndarray:
         x, single = _as_batch(x, width, f"{self.kind} point")
@@ -159,6 +159,10 @@ class ReinhardtBody(_RadialBody):
 
     measure_tag: ClassVar[str] = "complex-gaussian"
 
+    def contains(self, z: np.ndarray) -> np.ndarray:
+        """Membership of points of C^n as 2n interleaved reals, (m, 2n) -> (m,)."""
+        return self._member(z, 2 * self.dim, moduli)
+
 
 @dataclass(frozen=True)
 class UnconditionalBody(_RadialBody):
@@ -169,6 +173,10 @@ class UnconditionalBody(_RadialBody):
     """
 
     measure_tag: ClassVar[str] = "exponential"
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Membership of points of R^n, shape (m, n) -> (m,) bool."""
+        return self._member(x, self.dim, np.abs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +204,8 @@ def _row_max(q: np.ndarray) -> np.ndarray:
 
 
 def _box_geometry(radii: Sequence[float]) -> dict:
-    """The box {r : r_k <= a_k} (entries may be inf): gauge max_k r_k / a_k,
-    section c_k = a_k wherever the other coordinates are inside."""
+    """The box {r : r_k <= a_k} (entries may be inf): radii a_k, gauge
+    max_k r_k / a_k, section c_k = a_k where the others are inside."""
     a = np.asarray(radii, dtype=float)
     divide = _divide(a)
 
@@ -206,7 +214,8 @@ def _box_geometry(radii: Sequence[float]) -> dict:
         inside[:, k] = True
         return np.full(r.shape[0], a[k]), inside.all(axis=1)
 
-    return {"gauge": lambda m: _row_max(divide(m)), "section": section}
+    return {"box": tuple(a.tolist()), "gauge": lambda m: _row_max(divide(m)),
+            "section": section}
 
 
 def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
@@ -391,8 +400,8 @@ def norm_ball(
     norm: Callable[[np.ndarray], np.ndarray], scale: float, n: int
 ) -> UnconditionalBody:
     """Unit ball (times ``scale``) of a user norm evaluator on (m, n)
-    arrays.  Unchecked black box: run :func:`check_unconditional` /
-    :func:`check_midpoint_convex` before trusting results."""
+    arrays.  Unchecked black box: run :func:`validate_body` (or
+    :func:`check_midpoint_convex`) before trusting results."""
     scale = _check_positive("scale", scale)
 
     def gauge(m: np.ndarray) -> np.ndarray:
@@ -445,15 +454,17 @@ def _dilate_radial(body, t: float):
 
     # rho_{tK} = rho_K / t, so membership of tK reads gauge(r) / t <= 1
     return replace(body, params=params, base=None, gauge=lambda m: gauge(m) / t,
-                   section=None if section is None else dilated_section)
+                   section=None if section is None else dilated_section,
+                   box=None if body.box is None else tuple(a * t for a in body.box))
 
 
 def _product_geometry(parts) -> dict:
-    """Predicate, gauge and section of the product of ``parts``.  The gauge
-    is the max of the parts' gauges; the section of coordinate k is that of
-    the part holding k, active where every other part holds its own
-    coordinates.  A part without a gauge (or section) leaves the product
-    without one, and then the predicate is the conjunction of the parts'."""
+    """Predicate, gauge, section and box of the product of ``parts``.  The
+    gauge is the max of the parts' gauges, the box joins their radii; the
+    section of coordinate k is that of the part holding k, active where
+    every other part holds its own coordinates.  A part without a gauge (or
+    section, or box) leaves the product without one, and then the predicate
+    is the conjunction of the parts'."""
     offsets = np.concatenate([[0], np.cumsum([p.dim for p in parts])])
     spans = list(zip(parts, offsets[:-1], offsets[1:]))
 
@@ -477,8 +488,9 @@ def _product_geometry(parts) -> dict:
         return c, active
 
     if any(p.gauge is None for p in parts):
-        return {"base": conjunction, "gauge": None, "section": None}
-    return {"base": None, "gauge": gauge,
+        return {"base": conjunction, "gauge": None, "section": None, "box": None}
+    box = None if any(p.box is None for p in parts) else sum((p.box for p in parts), ())
+    return {"base": None, "gauge": gauge, "box": box,
             "section": section if all(p.section is not None for p in parts) else None}
 
 
@@ -504,27 +516,14 @@ def product(*bodies: _RadialBody) -> _RadialBody:
 
 
 def interval_radii(body: _RadialBody) -> tuple[float, ...] | None:
-    """If the body's orthant region is a coordinate box {r : r_k <= a_k}
-    (entries may be inf), return the a_k; else None.
+    """The radii a_k of the coordinate box {r : r_k <= a_k} (entries may be
+    inf) that the body's constructor built, or None: its ``box``.
 
     This is what unlocks exact product closed forms for measures and
-    moments: polydiscs, cylinders, cubes, strips, boxes and their products.
+    moments: polydiscs, cylinders, cubes, strips, boxes and their products
+    and dilates.
     """
-    kind = body.kind
-    if kind == "polydisc":
-        return body.params["r"]
-    if kind == "cylinder":
-        return (body.params["R"],) + (math.inf,) * (body.dim - 1)
-    if kind == "cube":
-        return (body.params["a"],) * body.dim
-    if kind == "strip":
-        return (body.params["p"],) + (math.inf,) * (body.dim - 1)
-    if kind == "product":
-        pieces = [interval_radii(p) for p in body.params["parts"]]
-        if any(p is None for p in pieces):
-            return None
-        return tuple(v for piece in pieces for v in piece)
-    return None
+    return body.box
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +535,6 @@ class DownwardClosureReport:
     ok: bool
     checked: int
     violation: tuple[tuple[float, ...], tuple[float, ...]] | None = None
-
-
-def _validation_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _orthant_cloud(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -556,7 +551,7 @@ def check_downward_closed(
     counterexample found."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = _validation_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     r = _orthant_cloud(rng, samples, body.dim)
     member = body.radial_member(r)
     inside = r[member]
@@ -576,30 +571,20 @@ def check_downward_closed(
     return DownwardClosureReport(ok=True, checked=int(inside.shape[0]))
 
 
-def check_unconditional(
-    body: UnconditionalBody, samples: int = 2000, rng_seed: int = 0
-) -> bool:
-    """Membership must be invariant under random coordinate sign flips."""
-    rng = _validation_rng(rng_seed)
-    x = _orthant_cloud(rng, samples, body.dim)
-    signs = rng.choice([-1.0, 1.0], size=x.shape)
-    return bool(np.array_equal(body.contains(x), body.contains(signs * x)))
-
-
 def validate_body(body: _RadialBody, samples: int = 5000, rng_seed: int = 0):
     """Run the class checks for the body's family and return a copy with
     the ``validated`` flag set; raises if a check fails.
 
     Custom shadows stay unvalidated until this passes, since the dilation
-    comparisons are only guaranteed on the supported classes.
+    comparisons are only guaranteed on the supported classes.  The checks
+    are downward closure and, for unconditional bodies, midpoint convexity;
+    ``contains`` reads |z_k| or |x_k|, so invariance needs no check.
     """
     unconditional = isinstance(body, UnconditionalBody)
     report = check_downward_closed(body, samples, rng_seed)
     if not report.ok:
         problem = (f"downward-closure violation: member {report.violation[0]} "
                    f"ejects shrink {report.violation[1]}")
-    elif unconditional and not check_unconditional(body, samples, rng_seed):
-        problem = "membership is not sign-flip invariant"
     elif unconditional and not check_midpoint_convex(body, samples, rng_seed):
         problem = "midpoint convexity check failed"
     else:
@@ -612,7 +597,7 @@ def check_midpoint_convex(
     body: UnconditionalBody, samples: int = 2000, rng_seed: int = 0
 ) -> bool:
     """Midpoints of sampled member pairs must stay inside."""
-    rng = _validation_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     x = _orthant_cloud(rng, samples, body.dim) * rng.choice([-1.0, 1.0], size=(samples, body.dim))
     y = _orthant_cloud(rng, samples, body.dim) * rng.choice([-1.0, 1.0], size=(samples, body.dim))
     both = body.contains(x) & body.contains(y)

@@ -9,8 +9,8 @@ Two probability measures drive everything in this package:
 Both are products whose coordinate radii (|z_k| or |x_k|) follow one
 factor on [0, inf): the radial factor r*exp(-r^2/2), or the one-sided unit
 exponential.  The bodies read nothing else, so Monte Carlo draws the radii
-alone (``integrate.point_drawer``); :func:`moduli` and
-``MeasureKind.orthant`` reduce the points that callers pass in.  The two
+alone (``integrate.point_drawer``); the ``contains`` of each body family
+reduces the points callers pass in, by :func:`moduli` or ``abs``.  The two
 factors differ by one fact: with u = r^d/d, the factor of degree d (d = 2
 radial, d = 1 exponential) is the unit exponential law of u.
 :class:`Factor` writes every one-dimensional formula once, in u, and
@@ -206,18 +206,6 @@ class MeasureKind:
     def factor(self) -> Factor:
         """The law of each coordinate radius."""
         return _MEASURE_FACTORS[self.tag]
-
-    @property
-    def point_dim(self) -> int:
-        """Number of real coordinates of a point of the measure's space."""
-        return 2 * self.n if self.tag == "complex-gaussian" else self.n
-
-    def orthant(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinate radii of points of the measure's space: moduli,
-        absolute values, or the points themselves for the factor measures."""
-        if self.tag == "complex-gaussian":
-            return moduli(pts)
-        return np.abs(pts) if self.tag == "exponential" else pts
 
     def weight(self, r) -> np.ndarray:
         """sum_k r_k^d per row of coordinate radii: |z|^2 or |x|_1."""

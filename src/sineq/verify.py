@@ -12,7 +12,8 @@ package checks three interchangeable formulations:
 * the moment criterion: the restricted weight moment of K lies below the
   closed-form value the comparison set would produce at equal measure
   (algebraically the same slack as the derivative criterion, reported in
-  its own framing; the agreement is a useful internal consistency check);
+  its own framing; both read their slack off one ``_slack_pieces``, so
+  their agreement checks nothing);
 * the dilation curve: measure(tK) against the calibrated closed-form
   reference curve on a grid of scales, with the inequality direction
   flipping at t = 1.

@@ -9,12 +9,12 @@ from sineq.bodies import (
     box_body,
     check_downward_closed,
     check_midpoint_convex,
-    check_unconditional,
     cross_polytope,
     cube_body,
     custom_reinhardt,
     cylinder_body,
     interval_radii,
+    norm_ball,
     parse_descriptor,
     polydisc,
     product,
@@ -23,8 +23,9 @@ from sineq.bodies import (
     unconditional_lp_ball,
     upper_set_body,
 )
-from sineq.integrate import SampleMoments, Sublevels
-from sineq.measures import moduli
+from sineq.bodies import ReinhardtBody, UnconditionalBody
+from sineq.integrate import Engine, SampleMoments, Sublevels, measure_estimate
+from sineq.measures import complex_gaussian, moduli
 
 
 def random_complex_points(rng, count, n, scale=2.0):
@@ -164,6 +165,18 @@ class TestDownwardClosure:
         assert check_downward_closed(body, rng_seed=3).ok
 
 
+class TestContains:
+    def test_point_dims(self):
+        # a Reinhardt body takes points of C^n as 2n interleaved reals, an
+        # unconditional body points of R^n; any other width raises
+        assert polydisc([1.0, 2.0, 3.0]).contains(np.zeros((5, 6))).shape == (5,)
+        assert cube_body(1.0, 3).contains(np.zeros((5, 3))).shape == (5,)
+        with pytest.raises(ValueError, match=r"expected shape \(m, 6\)"):
+            polydisc([1.0, 2.0, 3.0]).contains(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match=r"expected shape \(m, 3\)"):
+            cube_body(1.0, 3).contains(np.zeros((5, 6)))
+
+
 class TestUnconditional:
     @pytest.mark.parametrize(
         "body",
@@ -173,10 +186,18 @@ class TestUnconditional:
             unconditional_lp_ball(3.0, 2, 1.2, [1.0, 0.5]),
             box_body([0.5, 1.5, 2.5]),
             strip_body(0.8, 2),
+            # a base that is not even in x: contains reads |x|, so membership
+            # is sign-flip invariant all the same
+            UnconditionalBody(dim=2, kind="custom", params={"n": 2},
+                              base=lambda m: m[:, 0] < 0.5, validated=False),
         ],
     )
-    def test_sign_flip_invariance(self, body):
-        assert check_unconditional(body, samples=4000, rng_seed=5)
+    def test_sign_flip_invariance(self, body, rng):
+        x = rng.standard_normal((4000, body.dim)) * 2.0
+        signs = rng.choice([-1.0, 1.0], size=x.shape)
+        inside = body.contains(x)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(inside, body.contains(signs * x))
 
     @pytest.mark.parametrize(
         "body",
@@ -246,6 +267,38 @@ class TestIntervalRadii:
 
     def test_lp_ball_has_none(self):
         assert interval_radii(reinhardt_lp_ball([1.0], 2.0)) is None
+
+    def test_dilates_scale_the_radii(self):
+        p = product(strip_body(0.5, 1), cube_body(1.5, 2)).dilate(1.3)
+        assert interval_radii(p) == (0.5 * 1.3, 1.5 * 1.3, 1.5 * 1.3)
+        # the dilated radii are the dilated parameters, bit for bit
+        d = polydisc([0.7, 2.1]).dilate(0.3)
+        assert interval_radii(d) == d.params["r"]
+        assert interval_radii(cylinder_body(1.5, 3).dilate(2.0)) == (3.0, math.inf, math.inf)
+
+    @pytest.mark.parametrize("body", [
+        reinhardt_lp_ball([1.0, 2.0], math.inf),
+        unconditional_lp_ball(math.inf, 2),
+        cross_polytope(1.0, 2),
+        norm_ball(lambda m: np.abs(m).max(axis=1), 1.0, 2),
+        custom_reinhardt(2, lambda r: (r <= 1.0).all(axis=1)),
+        product(polydisc([1.0]), custom_reinhardt(1, lambda r: r[:, 0] <= 1.0)),
+        product(strip_body(1.0, 1), cross_polytope(1.0, 2)).dilate(2.0),
+    ], ids=["reinhardt-linf", "unconditional-linf", "cross-polytope", "norm-ball", "custom",
+            "product-custom", "product-cross-polytope"])
+    def test_non_boxes_have_none(self, body):
+        # several of these are boxes or hold one as a part, but only the
+        # box constructors grant the radii
+        assert interval_radii(body) is None
+
+    def test_kind_label_grants_no_closed_form(self):
+        # a disc of radius 2 labelled "polydisc" with the parameters of the
+        # unit disc: auto runs Monte Carlo, not the unit disc's closed form
+        body = ReinhardtBody(dim=1, kind="polydisc", params={"r": (1.0,)},
+                             gauge=lambda m: m[:, 0] / 2.0)
+        est = measure_estimate(body, complex_gaussian(1), Engine(samples=20_000, seed=3))
+        assert est.method == "mc(20000, 3)"
+        assert abs(est.value - -math.expm1(-2.0)) <= 4 * est.std_error
 
 
 class TestDescriptors:

@@ -463,6 +463,16 @@ class TestFailLoudly:
             capsys, ["entropy", "--lemma", "1d", "--f", "step:0.6931:0,1", "--engine", engine])
         assert f"the 1-D entropy lemma has no {engine} path" in err
 
+    @pytest.mark.parametrize("order", ["0", "1", "181"])
+    def test_quadrature_order_outside_range(self, capsys, monkeypatch, order):
+        def never(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "measure", never)
+        err = self.assert_invalid(capsys, ["measure", "--body", "polydisc:r=1", "--engine", "mc",
+                                           "--samples", "100", "--order", order])
+        assert f"quadrature order must be in [2, 180], got {order}" in err
+
     @pytest.mark.parametrize("output", ["missing/x.json", "."], ids=["no-directory", "directory"])
     def test_unwritable_output_fails_before_the_command(self, capsys, monkeypatch, tmp_path,
                                                         output):

@@ -303,6 +303,18 @@ class TestLemmaMultidim:
         assert rep.status == "ok"
         assert rep.slack >= -1e-9
 
+    def test_quadrature_evaluates_g_once(self):
+        nodes = []
+
+        def f(r):
+            nodes.append(r.shape[0])
+            return (1 - np.exp(-r)).prod(axis=1)
+
+        g = MonotoneRadialFunction(3, 1.0, f)
+        check_lemma_multidim(g, 3, engine=Engine(method="quadrature", order=16))
+        # two calls check the hypotheses on 1000 points; one reads the nodes
+        assert nodes == [1000, 1000, 16**3]
+
     def test_invalid_hypothesis_reported(self):
         g = MonotoneRadialFunction(2, 1.0, lambda r: np.exp(-r.sum(axis=1)))
         rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))

@@ -31,6 +31,7 @@ from sineq.integrate import (
     certify,
     chunk_indices,
     draw_points,
+    estimate,
     mc_integral,
     mc_measure,
     point_drawer,
@@ -391,11 +392,39 @@ class TestEngine:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             Engine(workers=workers)
 
+    @pytest.mark.parametrize("order", [0, 1, 181])
+    def test_rejects_quadrature_order_outside_range(self, order):
+        with pytest.raises(ValueError, match=r"quadrature order must be in \[2, 180\]"):
+            Engine(order=order)
+
 
 class TestEstimate:
     def test_negative_std_error_rejected(self):
         with pytest.raises(ValueError):
             Estimate(1.0, -0.1, "mc(10, 1)")
+
+    @pytest.mark.parametrize("tag, n", [("radial-mu", 2), ("exponential-1d", 3)])
+    def test_quadrature_pass_evaluates_the_columns_once(self, tag, n):
+        calls = []
+
+        def columns(r):
+            calls.append(r.shape[0])
+            return np.stack([np.exp(-r[:, 0]), r.sum(axis=1), np.cos(r[:, -1])], axis=1)
+
+        p = estimate(Engine(method="quadrature", order=12), MeasureKind(tag, n), columns, 3,
+                     quadrature=True)
+        assert calls == [12**n]
+        assert p.method == "quadrature(12)" and p.samples == 12**n
+        # each mean is the one-column quadrature of a contiguous copy, to the bit
+        per_column = [tensor_quadrature(lambda r, j=j: np.array(columns(r)[:, j]), n, 12, tag)
+                      for j in range(3)]
+        assert p.means.tolist() == [e.value for e in per_column]
+
+    def test_quadrature_pass_checks_the_columns(self):
+        with pytest.raises(NonFiniteIntegrandError):
+            estimate(Engine(method="quadrature", order=8), MeasureKind("radial-mu", 1),
+                     lambda r: np.stack([r[:, 0], np.where(r[:, 0] > 1.0, np.inf, 0.0)], axis=1), 2,
+                     quadrature=True)
 
 
 class TestPass:

@@ -12,7 +12,6 @@ from sineq.measures import (
     RADIAL_FACTOR,
     MeasureKind,
     abs_moment_exponential,
-    complex_gaussian,
     coordinate_sum,
     cylinder_measure,
     cylinder_second_moment,
@@ -209,10 +208,6 @@ class TestXlnx:
 
 
 class TestMeasureKind:
-    def test_point_dims(self):
-        assert complex_gaussian(3).point_dim == 6
-        assert MeasureKind("exponential", 3).point_dim == 3
-
     @pytest.mark.parametrize("tag, weight", [("complex-gaussian", 5.0), ("radial-mu", 5.0),
                                              ("exponential", 3.0), ("exponential-1d", 3.0)])
     def test_weight_is_the_sum_of_radii_to_the_degree(self, tag, weight):
