@@ -20,9 +20,12 @@ Every constructor body is star-shaped and carries its Minkowski gauge
 rho_K(r) = inf{t > 0 : r in tK}, so tK = {rho_K <= t}: one gauge
 evaluation answers membership of every dilation, and the predicate is
 derived as ``gauge(r) <= 1``.  Where the shadow has one, a body also
-carries its exact coordinate section: ``section(r, k)`` gives
-c_k(r) = sup{x : r with r_k = x lies in K} and the mask of rows whose
-section is not empty.  Custom shadows, the annulus and the upper set
+carries its exact coordinate sections: one call ``section(r)`` yields,
+for k = 0..n-1 in order, c_k(r) = sup{x : r with r_k = x lies in K} and
+the mask of rows whose section is not empty, so the work the coordinates
+share (an l_p ball's powers, a box's comparisons, a product part's
+predicate) is done once per call; :func:`measures.fold_columns` reduces
+across the coordinates.  Custom shadows, the annulus and the upper set
 keep bare predicates, with neither.  Constructor boxes (polydiscs,
 cylinders, strips, cubes, their products and dilates) carry their radii
 as ``box``, the one source of box closed forms.
@@ -44,11 +47,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .measures import moduli
+from .measures import fold_columns, moduli
 
 __all__ = [
     "ReinhardtBody",
@@ -77,7 +80,7 @@ __all__ = [
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
 Gauge = Callable[[np.ndarray], np.ndarray]
-Section = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+Section = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -197,24 +200,18 @@ def _divide(a) -> Callable[[np.ndarray], np.ndarray]:
     return divide
 
 
-def _row_max(q: np.ndarray) -> np.ndarray:
-    """Row maxima of an (m, n) array, taken column by column: numpy reduces
-    along a short row axis several times slower than it compares columns."""
-    return reduce(np.maximum, q.T)
-
-
 def _box_geometry(radii: Sequence[float]) -> dict:
     """The box {r : r_k <= a_k} (entries may be inf): radii a_k, gauge
     max_k r_k / a_k, section c_k = a_k where the others are inside."""
     a = np.asarray(radii, dtype=float)
     divide = _divide(a)
 
-    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         inside = r <= a
-        inside[:, k] = True
-        return np.full(r.shape[0], a[k]), inside.all(axis=1)
+        return ((np.full(r.shape[0], a_k), fold_columns(np.logical_and, inside, k))
+                for k, a_k in enumerate(a))
 
-    return {"box": tuple(a.tolist()), "gauge": lambda m: _row_max(divide(m)),
+    return {"box": tuple(a.tolist()), "gauge": lambda m: fold_columns(np.maximum, divide(m)),
             "section": section}
 
 
@@ -224,15 +221,23 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
     section c_k = (scale^p - sum_{j != k} (w_j r_j)^p)^(1/p) / w_k."""
     w = np.asarray(weights, dtype=float)
     if math.isinf(exponent):
-        return {"gauge": lambda m: _row_max(w * m) / scale,
+        return {"gauge": lambda m: fold_columns(np.maximum, w * m) / scale,
                 "section": _box_geometry(scale / w)["section"]}
     rhs = scale**exponent
 
-    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        room = rhs - np.delete((w * r) ** exponent, k, axis=1).sum(axis=1)
-        return np.maximum(room, 0.0) ** (1.0 / exponent) / w[k], room >= 0
+    def powers(m: np.ndarray) -> np.ndarray:
+        wm = w * m
+        return np.power(wm, exponent, out=wm)
 
-    return {"gauge": lambda m: ((w * m) ** exponent).sum(axis=1) ** (1.0 / exponent) / scale,
+    def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        p = powers(r)
+        for k, w_k in enumerate(w):
+            room = fold_columns(np.add, p, k)  # then rhs - room, then c_k, in place
+            active = np.subtract(rhs, room, out=room) >= 0
+            c = np.power(np.maximum(room, 0.0, out=room), 1.0 / exponent, out=room)
+            yield np.divide(c, w_k, out=c), active
+
+    return {"gauge": lambda m: fold_columns(np.add, powers(m)) ** (1.0 / exponent) / scale,
             "section": section}
 
 
@@ -383,17 +388,11 @@ def unconditional_lp_ball(
 
 
 def cross_polytope(scale: float, n: int) -> UnconditionalBody:
-    """{x : sum |x_k| <= scale}: gauge sum_k r_k / scale, section
-    c_k = scale - sum_{j != k} r_j."""
-    scale = _check_positive("scale", scale)
-
-    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        room = scale - np.delete(r, k, axis=1).sum(axis=1)
-        return np.maximum(room, 0.0), room >= 0
-
-    return UnconditionalBody(dim=_check_dim(n), kind="cross-polytope",
-                             params={"scale": scale, "n": n},
-                             gauge=lambda m: m.sum(axis=1) / scale, section=section)
+    """{x : sum |x_k| <= scale}, the unit-weight l_1 ball: gauge
+    sum_k r_k / scale, section c_k = scale - sum_{j != k} r_j."""
+    scale, n = _check_positive("scale", scale), _check_dim(n)
+    return UnconditionalBody(dim=n, kind="cross-polytope", params={"scale": scale, "n": n},
+                             **_lp_geometry((1.0,) * n, 1.0, scale))
 
 
 def norm_ball(
@@ -448,9 +447,8 @@ def _dilate_radial(body, t: float):
     if gauge is None:
         return replace(body, params=params, base=lambda m: base(m / t))
 
-    def dilated_section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        c, active = section(r / t, k)
-        return t * c, active
+    def dilated_section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return ((t * c, active) for c, active in section(r / t))
 
     # rho_{tK} = rho_K / t, so membership of tK reads gauge(r) / t <= 1
     return replace(body, params=params, base=None, gauge=lambda m: gauge(m) / t,
@@ -477,15 +475,11 @@ def _product_geometry(parts) -> dict:
     def gauge(m: np.ndarray) -> np.ndarray:
         return reduce(np.maximum, (part.gauge(m[:, lo:hi]) for part, lo, hi in spans))
 
-    def section(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        active = np.ones(r.shape[0], dtype=bool)
-        for part, lo, hi in spans:
-            if lo <= k < hi:
-                c, own = part.section(r[:, lo:hi], k - lo)
-                active &= own
-            else:
-                active &= part.base(r[:, lo:hi])
-        return c, active
+    def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        inside = np.stack([part.base(r[:, lo:hi]) for part, lo, hi in spans], axis=1)
+        for i, (part, lo, hi) in enumerate(spans):
+            others = fold_columns(np.logical_and, inside, i)
+            yield from ((c, own & others) for c, own in part.section(r[:, lo:hi]))
 
     if any(p.gauge is None for p in parts):
         return {"base": conjunction, "gauge": None, "section": None, "box": None}

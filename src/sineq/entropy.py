@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +60,7 @@ __all__ = [
 
 def _np_xlnx(v: np.ndarray) -> np.ndarray:
     out = np.zeros_like(v)
-    pos = v > 0
+    pos = (v > 0) & (v != 1)  # 0 and 1 give +0.0, which out holds: no log
     out[pos] = v[pos] * np.log(v[pos])
     return out
 
@@ -495,28 +495,28 @@ def check_lemma_multidim(
 # Subadditivity
 
 
-def _bisected_section(body, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The section c_k(r) and its active mask by vectorized bisection on the
-    membership predicate, for bodies without an exact section (custom
-    shadows, norm balls).  c is capped at 64, where either factor's tail
-    is at most e^-64."""
-    pts = r.copy()
-    pts[:, k] = 0.0
-    active = body.radial_member(pts)
-    c = np.zeros(r.shape[0])
-    if not active.any():
-        return c, active
-    lo = np.zeros(int(active.sum()))
-    hi = np.full_like(lo, 64.0)
-    sub = pts[active]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        sub[:, k] = mid
-        inside = body.radial_member(sub)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    c[active] = lo
-    return c, active
+def _bisected_section(body, r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each coordinate's section c_k(r) and its active mask, k = 0..n-1, by
+    vectorized bisection on the membership predicate, for bodies without an
+    exact section (custom shadows, norm balls).  c is capped at 64, where
+    either factor's tail is at most e^-64."""
+    for k in range(r.shape[1]):
+        pts = r.copy()
+        pts[:, k] = 0.0
+        active = body.radial_member(pts)
+        c = np.zeros(r.shape[0])
+        if active.any():
+            lo = np.zeros(int(active.sum()))
+            hi = np.full_like(lo, 64.0)
+            sub = pts[active]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                sub[:, k] = mid
+                inside = body.radial_member(sub)
+                lo = np.where(inside, mid, lo)
+                hi = np.where(inside, hi, mid)
+            c[active] = lo
+        yield c, active
 
 
 def _slice_entropies_indicator(body, factor, r: np.ndarray) -> np.ndarray:
@@ -530,9 +530,11 @@ def _slice_entropies_indicator(body, factor, r: np.ndarray) -> np.ndarray:
     """
     section = body.section or partial(_bisected_section, body)
     total = np.zeros(r.shape[0])
-    for k in range(r.shape[1]):
-        c, active = section(r, k)
-        total[active] += -_np_xlnx(factor.tail(c[active]))
+    for c, active in section(r):
+        s = factor.tail(c)
+        # s ln s is NaN at s = 0: a zero term or an empty section adds nothing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(total, s * np.log(s), out=total, where=active & (s > 0))
     return total
 
 

@@ -20,6 +20,9 @@ restricted weight, and the closed forms of the comparison sets (cylinder
 :func:`box_closed_forms` builds the coordinate-box closed forms from them,
 :func:`cylinder_measure` and the other scalar forms are a line over it each,
 and ``verify.calibrate_cylinder`` / ``calibrate_strip`` invert them.
+:func:`fold_columns` is the one kernel across the coordinate axis (sums,
+maxima, conjunctions) of the weight here, the gauges and sections of
+``bodies`` and the norms of ``moments``.
 
 All formulas are exact in binary64; no arbitrary precision is used.  The
 convention 0 * ln 0 = 0 applies throughout (see :func:`xlnx`).
@@ -44,6 +47,7 @@ __all__ = [
     "complex_gaussian",
     "exponential",
     "moduli",
+    "fold_columns",
     "coordinate_sum",
     "xlnx",
     "lanczos_gamma",
@@ -168,15 +172,27 @@ def moduli(z: np.ndarray) -> np.ndarray:
     return np.hypot(z[..., 0::2], z[..., 1::2])
 
 
+def fold_columns(op, q: np.ndarray, skip: int | None = None, f=None) -> np.ndarray:
+    """op(... op(f(q_0), f(q_1)) ..., f(q_{n-1})) per row of the (m, n) array
+    ``q``, one column at a time in coordinate order, column ``skip`` left
+    out (with no column left, op's identity): the row sum (``np.add``), max
+    (``np.maximum``) or all (``np.logical_and``).  numpy reduces a short row
+    axis several times slower; for n < 8 its row reductions give the same
+    bits (at n >= 8 it sums in pairs, so sums may differ in the last bits)."""
+    cols = [c for k, c in enumerate(q.T) if k != skip]
+    if not cols:
+        return np.full(q.shape[0], op.identity, dtype=q.dtype)
+    f = f or np.asarray  # no f: the columns themselves
+    out = np.array(f(cols[0]))
+    for c in cols[1:]:
+        # each f(c) is freed before the next is made, so one buffer is reused
+        op(out, f(c), out=out)
+    return out
+
+
 def coordinate_sum(f, r) -> np.ndarray:
-    """sum_k f(r_k) per row of the (m, n) array ``r``, added a column at a
-    time in coordinate order: numpy's row sum to the bit for n < 8 (which
-    sums a short row in order), without its loop over rows."""
-    r = np.asarray(r, dtype=float)
-    total = np.array(f(r[:, 0]))
-    for k in range(1, r.shape[1]):
-        total += f(r[:, k])
-    return total
+    """sum_k f(r_k) per row of the (m, n) array ``r``: :func:`fold_columns`."""
+    return fold_columns(np.add, np.asarray(r, dtype=float), f=f)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import integrate as _integ
 from .bodies import UnconditionalBody
 from .integrate import Engine, Estimate, Pass
-from .measures import abs_moment_exponential, exponential
+from .measures import abs_moment_exponential, exponential, fold_columns
 
 __all__ = [
     "MAX_EXPONENT",
@@ -64,17 +64,20 @@ def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def linf_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.abs(x).max(axis=1)
+    return lambda x: fold_columns(np.maximum, np.abs(x))
 
 
 def l1_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.abs(x).sum(axis=1)
+    return lambda x: fold_columns(np.add, np.abs(x))
 
 
 def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """(sum_k |x_k|^p)^(1/p); the max norm at p = inf."""
     if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    return lambda x: (np.abs(x) ** p).sum(axis=1) ** (1.0 / p)
+    if np.isinf(p):
+        return linf_norm()
+    return lambda x: fold_columns(np.add, np.abs(x) ** p) ** (1.0 / p)
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:

@@ -499,6 +499,14 @@ GAUGE_CASES = [
      _head_product((lambda m: m[:, 0] <= 1.0, 2), (_head_lp([1.0, 1.0], 3.0, 1.2), 2))),
     ("strip-x-lp", product(strip_body(0.5, 2), unconditional_lp_ball(2.0, 2, 1.1)),
      _head_product((lambda a: a[:, 0] <= 0.5, 2), (_head_lp([1.0, 1.0], 2.0, 1.1), 2))),
+    # n = 1 (no other coordinate) and n = 9 (numpy sums such rows in pairs)
+    ("lp-n1", reinhardt_lp_ball([1.5], 3.0, 1.2), _head_lp([1.5], 3.0, 1.2)),
+    ("cube-n1", cube_body(0.7, 1), lambda m: m[:, 0] <= 0.7),
+    ("cross-polytope-n1", cross_polytope(1.5, 1), lambda m: m[:, 0] <= 1.5),
+    ("lp-n9", unconditional_lp_ball(2.5, 9, 3.0, np.linspace(0.6, 1.4, 9)),
+     _head_lp(np.linspace(0.6, 1.4, 9), 2.5, 3.0)),
+    ("cube-n9", cube_body(0.9, 9), lambda m: (m <= 0.9).all(axis=1)),
+    ("cross-polytope-n9", cross_polytope(6.0, 9), lambda m: m.sum(axis=1) <= 6.0),
 ]
 
 gauge_cases = pytest.mark.parametrize("body, head", [c[1:] for c in GAUGE_CASES],
@@ -580,6 +588,22 @@ class TestGauges:
             exact = _slice_entropies_indicator(body, factor, r)
             bisected = _slice_entropies_indicator(fallback, factor, r)
             np.testing.assert_allclose(exact, bisected, rtol=0, atol=1e-12)
+
+    def test_a_product_section_evaluates_each_part_once(self):
+        import dataclasses
+
+        calls = []
+
+        def counted(part, name):
+            base = part.base
+            return dataclasses.replace(part, base=lambda m: calls.append(name) or base(m))
+
+        body = product(counted(polydisc([1.0]), "disc"),
+                       counted(reinhardt_lp_ball([1.0, 2.0], 2.0, 1.5), "lp"),
+                       counted(cylinder_body(0.8, 2), "cylinder"))
+        sections = list(body.section(_orthant_points(6, 1000, body.dim)))
+        assert len(sections) == body.dim == 5
+        assert sorted(calls) == ["cylinder", "disc", "lp"]
 
     def test_zero_radius_admits_only_zero(self):
         body = polydisc([1.0, 0.0])

@@ -171,6 +171,16 @@ class TestMomentsCommand:
     def test_bad_exponents_exit_2(self, capsys):
         assert main(["moments", "--norm", "linf", "--n", "2", "--p", "1", "--q", "2"]) == 2
 
+    def test_lp_inf_is_linf(self, capsys):
+        args = ("--n", "3", "--p", "2", "--q", "1", "--samples", "2000")
+        code, out = run_cli(capsys, "moments", "--norm", "lp:inf", *args)
+        assert code == 0
+        (rec,) = parse_jsonl(out)
+        (linf,) = parse_jsonl(run_cli(capsys, "moments", "--norm", "linf", *args)[1])
+        assert rec["norm"] == "lp:inf"
+        assert {k: v for k, v in rec.items() if k != "norm"} == {
+            k: v for k, v in linf.items() if k != "norm"}
+
 
 class TestFuzzCommand:
     def test_small_polydisc_sweep(self, capsys):

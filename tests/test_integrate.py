@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 from dataclasses import replace
@@ -13,7 +14,9 @@ from sineq.bodies import (
     cross_polytope,
     custom_reinhardt,
     cylinder_body,
+    norm_ball,
     polydisc,
+    product,
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
@@ -504,6 +507,120 @@ class TestSamplingContract:
         for block, take in ((0, 1000), (4, CHUNK)):
             assert np.array_equal(draw_points(MeasureKind(tag, n), stream, block, take),
                                   draw_points(MeasureKind(factor_tag, n), stream, block, take))
+
+
+def _record_digest(records) -> str:
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def _golden_entropy(check, body, tag):
+    from sineq.entropy import complement_indicator
+
+    rep = check(complement_indicator(body), body.dim, tag,
+                Engine(method="mc", samples=70_000, seed=23))
+    return rep.to_record()
+
+
+def _golden_moments(norm, n):
+    from sineq import moments
+
+    make = {"linf": moments.linf_norm, "l1": moments.l1_norm,
+            "lp:3": lambda: moments.lp_norm(3.0),
+            "gauge": lambda: unconditional_lp_ball(2.5, n, 1.3, [0.8, 1.0, 1.2, 1.1][:n])}
+    return moments.moment_ratio(make[norm](), 2.5, 0.75, n,
+                                Engine(method="mc", samples=70_000, seed=29)).to_record()
+
+
+def _golden_statistics(body):
+    from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+    stats = body_statistics(body, None, DEFAULT_T_GRID,
+                            Engine(method="mc", samples=70_000, seed=31))
+    return [stats.means.tolist(), stats.cov.tolist()]
+
+
+class TestKernelGoldens:
+    """Records of the Monte Carlo paths that evaluate gauges, sections and
+    norms across the coordinate axis, pinned by digest: a kernel rewrite
+    that moves a bit of any of them shows here."""
+
+    BODIES = {
+        "lp": (reinhardt_lp_ball([0.9, 1.0, 1.1], 2.0, 1.9), "radial-mu", "complex-gaussian"),
+        "box-product": (product(polydisc([0.8]), cylinder_body(1.2, 2)).dilate(1.3),
+                        "radial-mu", "complex-gaussian"),
+        "cross-polytope": (cross_polytope(3.2, 4), "exponential-1d", "exponential"),
+        # no exact section: slices by bisection
+        "norm-ball": (norm_ball(lambda x: (np.abs(x) ** 3).sum(axis=1) ** (1 / 3), 2.0, 3),
+                      "exponential-1d", "exponential"),
+    }
+    ENTROPY = {
+        ("check_subadditivity", "lp"):
+            "5bada343a4dae501f460d4bf361f3f40bde9ad3cee008b7600db2907ed197260",
+        ("check_subadditivity", "box-product"):
+            "9b2905e744b7abb54c56ad89e9c738b6bbebcbb616d9664b8ae99e4a705e0396",
+        ("check_subadditivity", "cross-polytope"):
+            "da044bf8a617f55d5816e120c13fea96e5e6c0ebfd5b071cd00908f769088b8f",
+        ("check_subadditivity", "norm-ball"):
+            "8b3d5415f25e89cce24c29108d072a14fd348f5202f489d4b57fda170594e4a7",
+        ("check_lemma_multidim", "lp"):
+            "fb57d37bb15ca5127081149333652e326d561a67b33fa11f74de5a7c35894174",
+        ("check_lemma_multidim", "box-product"):
+            "ff4b5354229abc9e59407167cc53e802410f124c4c8c4040abf1190c9df7a596",
+        ("check_lemma_multidim", "cross-polytope"):
+            "16a9f8ee6b98335e335983fa0a6e6316b6a5edc15f6cf3f52fbde5d73379e4e3",
+        ("check_lemma_multidim", "norm-ball"):
+            "554943756cc201e2031588d21fecac7cf7ffe2d4b51aa9e0dd21e8d5ada99de0",
+    }
+    MOMENTS = {
+        ("linf", 2):
+            "fc4fe18c52ba18a0df424175dc8951e74a47e26fb301dc55e71f8605f4b2e3e8",
+        ("linf", 3):
+            "59df6abbe9873ade2978433af2bf176b3c1e28eab50a1349913b0b4ca3bfdb49",
+        ("linf", 4):
+            "dd49a03166ab6c57c8530e05167d3c10046f66376665bb8d2649dbcb4f2039a5",
+        ("l1", 2):
+            "9f1930b2ae1dc75b96e4024208e5d2bbb85059c30c2d2a50b0c04b1c470c771e",
+        ("l1", 3):
+            "34cd2621398387abdd048ac3069d3b9c60a3d6f341b3165ce62489384b3bf085",
+        ("l1", 4):
+            "72a81919a08075724501ee591f5e05ffb52ea706c65c7065721a49805aa613ce",
+        ("lp:3", 2):
+            "eb358726b1148fc89e2663c7917e0e3a91bf6473ec7e15e95cfaceaa1af72463",
+        ("lp:3", 3):
+            "309451a55bd9f74f4a09c2accb10c111ef0260e83000d5402dc352da31bfebb8",
+        ("lp:3", 4):
+            "36d2cc0801195e65552d6be20aa1a9f649744e5487797c8c32ab8bbc45dcf6ef",
+        ("gauge", 2):
+            "066082e1e109488ace72c959bc4cb9a70e2f2abfed7e540cfaea11464387201a",
+        ("gauge", 3):
+            "3e721a481b6032b80d33d37eed462ba6b56b35fb720ce68df8ba227aa34ae6c4",
+        ("gauge", 4):
+            "c317d5a6bd03bb92e59357f1b8d736c7469cd877b294237f55abbc435f72c787",
+    }
+    STATISTICS = {
+        "lp":
+            "b3a415231c11769aaa4291eb4277896a133cadac5e0b56e559264a9485aebc13",
+        "cross-polytope":
+            "e2904a74515b0ce0e96ceda94a81b02bb0aab4e88d07378739996d4146b11d8f",
+    }
+
+    @pytest.mark.parametrize("check, body", list(ENTROPY), ids=str)
+    def test_entropy_records(self, check, body):
+        from sineq import entropy
+
+        shape, factor, measure = self.BODIES[body]
+        tag = factor if check == "check_subadditivity" else measure
+        record = _golden_entropy(getattr(entropy, check), shape, tag)
+        assert record["method"].startswith("mc(")
+        assert _record_digest(record) == self.ENTROPY[(check, body)]
+
+    @pytest.mark.parametrize("norm, n", list(MOMENTS), ids=str)
+    def test_moment_records(self, norm, n):
+        assert _record_digest(_golden_moments(norm, n)) == self.MOMENTS[(norm, n)]
+
+    @pytest.mark.parametrize("body", list(STATISTICS))
+    def test_statistics(self, body):
+        assert _record_digest(_golden_statistics(self.BODIES[body][0])) == self.STATISTICS[body]
 
 
 def _contract_1_radii(measure: MeasureKind, seed: int, count: int) -> np.ndarray:

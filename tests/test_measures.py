@@ -17,6 +17,7 @@ from sineq.measures import (
     cylinder_second_moment,
     exp_strip_first_moment,
     exp_strip_measure,
+    fold_columns,
     lanczos_gamma,
     xlnx,
 )
@@ -227,6 +228,43 @@ class TestMeasureKind:
             r[:7] = extremes[(np.arange(7)[:, None] + np.arange(n)) % 7]
             assert np.array_equal(kind.weight(r), (r**d).sum(axis=1))
             assert np.array_equal(coordinate_sum(u, r), u(r).sum(axis=1))
+
+    @staticmethod
+    def rows(seed: int, n: int) -> np.ndarray:
+        """Radii at mixed scales with exact zeros, ones and infinities."""
+        rng = np.random.default_rng(seed)
+        scales = rng.choice([1e-200, 1e-3, 1.0, 1e3], size=(20_000, 1))
+        r = rng.exponential(size=(20_000, n)) * scales
+        r[rng.random(r.shape) < 0.1] = 0.0
+        r[rng.random(r.shape) < 0.05] = 1.0
+        r[rng.random(r.shape) < 0.01] = math.inf
+        return r
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_column_folds_are_numpys_row_reductions_to_the_bit(self, n):
+        # short rows: numpy adds in coordinate order too (a row of -0.0
+        # alone could differ in the sign of its zero; the draws make none)
+        for seed in range(5):
+            r = self.rows(seed, n)
+            inside = r <= 1.0
+            assert np.array_equal(fold_columns(np.add, r), r.sum(axis=1))
+            assert np.array_equal(fold_columns(np.maximum, r), r.max(axis=1))
+            assert np.array_equal(fold_columns(np.logical_and, inside), inside.all(axis=1))
+            for k in range(n):
+                others = np.delete(r, k, axis=1)
+                assert np.array_equal(fold_columns(np.add, r, k), others.sum(axis=1))
+                assert np.array_equal(fold_columns(np.logical_and, inside, k),
+                                      np.delete(inside, k, axis=1).all(axis=1))
+
+    def test_column_folds_of_long_rows_agree_to_rounding(self):
+        # from n = 8 numpy sums a row in pairs, so sums may move in the last bits
+        r = self.rows(9, 9)
+        r[~np.isfinite(r)] = 2.0
+        np.testing.assert_allclose(fold_columns(np.add, r), r.sum(axis=1), rtol=1e-14, atol=0)
+        assert np.array_equal(fold_columns(np.maximum, r), r.max(axis=1))
+        for k in (0, 4, 8):
+            np.testing.assert_allclose(fold_columns(np.add, r, k),
+                                       np.delete(r, k, axis=1).sum(axis=1), rtol=1e-14, atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

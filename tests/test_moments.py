@@ -99,6 +99,15 @@ class TestMomentRatio:
         b = moment_ratio(linf_norm(), 2.0, 1.0, 2, ENGINE)
         assert a.ratio == b.ratio and a.ratio_se == b.ratio_se
 
+    def test_lp_inf_is_the_max_norm(self):
+        # |x|^inf is 0 or inf, so the l_p formula itself would read 1 on every row
+        x = np.array([[0.5, -2.0], [3.0, 0.1]])
+        assert lp_norm(math.inf)(x).tolist() == [2.0, 3.0]
+        a = moment_ratio(lp_norm(math.inf), 2.0, 1.0, 3, ENGINE)
+        b = moment_ratio(linf_norm(), 2.0, 1.0, 3, ENGINE)
+        assert (a.ratio, a.ratio_se, a.moment_p, a.moment_q) == (
+            b.ratio, b.ratio_se, b.moment_p, b.moment_q)
+
     def test_norm_contract_violation_raises(self):
         shifted = lambda x: np.abs(x[:, 0]) + 1.0  # not homogeneous
         with pytest.raises(ValueError):
