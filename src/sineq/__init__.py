@@ -25,7 +25,6 @@ from .bodies import (
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
-    upper_set_body,
     validate_body,
 )
 from .entropy import (
@@ -56,7 +55,6 @@ from .measures import (
     exp_strip_first_moment,
     exp_strip_measure,
     exponential,
-    lanczos_gamma,
     xlnx,
 )
 from .moments import MomentPair, cpq, gauge_norm, moment_ratio

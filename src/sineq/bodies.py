@@ -25,8 +25,8 @@ for k = 0..n-1 in order, c_k(r) = sup{x : r with r_k = x lies in K} and
 the mask of rows whose section is not empty, so the work the coordinates
 share (an l_p ball's powers, a box's comparisons, a product part's
 predicate) is done once per call; :func:`measures.fold_columns` reduces
-across the coordinates.  Custom shadows, the annulus and the upper set
-keep bare predicates, with neither.  Constructor boxes (polydiscs,
+across the coordinates.  Custom shadows and the annulus keep bare
+predicates, with neither.  Constructor boxes (polydiscs,
 cylinders, strips, cubes, their products and dilates) carry their radii
 as ``box``, the one source of box closed forms.
 
@@ -60,7 +60,6 @@ __all__ = [
     "cylinder_body",
     "reinhardt_lp_ball",
     "custom_reinhardt",
-    "upper_set_body",
     "annulus_body",
     "strip_body",
     "cube_body",
@@ -76,6 +75,7 @@ __all__ = [
     "parse_descriptor",
     "DownwardClosureReport",
     "NonFiniteIntegrandError",
+    "require_finite",
 ]
 
 RadialPredicate = Callable[[np.ndarray], np.ndarray]
@@ -85,6 +85,17 @@ Section = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 
 class NonFiniteIntegrandError(RuntimeError):
     """An integrand (or a user norm) produced NaN/inf; the estimate aborts."""
+
+
+def require_finite(vals: np.ndarray, what: str, points: np.ndarray) -> np.ndarray:
+    """``vals`` (one row per row of ``points``) if every entry is finite;
+    else :class:`NonFiniteIntegrandError` names the first NaN or inf and
+    its point."""
+    finite = np.isfinite(vals)
+    if finite.all():
+        return vals
+    bad = np.unravel_index(np.argmin(finite), finite.shape)
+    raise NonFiniteIntegrandError(f"{what} returned {vals[bad]} at {points[bad[0]].tolist()}")
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -138,17 +149,10 @@ class _RadialBody:
             return "product:parts=" + "|".join(p.descriptor() for p in parts)
         items = []
         for key, val in self.params.items():
-            if isinstance(val, tuple):
-                items.append(f"{key}=" + ",".join(_fmt(v) for v in val))
-            else:
-                items.append(f"{key}={_fmt(val)}")
+            vals = val if isinstance(val, tuple) else (val,)
+            # str of a float is its shortest round-trip repr
+            items.append(f"{key}=" + ",".join(map(str, vals)))
         return self.kind + ":" + ",".join(items)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ class ReinhardtBody(_RadialBody):
 
     ``validated`` is False for custom shadows until
     :func:`check_downward_closed` has passed (and for the demonstration
-    constructors that deliberately leave the class).
+    constructor :func:`annulus_body`, which deliberately leaves the class).
     """
 
     measure_tag: ClassVar[str] = "complex-gaussian"
@@ -312,19 +316,6 @@ def custom_reinhardt(
     )
 
 
-def upper_set_body(c: float, n: int = 1) -> ReinhardtBody:
-    """Shadow {r : r_1 >= c}: an upward set, deliberately NOT downward
-    closed.  Negative-testing fixture for the closure checker."""
-    c = _check_nonnegative("upper-set threshold", c)
-    return ReinhardtBody(
-        dim=_check_dim(n),
-        kind="upper-set",
-        params={"c": c, "n": n},
-        base=lambda m: m[:, 0] >= c,
-        validated=False,
-    )
-
-
 def annulus_body(inner: float, outer: float) -> ReinhardtBody:
     """{z in C : inner <= |z| <= outer}: rotationally symmetric but not
     Reinhardt complete.  Demonstration constructor for the experimental
@@ -404,11 +395,7 @@ def norm_ball(
     scale = _check_positive("scale", scale)
 
     def gauge(m: np.ndarray) -> np.ndarray:
-        vals = np.asarray(norm(m), dtype=float)
-        if not np.isfinite(vals).all():
-            bad = int(np.nonzero(~np.isfinite(vals))[0][0])
-            raise NonFiniteIntegrandError(f"norm returned {vals[bad]} at {m[bad].tolist()}")
-        return vals / scale
+        return require_finite(np.asarray(norm(m), dtype=float), "norm", m) / scale
 
     return UnconditionalBody(
         dim=_check_dim(n),
@@ -437,7 +424,7 @@ def _dilate_radial(body, t: float):
         # records the composed dilation instead
         params["dilation"] = params.get("dilation", 1.0) * t
     else:
-        for key in ("r", "R", "scale", "a", "inner", "outer", "c"):
+        for key in ("r", "R", "scale", "a", "inner", "outer"):
             if key in params:
                 val = params[key]
                 params[key] = tuple(v * t for v in val) if isinstance(val, tuple) else val * t
@@ -608,7 +595,7 @@ def check_midpoint_convex(
 _KEYS = {
     "cylinder": {"R", "n"}, "polydisc": {"r"}, "strip": {"p", "n"}, "cube": {"a", "n"},
     "box": {"a"}, "cross-polytope": {"scale", "n"}, "annulus": {"inner", "outer"},
-    "upper-set": {"c", "n"}, "weighted-lp-ball": {"p", "w", "scale"},
+    "weighted-lp-ball": {"p", "w", "scale"},
 }
 
 
@@ -685,6 +672,4 @@ def parse_descriptor(text: str, family: str | None = None) -> _RadialBody:
         return box_body([float(v) for v in params.get("a", [])])
     if kind == "cross-polytope":
         return cross_polytope(_one(params, "scale", text), _one(params, "n", text, int, 1))
-    if kind == "annulus":
-        return annulus_body(_one(params, "inner", text), _one(params, "outer", text))
-    return upper_set_body(_one(params, "c", text), _one(params, "n", text, int, 1))
+    return annulus_body(_one(params, "inner", text), _one(params, "outer", text))

@@ -183,13 +183,6 @@ class TailMeasure1D:
         """The :class:`measures.Factor` of a known-CDF kind, else None."""
         return FACTORS.get(self.kind)
 
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        if self.factor is not None:
-            return self.factor.cdf(x)
-        return math.fsum(m for a, m in self.atoms if a <= x)
-
     def tail(self, x: float) -> float:
         """mu((x, inf)); note the strict inequality at atoms."""
         if self.factor is not None:
@@ -233,7 +226,7 @@ def _piece_boundaries(f: StepFunction) -> list[float]:
 def _piece_masses(f: StepFunction, measure: TailMeasure1D) -> list[float]:
     bounds = _piece_boundaries(f)
     if measure.factor is not None:
-        cdf = [measure.cdf(b) for b in bounds[:-1]] + [1.0]
+        cdf = [measure.factor.cdf(b) for b in bounds[:-1]] + [1.0]
         return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
     masses = [0.0] * (len(bounds) - 1)
     jumps = np.asarray(f.jumps)
@@ -535,6 +528,8 @@ def _slice_entropies_indicator(body, factor, r: np.ndarray) -> np.ndarray:
         # s ln s is NaN at s = 0: a zero term or an empty section adds nothing
         with np.errstate(divide="ignore", invalid="ignore"):
             np.subtract(total, s * np.log(s), out=total, where=active & (s > 0))
+        # free this coordinate's buffers before the section makes the next
+        del c, active, s
     return total
 
 

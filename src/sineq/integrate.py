@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bodies import NonFiniteIntegrandError, interval_radii
+from .bodies import NonFiniteIntegrandError, interval_radii, require_finite
 from .measures import FACTORS, MeasureKind, box_closed_forms
 
 __all__ = [
@@ -508,12 +508,7 @@ def mc_integral(
         inside = np.ones(r.shape[0], dtype=bool) if body is None else body.base(r)
         if inside.any():
             vals[inside] = np.asarray(integrand(r[inside]), dtype=float)
-        if not np.isfinite(vals).all():
-            bad = int(np.nonzero(~np.isfinite(vals))[0][0])
-            raise NonFiniteIntegrandError(
-                f"integrand returned {vals[bad]} on a support point (chunk-local index {bad})"
-            )
-        return vals[:, None]
+        return require_finite(vals, "integrand", r)[:, None]
 
     engine = Engine(method="mc", samples=samples, seed=seed, stream=stream, workers=workers)
     p = estimate(engine, measure, columns, 1)
@@ -563,6 +558,4 @@ def _on_tensor_rule(f: Callable[[np.ndarray], np.ndarray], n: int, order: int, m
     if vals.shape != (pts.shape[0],) + width:
         raise ValueError(f"integrand returned shape {vals.shape}, "
                          f"expected {(pts.shape[0],) + width}")
-    if not np.isfinite(vals).all():
-        raise NonFiniteIntegrandError("integrand returned non-finite values on quadrature nodes")
-    return wts, vals
+    return wts, require_finite(vals, "integrand", pts)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import integrate as _integ
-from .bodies import UnconditionalBody
+from .bodies import UnconditionalBody, require_finite
 from .integrate import Engine, Estimate, Pass
 from .measures import abs_moment_exponential, exponential, fold_columns
 
@@ -77,7 +77,24 @@ def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     if np.isinf(p):
         return linf_norm()
-    return lambda x: fold_columns(np.add, np.abs(x) ** p) ** (1.0 / p)
+    return lambda x: _lp_rows(np.abs(x), p)
+
+
+def _lp_rows(a: np.ndarray, p: float) -> np.ndarray:
+    """(sum_k a_k^p)^(1/p) per row of ``a`` >= 0.  At large p the power sum s
+    of a row can overflow or fall below the normal range (where the norm is
+    not homogeneous); such a row with max M > 0 is recomputed as
+    M * (sum_k (a_k / M)^p)^(1/p), and every other row keeps its bits."""
+    with np.errstate(over="ignore"):
+        s = fold_columns(np.add, a**p)
+    out = s ** (1.0 / p)
+    tiny = np.finfo(float).tiny
+    if not (s.min(initial=np.inf) >= tiny and s.max(initial=0.0) < np.inf):
+        M = fold_columns(np.maximum, a)
+        redo = ~((s >= tiny) & (s < np.inf)) & (M > 0)
+        M = M[redo]
+        out[redo] = M * fold_columns(np.add, (a[redo] / M[:, None]) ** p) ** (1.0 / p)
+    return out
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
@@ -181,9 +198,7 @@ def moment_ratio(
 
     def columns(x: np.ndarray) -> np.ndarray:
         # the draws are |x|; the contract check made the norm sign-invariant
-        v = np.asarray(norm(x), dtype=float)
-        if not np.isfinite(v).all():
-            raise _integ.NonFiniteIntegrandError("norm returned non-finite values")
+        v = require_finite(np.asarray(norm(x), dtype=float), "norm", x)
         return np.stack([v**p, v**q], axis=1)
 
     def run(e: Engine) -> Pass:

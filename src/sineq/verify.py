@@ -133,9 +133,6 @@ class BodyStats(Pass):
     def moment(self) -> float:
         return float(self.means[-1])
 
-    def curve_value(self, i: int) -> float:
-        return float(self.means[i])
-
 
 def body_statistics(
     body,
@@ -370,7 +367,7 @@ def _curve_margin(stats: BodyStats, i: int) -> tuple[float, float, float, str]:
         # with a 0 std error
         return 0.0, 0.0, m1, ">="
     ref, slope = stats.measure.factor.comparison_measure(m1, t)
-    raw = stats.curve_value(i) - ref
+    raw = float(stats.means[i]) - ref
     margin = raw if t >= 1.0 else -raw
     return margin, stats.se({i: 1.0, stats.idx1: -slope}), ref, ">=" if t >= 1.0 else "<="
 
@@ -405,13 +402,13 @@ def _curve_report(stats: BodyStats, rechecks: Rechecks) -> DilationReport:
     points = []
     for i, t in enumerate(stats.t_grid):
         if note is not None:
-            val = stats.curve_value(i)
+            val = float(stats.means[i])
             points.append(DilationPoint(t, val, 0.0, val, 0.0, 0.0,
                                         ">=" if t >= 1 else "<=", "holds"))
             continue
         margin, mse, ref, direction = _curve_margin(stats, i)
         verdict, vnote = certify(stats, lambda s, _i=i: _curve_margin(s, _i)[:2], rechecks)
-        points.append(DilationPoint(t, stats.curve_value(i), stats.se({i: 1.0}),
+        points.append(DilationPoint(t, float(stats.means[i]), stats.se({i: 1.0}),
                                     ref, margin, mse, direction, verdict, vnote))
     return DilationReport(
         body=stats.body_desc,

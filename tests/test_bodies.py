@@ -21,9 +21,8 @@ from sineq.bodies import (
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
-    upper_set_body,
 )
-from sineq.bodies import ReinhardtBody, UnconditionalBody
+from sineq.bodies import NonFiniteIntegrandError, ReinhardtBody, UnconditionalBody, require_finite
 from sineq.integrate import Engine, SampleMoments, Sublevels, measure_estimate
 from sineq.measures import complex_gaussian, moduli
 
@@ -150,7 +149,8 @@ class TestDownwardClosure:
         assert check_downward_closed(body, rng_seed=3).ok
 
     def test_upward_set_violates(self):
-        report = check_downward_closed(upper_set_body(1.0, 2), rng_seed=3)
+        upward = custom_reinhardt(2, lambda m: m[:, 0] >= 1.0)
+        report = check_downward_closed(upward, rng_seed=3)
         assert not report.ok
         assert report.violation is not None
         member, shrunk = report.violation
@@ -226,11 +226,10 @@ class TestConstructorsFailLoudly:
         lambda: cylinder_body(math.nan, 2),
         lambda: strip_body(math.nan, 2),
         lambda: cube_body(math.nan, 2),
-        lambda: upper_set_body(math.nan, 1),
         lambda: box_body([1.0, math.nan]),
         lambda: unconditional_lp_ball(2.0, 2, 1.0, [math.nan, 1.0]),
         lambda: reinhardt_lp_ball([1.0, math.nan], 2.0),
-    ], ids=["polydisc", "cylinder", "strip", "cube", "upper-set", "box", "unconditional-lp",
+    ], ids=["polydisc", "cylinder", "strip", "cube", "box", "unconditional-lp",
             "reinhardt-lp"])
     def test_nan_parameter_rejected(self, make):
         with pytest.raises(ValueError, match="nan|NaN"):
@@ -241,8 +240,8 @@ class TestConstructorsFailLoudly:
         lambda: cross_polytope(1.0, 0),
         lambda: unconditional_lp_ball(2.0, 0),
         lambda: reinhardt_lp_ball([], 2.0),
-        lambda: upper_set_body(1.0, 0),
-    ], ids=["cube", "cross-polytope", "unconditional-lp", "reinhardt-lp", "upper-set"])
+        lambda: custom_reinhardt(0, lambda m: m[:, 0] >= 1.0),
+    ], ids=["cube", "cross-polytope", "unconditional-lp", "reinhardt-lp", "custom"])
     def test_zero_dimension_rejected(self, make):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             make()
@@ -309,7 +308,6 @@ class TestDescriptors:
             cylinder_body(1.5, 2),
             reinhardt_lp_ball([1.0, 0.5], 2.0, 1.3),
             annulus_body(1.0, 2.0),
-            upper_set_body(1.0, 2),
         ],
     )
     def test_reinhardt_round_trip(self, body, rng):
@@ -354,6 +352,15 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="single value for 'n'"):
             parse_descriptor("cylinder:R=1,n=2,3")
 
+    @pytest.mark.parametrize("text, family, message", [
+        ("polydisc r=1", None, "has no kind prefix"),
+        ("product:strip:p=1|strip:p=2", "unconditional", "must be product:parts="),
+        ("weighted-lp-ball:p=2,scale=1", "reinhardt", "Reinhardt lp ball needs weights w="),
+    ], ids=["no-kind", "product-without-parts", "reinhardt-lp-without-weights"])
+    def test_incomplete_descriptor_rejected(self, text, family, message):
+        with pytest.raises(ValueError, match=message):
+            parse_descriptor(text, family)
+
     def test_other_familys_key_rejected(self):
         text = "weighted-lp-ball:p=3,n=2,scale=1.2,w=1,0.5"
         with pytest.raises(ValueError, match="key 'n' unknown"):
@@ -372,7 +379,6 @@ _KINDS = {
         st.builds(cylinder_body, _POS, _DIM),
         st.builds(reinhardt_lp_ball, _WEIGHTS, st.floats(min_value=0.5, max_value=4.0), _POS),
         st.builds(lambda a, b: annulus_body(min(a, b), max(a, b)), _POS, _POS),
-        st.builds(upper_set_body, _POS, _DIM),
     ),
     "unconditional": st.one_of(
         st.builds(strip_body, _POS, _DIM),
@@ -428,6 +434,18 @@ class TestDescriptorRoundTrip:
         assert np.array_equal(dilated.contains(z), expected.contains(z))
 
 
+class TestRequireFinite:
+    def test_finite_values_pass_through(self):
+        vals = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert require_finite(vals, "integrand", np.zeros((2, 3))) is vals
+
+    def test_first_bad_value_and_its_point_named(self):
+        vals = np.array([[1.0, 2.0], [3.0, np.inf], [np.nan, 0.0]])
+        points = np.array([[0.0], [0.5], [1.0]])
+        with pytest.raises(NonFiniteIntegrandError, match=r"^integrand returned inf at \[0.5\]$"):
+            require_finite(vals, "integrand", points)
+
+
 class TestValidateBody:
     def test_custom_shadow_gets_validated(self):
         from sineq.bodies import validate_body
@@ -441,7 +459,18 @@ class TestValidateBody:
         from sineq.bodies import validate_body
 
         with pytest.raises(ValueError):
-            validate_body(upper_set_body(1.0, 2), rng_seed=3)
+            validate_body(custom_reinhardt(2, lambda m: m[:, 0] >= 1.0), rng_seed=3)
+
+    def test_nonconvex_unconditional_rejected(self):
+        from sineq.bodies import validate_body
+
+        # the l_{1/2} unit ball: downward closed, so only convexity fails
+        body = UnconditionalBody(dim=2, kind="custom", params={"n": 2},
+                                 base=lambda m: np.sqrt(m).sum(axis=1) <= 1.0, validated=False)
+        assert check_downward_closed(body, 5000).ok
+        with pytest.raises(ValueError, match=r"not an unconditional convex body "
+                                             r"\(midpoint convexity check failed\)"):
+            validate_body(body)
 
 
 class TestCustomDilationDescriptor:
@@ -616,8 +645,7 @@ class TestGauges:
 
     def test_predicate_bodies_have_neither(self):
         shadow = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
-        for body in (shadow, annulus_body(0.5, 1.0), upper_set_body(1.0, 2),
-                     product(shadow, polydisc([1.0]))):
+        for body in (shadow, annulus_body(0.5, 1.0), product(shadow, polydisc([1.0]))):
             assert body.gauge is None and body.section is None
         mixed = product(shadow, polydisc([1.0]))
         r = np.array([[0.2, 0.3, 0.9], [0.2, 0.3, 1.1], [0.8, 0.3, 0.1]])

@@ -8,7 +8,7 @@ import pytest
 from sineq.bodies import polydisc
 from sineq import cli
 from sineq.cli import _build_parser, main
-from sineq.integrate import DET_TOL, Engine, tolerance
+from sineq.integrate import DET_TOL, Engine, NonFiniteIntegrandError, tolerance
 from sineq.verify import full_check
 
 
@@ -78,7 +78,8 @@ class TestVerifyCommand:
         assert kinds == {"derivative", "gaussian-moment", "dilation"}
 
     def test_upward_set_rejected_exit_2(self, capsys):
-        assert main(["verify", "--body", "upper-set:c=1,n=2"]) == 2
+        # the annulus holds radius 1.5 but not its shrink 0.5: not downward closed
+        assert main(["verify", "--body", "annulus:inner=1,outer=2"]) == 2
         assert "is not a complete Reinhardt set" in capsys.readouterr().err
 
     def test_wrong_family_for_measure_exits_2(self, capsys):
@@ -180,6 +181,15 @@ class TestMomentsCommand:
         assert rec["norm"] == "lp:inf"
         assert {k: v for k, v in rec.items() if k != "norm"} == {
             k: v for k, v in linf.items() if k != "norm"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", ["50", "400", "1000"])
+    def test_large_lp_exponent_holds(self, capsys, p):
+        # |x|^p overflows and underflows here: the norm must stay homogeneous
+        code, out = run_cli(capsys, "moments", "--norm", f"lp:{p}", "--n", "2", "--p", "2",
+                            "--q", "1", "--samples", "20000")
+        assert code == 0
+        assert [r["verdict"] for r in parse_jsonl(out)] == ["holds"]
 
 
 class TestFuzzCommand:
@@ -482,6 +492,18 @@ class TestFailLoudly:
         err = self.assert_invalid(capsys, ["measure", "--body", "polydisc:r=1", "--engine", "mc",
                                            "--samples", "100", "--order", order])
         assert f"quadrature order must be in [2, 180], got {order}" in err
+
+    def test_non_finite_integrand_exits_1(self, capsys, monkeypatch):
+        # no command line reaches this abort today: every built-in integrand
+        # is finite, and a norm_ball takes no norm from the command line
+        def abort(args):
+            raise NonFiniteIntegrandError("norm returned nan at [0.5, 1.0]")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", abort)
+        assert main(["verify", "--body", "polydisc:r=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical abort: norm returned nan at [0.5, 1.0]\n"
 
     @pytest.mark.parametrize("output", ["missing/x.json", "."], ids=["no-directory", "directory"])
     def test_unwritable_output_fails_before_the_command(self, capsys, monkeypatch, tmp_path,

@@ -73,6 +73,20 @@ class TestStepFunction:
                               [0.0, 1.0, 1.0, 3.0, 3.0])
 
 
+class TestTailMeasure1D:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TailMeasure1D("exponential-1d", ((0.0, 1.0),)), "carry no atoms"),
+        (lambda: TailMeasure1D("gamma"), "unknown measure kind 'gamma'"),
+        (lambda: TailMeasure1D.discrete([], []), "at least one atom"),
+        (lambda: TailMeasure1D.discrete([-1.0, 1.0], [0.5, 0.5]), "nonnegative and distinct"),
+        (lambda: TailMeasure1D.discrete([0.0, 1.0], [0.5, 0.6]), "sum to 1"),
+    ], ids=["atoms-on-a-factor", "unknown-kind", "no-atom", "negative-location",
+            "masses-off-one"])
+    def test_bad_atoms_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestEntropy:
     def test_package_attribute_is_the_module(self):
         import sineq
@@ -320,6 +334,13 @@ class TestLemmaMultidim:
         rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
         assert rep.status == "invalid-input"
         assert "decreasing" in rep.note
+
+    @pytest.mark.parametrize("value, problem", [(-0.5, "negative values sampled"),
+                                                (2.0, "declared bound exceeded")])
+    def test_g_outside_its_range_reported(self, value, problem):
+        g = MonotoneRadialFunction(2, 1.0, lambda r: np.full(r.shape[0], value))
+        rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
+        assert (rep.status, rep.note, rep.verdict) == ("invalid-input", problem, "")
 
     def test_exact_needs_box_body(self):
         g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))

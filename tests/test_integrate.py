@@ -573,29 +573,29 @@ class TestKernelGoldens:
     }
     MOMENTS = {
         ("linf", 2):
-            "fc4fe18c52ba18a0df424175dc8951e74a47e26fb301dc55e71f8605f4b2e3e8",
+            "4a5a59261676abbd58d7085ddb2c89357f688fde3987fd2a50fc4a6a8939accf",
         ("linf", 3):
-            "59df6abbe9873ade2978433af2bf176b3c1e28eab50a1349913b0b4ca3bfdb49",
+            "00f41eeba1f112d1e1be413c719026eda1535d1e5168d76149968613862dae4b",
         ("linf", 4):
-            "dd49a03166ab6c57c8530e05167d3c10046f66376665bb8d2649dbcb4f2039a5",
+            "bf75b47edb942fbc7be1be6b35385432fdb089effd960cf4fac788fc4a99113d",
         ("l1", 2):
-            "9f1930b2ae1dc75b96e4024208e5d2bbb85059c30c2d2a50b0c04b1c470c771e",
+            "5d52511588300c7adf288f6e1729f3d59f3e0ca0308c46d82baa72d62d29babb",
         ("l1", 3):
-            "34cd2621398387abdd048ac3069d3b9c60a3d6f341b3165ce62489384b3bf085",
+            "81833a3cfa0ed87604dea0c87e5ed82a2c23b616eb17de9349a859f3eeb64188",
         ("l1", 4):
-            "72a81919a08075724501ee591f5e05ffb52ea706c65c7065721a49805aa613ce",
+            "fe2bc60ef972e7e93a8468c99a4c9a9c3c7fe79e180a644f81b9fec710009864",
         ("lp:3", 2):
-            "eb358726b1148fc89e2663c7917e0e3a91bf6473ec7e15e95cfaceaa1af72463",
+            "40ae6a7ce0f2f4513e8dadf7ef10fa821a194f65bb64ae9bd5fec7fe6cae5cfb",
         ("lp:3", 3):
-            "309451a55bd9f74f4a09c2accb10c111ef0260e83000d5402dc352da31bfebb8",
+            "0f8f32e07ee9b88c79a6f20bdba842d7225196861532088b66e228984ab4d866",
         ("lp:3", 4):
-            "36d2cc0801195e65552d6be20aa1a9f649744e5487797c8c32ab8bbc45dcf6ef",
+            "c011848241ecb69fe717af560e77c8261982bbb38f3367a636bbd3224b859aad",
         ("gauge", 2):
-            "066082e1e109488ace72c959bc4cb9a70e2f2abfed7e540cfaea11464387201a",
+            "b0fb4a793e26f9764d2aeba84ea0d3bea94e781922b81ab17d999e6a7967f38a",
         ("gauge", 3):
-            "3e721a481b6032b80d33d37eed462ba6b56b35fb720ce68df8ba227aa34ae6c4",
+            "f857312a0e78c09d85a48c780c66a23bb556137eacaea416ea04e1535ac68622",
         ("gauge", 4):
-            "c317d5a6bd03bb92e59357f1b8d736c7469cd877b294237f55abbc435f72c787",
+            "403f318ee0aac2141d59488f65e5ce7a91bb58d328bf87c72f499bcf6b257700",
     }
     STATISTICS = {
         "lp":

@@ -18,7 +18,6 @@ from sineq.measures import (
     exp_strip_first_moment,
     exp_strip_measure,
     fold_columns,
-    lanczos_gamma,
     xlnx,
 )
 from sineq.verify import body_statistics, calibrate_cylinder
@@ -174,26 +173,16 @@ class TestAbsMomentExponential:
                 math.gamma(p + 1.0), rel=1e-12
             )
 
+    def test_integers_give_exact_factorials(self):
+        # Gamma(p+1) = p!, to the bit
+        for p in (1, 2, 3, 4, 6):
+            assert abs_moment_exponential(p) == math.factorial(p)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             abs_moment_exponential(0.0)
         with pytest.raises(ValueError):
             abs_moment_exponential(-1.0)
-
-
-class TestLanczosGamma:
-    def test_matches_stdlib(self):
-        for x in (0.1, 0.31, 0.5, 1.0, 2.5, 10.0, 31.0):
-            assert lanczos_gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    def test_reflection_branch(self):
-        assert lanczos_gamma(0.25) == pytest.approx(math.gamma(0.25), rel=1e-12)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            lanczos_gamma(0.0)
-        with pytest.raises(ValueError):
-            lanczos_gamma(-2.0)
 
 
 class TestXlnx:

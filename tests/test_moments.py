@@ -108,6 +108,16 @@ class TestMomentRatio:
         assert (a.ratio, a.ratio_se, a.moment_p, a.moment_q) == (
             b.ratio, b.ratio_se, b.moment_p, b.moment_q)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lp_norm_rescales_only_rows_outside_the_normal_range(self, rng):
+        # at p = 400, 10^p overflows and 0.1^p underflows to 0; 1.2^p and
+        # 0.2^p stay normal and keep the bits of the plain formula
+        x = np.array([[10.0, -1.0], [0.1, 0.1], [0.0, 0.0], [1.2, 0.2]])
+        assert lp_norm(400.0)(x).tolist() == [
+            10.0, 0.1 * 2.0 ** (1 / 400), 0.0, (1.2**400 + 0.2**400) ** (1 / 400)]
+        y = rng.standard_normal((1000, 3))
+        assert np.array_equal(lp_norm(3.0)(y), (np.abs(y) ** 3).sum(axis=1) ** (1 / 3))
+
     def test_norm_contract_violation_raises(self):
         shifted = lambda x: np.abs(x[:, 0]) + 1.0  # not homogeneous
         with pytest.raises(ValueError):
