@@ -25,8 +25,9 @@ for k = 0..n-1 in order, c_k(r) = sup{x : r with r_k = x lies in K} and
 the mask of rows whose section is not empty, so the work the coordinates
 share (an l_p ball's powers, a box's comparisons, a product part's
 predicate) is done once per call; :func:`measures.fold_columns` reduces
-across the coordinates.  Custom shadows and the annulus keep bare
-predicates, with neither.  Constructor boxes (polydiscs,
+across the coordinates, and an l_p ball's gauge is :func:`measures.lp_rows`,
+the kernel of the ``lp:P`` norm, at every p.  Custom shadows and the
+annulus keep bare predicates, with neither.  Constructor boxes (polydiscs,
 cylinders, strips, cubes, their products and dilates) carry their radii
 as ``box``, the one source of box closed forms.
 
@@ -51,7 +52,7 @@ from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .measures import fold_columns, moduli
+from .measures import fold_columns, lp_rows, moduli
 
 __all__ = [
     "ReinhardtBody",
@@ -221,28 +222,33 @@ def _box_geometry(radii: Sequence[float]) -> dict:
 
 def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
     """The weighted l_p ball {sum_k (w_k r_k)^p <= scale^p}: gauge
-    (sum_k (w_k r_k)^p)^(1/p) / scale (max_k w_k r_k / scale at p = inf),
-    section c_k = (scale^p - sum_{j != k} (w_j r_j)^p)^(1/p) / w_k."""
+    (sum_k (w_k r_k)^p)^(1/p) / scale by :func:`measures.lp_rows` (max_k
+    w_k r_k / scale at p = inf), section c_k = (scale^p - sum_{j != k}
+    (w_j r_j)^p)^(1/p) / w_k, in the unit-scale form (weights w / scale,
+    scale 1) where scale^p leaves the normal range."""
     w = np.asarray(weights, dtype=float)
-    if math.isinf(exponent):
-        return {"gauge": lambda m: fold_columns(np.maximum, w * m) / scale,
-                "section": _box_geometry(scale / w)["section"]}
-    rhs = scale**exponent
 
-    def powers(m: np.ndarray) -> np.ndarray:
-        wm = w * m
-        return np.power(wm, exponent, out=wm)
+    def gauge(m: np.ndarray) -> np.ndarray:
+        return lp_rows(w * m, exponent, lambda rows: w * m[rows]) / scale
+
+    if math.isinf(exponent):
+        return {"gauge": gauge, "section": _box_geometry(scale / w)["section"]}
+    with np.errstate(over="ignore", under="ignore"):
+        v, rhs = w, np.float64(scale) ** exponent
+    if not np.finfo(float).tiny <= rhs < math.inf:
+        v, rhs = w / scale, 1.0
 
     def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        p = powers(r)
-        for k, w_k in enumerate(w):
+        p = v * r
+        with np.errstate(over="ignore"):  # an overflowed power leaves no room
+            np.power(p, exponent, out=p)
+        for k, v_k in enumerate(v):
             room = fold_columns(np.add, p, k)  # then rhs - room, then c_k, in place
             active = np.subtract(rhs, room, out=room) >= 0
             c = np.power(np.maximum(room, 0.0, out=room), 1.0 / exponent, out=room)
-            yield np.divide(c, w_k, out=c), active
+            yield np.divide(c, v_k, out=c), active
 
-    return {"gauge": lambda m: fold_columns(np.add, powers(m)) ** (1.0 / exponent) / scale,
-            "section": section}
+    return {"gauge": gauge, "section": section}
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +296,7 @@ def reinhardt_lp_ball(
     """{z : sum_k (w_k |z_k|)^p <= scale^p}; any p > 0 keeps the shadow
     downward closed, so p < 1 (non-convex) is allowed here."""
     w = tuple(_check_positive("weight", v) for v in weights)
-    exponent = float(exponent)
-    if not exponent > 0:
-        raise ValueError(f"exponent must be > 0, got {exponent}")
+    exponent = _check_positive("exponent", exponent)
     scale = _check_positive("scale", scale)
     return ReinhardtBody(
         dim=_check_dim(len(w)),
@@ -514,7 +518,6 @@ def interval_radii(body: _RadialBody) -> tuple[float, ...] | None:
 @dataclass(frozen=True)
 class DownwardClosureReport:
     ok: bool
-    checked: int
     violation: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
 
@@ -538,7 +541,7 @@ def check_downward_closed(
     inside = r[member]
     if inside.size == 0:
         # nothing sampled inside: vacuously consistent (body may be empty)
-        return DownwardClosureReport(ok=True, checked=0)
+        return DownwardClosureReport(ok=True)
     shrink = inside * rng.uniform(0.0, 1.0, size=inside.shape)
     still = body.radial_member(shrink)
     bad = np.nonzero(~still)[0]
@@ -546,10 +549,9 @@ def check_downward_closed(
         i = int(bad[0])
         return DownwardClosureReport(
             ok=False,
-            checked=int(inside.shape[0]),
             violation=(tuple(inside[i].tolist()), tuple(shrink[i].tolist())),
         )
-    return DownwardClosureReport(ok=True, checked=int(inside.shape[0]))
+    return DownwardClosureReport(ok=True)
 
 
 def validate_body(body: _RadialBody, samples: int = 5000, rng_seed: int = 0):

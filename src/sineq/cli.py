@@ -119,21 +119,16 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
     return _verify.full_check(body, _engine(args), args.grid, experimental=True).to_records()
 
 
-def _parse_step(text: str) -> tuple[StepFunction, str | None]:
-    """step:JUMPS:VALUES with an optional trailing :MEASURE segment."""
+def _parse_step(text: str) -> StepFunction:
+    """step:JUMPS:VALUES."""
     parts = text.split(":")
-    if len(parts) not in (3, 4) or parts[0] != "step":
-        raise ValueError(
-            f"step function descriptor must be step:JUMPS:VALUES[:MEASURE], got {text!r}"
-        )
+    if len(parts) != 3 or parts[0] != "step":
+        raise ValueError(f"step function descriptor must be step:JUMPS:VALUES, got {text!r}")
     jumps = tuple(float(v) for v in parts[1].split(",")) if parts[1] else ()
-    values = tuple(float(v) for v in parts[2].split(","))
-    measure = parts[3] if len(parts) == 4 else None
-    return StepFunction(jumps, values), measure
+    return StepFunction(jumps, tuple(float(v) for v in parts[2].split(",")))
 
 
 def _parse_tail_measure(text: str) -> TailMeasure1D:
-    text = {"mu": "radial-mu", "exp": "exponential-1d"}.get(text, text)
     if text in FACTORS:
         return TailMeasure1D(text)
     if text.startswith("atoms:"):
@@ -150,8 +145,7 @@ def cmd_entropy(args: argparse.Namespace) -> list[dict]:
     if args.lemma == "1d":
         if not args.f:
             raise ValueError("--f step:JUMPS:VALUES is required for the 1d lemma")
-        f, inline_measure = _parse_step(args.f)
-        rep = check_lemma_1d(f, _parse_tail_measure(inline_measure or args.tail_measure),
+        rep = check_lemma_1d(_parse_step(args.f), _parse_tail_measure(args.tail_measure),
                              _engine(args))
         desc = args.f
     else:

@@ -42,7 +42,7 @@ import numpy as np
 from . import integrate as _integ
 from .bodies import ReinhardtBody, UnconditionalBody
 from .integrate import Engine, Pass
-from .measures import FACTORS, MeasureKind, coordinate_sum, xlnx
+from .measures import FACTORS, MeasureKind, fold_columns, xlnx
 
 __all__ = [
     "StepFunction",
@@ -477,8 +477,8 @@ def check_lemma_multidim(
         closed = [-0.0, 1.0 - m, factor.entropy_sides(m, forms.moment, n)[1]]
 
     def columns(r: np.ndarray) -> np.ndarray:
-        vals = g(r)
-        return np.stack([_np_xlnx(vals), vals, vals * (coordinate_sum(factor.u, r) - n)], axis=1)
+        vals, u = g(r), fold_columns(np.add, r, f=factor.u)
+        return np.stack([_np_xlnx(vals), vals, vals * (u - n)], axis=1)
 
     return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed, (0, 1, 2),
                           quadrature=True)

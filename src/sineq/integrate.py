@@ -87,7 +87,6 @@ __all__ = [
     "Sublevels",
     "chunk_indices",
     "draw_points",
-    "point_drawer",
     "check_pairing",
 ]
 
@@ -170,13 +169,6 @@ class SampleStream:
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def point_drawer(measure: MeasureKind) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """The Philox kernel ``(generator, count) -> radii`` of a measure: one
-    uniform per coordinate through the factor quantile."""
-    n, quantile = measure.n, measure.factor.quantile_in_place
-    return lambda gen, count: quantile(gen.random((count, n)))
-
-
 def chunk_indices(samples: int) -> list[tuple[int, int]]:
     """(block index, take count) covering ``samples`` points."""
     blocks = -(-samples // CHUNK)
@@ -186,14 +178,15 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
 def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int,
                 start: int = 0) -> np.ndarray:
     """Rows ``[start, start + take)`` of coordinate radii of block ``block``
-    (``start + take <= CHUNK``).  The generator skips the ``start * n``
-    doubles before them: a counter step per four, one draw per remaining one."""
+    (``start + take <= CHUNK``): one uniform per coordinate through the
+    factor quantile.  The generator skips the ``start * n`` doubles before
+    them: a counter step per four, one draw per remaining one."""
     gen = stream.generator(block)
     steps, rest = divmod(start * measure.n, 4)
     gen.bit_generator.advance(steps)
     if rest:
         gen.random(rest)
-    return point_drawer(measure)(gen, take)
+    return measure.factor.quantile_in_place(gen.random((take, measure.n)))
 
 
 class Sublevels(NamedTuple):
@@ -288,9 +281,7 @@ def run_chunked(
     """Evaluate per-sample column vectors over ``samples`` reproducible
     draws and return (n, means, covariance of the means).  Each block is
     drawn, evaluated and reduced ``SUB`` rows at a time; workers take whole
-    blocks."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    blocks; fewer than 2 samples raise ``ValueError``."""
     base = SampleStream(seed, stream)
     acc = SampleMoments(ncols)
 

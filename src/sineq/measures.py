@@ -9,7 +9,7 @@ Two probability measures drive everything in this package:
 Both are products whose coordinate radii (|z_k| or |x_k|) follow one
 factor on [0, inf): the radial factor r*exp(-r^2/2), or the one-sided unit
 exponential.  The bodies read nothing else, so Monte Carlo draws the radii
-alone (``integrate.point_drawer``); the ``contains`` of each body family
+alone (``integrate.draw_points``); the ``contains`` of each body family
 reduces the points callers pass in, by :func:`moduli` or ``abs``.  The two
 factors differ by one fact: with u = r^d/d, the factor of degree d (d = 2
 radial, d = 1 exponential) is the unit exponential law of u.
@@ -23,7 +23,8 @@ and ``verify.calibrate_cylinder`` / ``calibrate_strip`` invert them.
 :func:`abs_moment_exponential` is Gamma(p+1) by the stdlib's ``math.gamma``.
 :func:`fold_columns` is the one kernel across the coordinate axis (sums,
 maxima, conjunctions) of the weight here, the gauges and sections of
-``bodies`` and the norms of ``moments``.
+``bodies`` and the norms of ``moments``; :func:`lp_rows` is the one l_p
+row kernel, of the l_p ball gauges and the ``lp:P`` norms.
 
 All formulas are exact in binary64; no arbitrary precision is used.  The
 convention 0 * ln 0 = 0 applies throughout (see :func:`xlnx`).
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +50,7 @@ __all__ = [
     "exponential",
     "moduli",
     "fold_columns",
-    "coordinate_sum",
+    "lp_rows",
     "xlnx",
     "cylinder_measure",
     "cylinder_second_moment",
@@ -125,9 +126,9 @@ class Factor:
         Written in u: the r-side form 2F + 2(1-F)ln(1-F) of the radial
         factor cancels at small a (3.3e-8 relative error at a = 0.01).
         """
-        if math.isinf(a):
-            return float(self.d)
         u = self.u(a)
+        if math.isinf(u):  # u * exp(-u) would be NaN; a*a overflows from a = 1.3e154
+            return float(self.d)
         return self.d * (-math.expm1(-u) - u * math.exp(-u))
 
     # Closed forms of the comparison set C of measure m, each with its
@@ -190,9 +191,29 @@ def fold_columns(op, q: np.ndarray, skip: int | None = None, f=None) -> np.ndarr
     return out
 
 
-def coordinate_sum(f, r) -> np.ndarray:
-    """sum_k f(r_k) per row of the (m, n) array ``r``: :func:`fold_columns`."""
-    return fold_columns(np.add, np.asarray(r, dtype=float), f=f)
+def lp_rows(a: np.ndarray, p: float, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """(sum_k a_k^p)^(1/p) per row of the (m, n) array ``a`` >= 0, max_k a_k
+    at p = inf.  ``a`` is raised to the p-th power in place, so the caller
+    passes a fresh array; ``rows(index)`` rebuilds the rows ``index`` of it.
+
+    At large p the power sum s of a row can overflow or fall below the
+    normal range, where the norm is not homogeneous; such a row with max M
+    in (0, inf) is recomputed from ``rows`` as M * (sum_k (a_k/M)^p)^(1/p),
+    and every other row keeps the bits of the plain formula."""
+    if math.isinf(p):
+        return fold_columns(np.maximum, a)
+    with np.errstate(over="ignore"):
+        s = fold_columns(np.add, np.power(a, p, out=a))
+    out = s ** (1.0 / p)
+    tiny = np.finfo(float).tiny
+    if not (s.min(initial=np.inf) >= tiny and s.max(initial=0.0) < np.inf):
+        redo = np.flatnonzero(~((s >= tiny) & (s < np.inf)))
+        b = rows(redo)
+        M = fold_columns(np.maximum, b)
+        keep = (M > 0) & (M < np.inf)
+        q = b[keep] / M[keep, None]
+        out[redo[keep]] = M[keep] * fold_columns(np.add, np.power(q, p, out=q)) ** (1.0 / p)
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,10 +247,7 @@ class MeasureKind:
     def weight(self, r) -> np.ndarray:
         """sum_k r_k^d per row of coordinate radii: |z|^2 or |x|_1."""
         d = self.factor.d
-        return coordinate_sum(lambda c: c**d, r)
-
-    def describe(self) -> str:
-        return f"{self.tag}(n={self.n})"
+        return fold_columns(np.add, np.asarray(r, dtype=float), f=lambda c: c**d)
 
 
 def complex_gaussian(n: int) -> MeasureKind:

@@ -10,7 +10,9 @@ with the coordinate functional |x_1| attaining the constant.  Both moments
 are estimated on one shared sample stream, so their errors are positively
 correlated and the ratio is much tighter than the individual moments.
 The estimate is Monte Carlo only; its verdict comes from
-:func:`integrate.certify`.
+:func:`integrate.certify`.  The norm factories name their evaluators
+(``linf``, ``l1``, ``lp:P``, ``coord:K``), the names records carry; ``lp:P``
+is :func:`measures.lp_rows`, the kernel of the l_p ball gauges.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import integrate as _integ
 from .bodies import UnconditionalBody, require_finite
 from .integrate import Engine, Estimate, Pass
-from .measures import abs_moment_exponential, exponential, fold_columns
+from .measures import abs_moment_exponential, exponential, fold_columns, lp_rows
 
 __all__ = [
     "MAX_EXPONENT",
@@ -52,6 +54,12 @@ def cpq(p: float, q: float) -> float:
     return abs_moment_exponential(p) ** (1.0 / p) / abs_moment_exponential(q) ** (1.0 / q)
 
 
+def _named(name: str, norm: Callable[[np.ndarray], np.ndarray]):
+    """``norm`` under ``name``, the text :func:`moment_ratio` records for it."""
+    norm.__name__ = norm.__qualname__ = name
+    return norm
+
+
 def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
     """|x_index|: the extremal (constant-attaining) functional."""
 
@@ -60,41 +68,23 @@ def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
             raise ValueError(f"coordinate index {index} outside [0, {x.shape[1]})")
         return np.abs(x[:, index])
 
-    return norm
+    return _named(f"coord:{index}", norm)
 
 
 def linf_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: fold_columns(np.maximum, np.abs(x))
+    return _named("linf", lambda x: fold_columns(np.maximum, np.abs(x)))
 
 
 def l1_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: fold_columns(np.add, np.abs(x))
+    return _named("l1", lambda x: fold_columns(np.add, np.abs(x)))
 
 
 def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """(sum_k |x_k|^p)^(1/p); the max norm at p = inf."""
+    """(sum_k |x_k|^p)^(1/p) by :func:`measures.lp_rows`, homogeneous at
+    large p too; the max norm at p = inf."""
     if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    if np.isinf(p):
-        return linf_norm()
-    return lambda x: _lp_rows(np.abs(x), p)
-
-
-def _lp_rows(a: np.ndarray, p: float) -> np.ndarray:
-    """(sum_k a_k^p)^(1/p) per row of ``a`` >= 0.  At large p the power sum s
-    of a row can overflow or fall below the normal range (where the norm is
-    not homogeneous); such a row with max M > 0 is recomputed as
-    M * (sum_k (a_k / M)^p)^(1/p), and every other row keeps its bits."""
-    with np.errstate(over="ignore"):
-        s = fold_columns(np.add, a**p)
-    out = s ** (1.0 / p)
-    tiny = np.finfo(float).tiny
-    if not (s.min(initial=np.inf) >= tiny and s.max(initial=0.0) < np.inf):
-        M = fold_columns(np.maximum, a)
-        redo = ~((s >= tiny) & (s < np.inf)) & (M > 0)
-        M = M[redo]
-        out[redo] = M * fold_columns(np.add, (a[redo] / M[:, None]) ** p) ** (1.0 / p)
-    return out
+    return _named(f"lp:{p:g}", lambda x: lp_rows(np.abs(x), p, lambda rows: np.abs(x[rows])))
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:

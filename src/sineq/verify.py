@@ -339,7 +339,6 @@ class DilationPoint:
 @dataclass(frozen=True)
 class DilationReport:
     body: str
-    measure: str
     method: str
     seed: int
     samples: int
@@ -412,7 +411,6 @@ def _curve_report(stats: BodyStats, rechecks: Rechecks) -> DilationReport:
                                     ref, margin, mse, direction, verdict, vnote))
     return DilationReport(
         body=stats.body_desc,
-        measure=stats.measure.describe(),
         method=stats.method,
         seed=stats.seed,
         samples=stats.samples,
@@ -500,7 +498,7 @@ class SweepReport:
     violated: int
     inconclusive: int
     min_margin: float
-    rows: tuple[dict, ...]
+    rows: tuple[dict, ...]  # a fuzz-body record per body
     engine: Engine
 
     @property
@@ -508,14 +506,8 @@ class SweepReport:
         return self.violated
 
     def to_records(self) -> list[dict]:
-        """A fuzz-body record per body (value and margin: its smallest
-        margin, with no single error or tolerance) and a fuzz-summary record."""
-        records = [{"kind": "fuzz-body", "body": row["body"], "t": "", "value": row["min_margin"],
-                    "std_error": "", "reference": "", "margin": row["min_margin"],
-                    "tolerance": "", "verdict": row["verdict"], "seed": row["seed"],
-                    "samples": row["samples"], "method": row["method"],
-                    "sampling_contract": _integ.SAMPLING_CONTRACT} for row in self.rows]
-        records.append({
+        """The fuzz-body records and a fuzz-summary record."""
+        return [*self.rows, {
             "kind": "fuzz-summary",
             "body": self.family,
             "value": self.min_margin,
@@ -527,25 +519,22 @@ class SweepReport:
             "method": self.engine.method,
             "tolerance": "",
             "sampling_contract": _integ.SAMPLING_CONTRACT,
-        })
-        return records
+        }]
 
 
 def _random_body(family: str, n: int, rng: np.random.Generator):
     if family == "polydisc":
         return _b.polydisc(rng.uniform(0.3, 2.5, size=n))
-    if family == "weighted-lp-ball":
-        p = float(rng.uniform(0.7, 4.0))
+    if family in ("weighted-lp-ball", "lp-ball"):
+        reinhardt = family == "weighted-lp-ball"  # p < 1 only there: no convexity needed
+        p = float(rng.uniform(0.7, 4.0) if reinhardt else rng.uniform(1.0, 5.0))
         w = rng.uniform(0.5, 2.0, size=n)
         scale = float(rng.uniform(0.8, 2.5)) * n ** (1.0 / p)
-        return _b.reinhardt_lp_ball(w, p, scale)
+        if reinhardt:
+            return _b.reinhardt_lp_ball(w, p, scale)
+        return _b.unconditional_lp_ball(p, n, scale, w)
     if family == "cube":
         return _b.cube_body(float(rng.uniform(0.3, 2.0)), n)
-    if family == "lp-ball":
-        p = float(rng.uniform(1.0, 5.0))
-        w = rng.uniform(0.5, 2.0, size=n)
-        scale = float(rng.uniform(0.8, 2.5)) * n ** (1.0 / p)
-        return _b.unconditional_lp_ball(p, n, scale, w)
     if family == "box":
         return _b.box_body(rng.uniform(0.3, 2.5, size=n))
     raise ValueError(f"unknown sweep family {family!r}")
@@ -570,17 +559,12 @@ def sweep(
         n = int(dims[i % len(dims)])
         body = _random_body(family, n, rng)
         rep = full_check(body, replace(engine, stream=engine.stream + i), t_grid)
-        rows.append({
-            "index": i,
-            "body": rep.body,
-            "n": n,
-            "verdict": rep.verdict,
-            "min_margin": rep.min_margin,
-            "method": rep.curve.method,
-            "seed": engine.seed,
-            "stream": engine.stream + i,
-            "samples": rep.curve.samples,
-        })
+        # value and margin: the body's smallest margin, with no single error or tolerance
+        rows.append({"kind": "fuzz-body", "body": rep.body, "t": "", "value": rep.min_margin,
+                     "std_error": "", "reference": "", "margin": rep.min_margin,
+                     "tolerance": "", "verdict": rep.verdict, "seed": engine.seed,
+                     "samples": rep.curve.samples, "method": rep.curve.method,
+                     "sampling_contract": _integ.SAMPLING_CONTRACT})
     tally = Counter(row["verdict"] for row in rows)
     return SweepReport(family, count, tally["holds"], tally["violated"], tally["inconclusive"],
-                       min([math.inf] + [row["min_margin"] for row in rows]), tuple(rows), engine)
+                       min([math.inf] + [row["margin"] for row in rows]), tuple(rows), engine)

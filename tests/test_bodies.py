@@ -25,6 +25,7 @@ from sineq.bodies import (
 from sineq.bodies import NonFiniteIntegrandError, ReinhardtBody, UnconditionalBody, require_finite
 from sineq.integrate import Engine, SampleMoments, Sublevels, measure_estimate
 from sineq.measures import complex_gaussian, moduli
+from sineq.moments import lp_norm
 
 
 def random_complex_points(rng, count, n, scale=2.0):
@@ -671,3 +672,76 @@ class TestGauges:
 
         with pytest.raises(ValueError, match="needs a predicate or a gauge"):
             ReinhardtBody(dim=1, kind="custom", params={})
+
+
+LARGE_P = [(p, scale) for p in (50.0, 400.0, 1000.0) for scale in (0.1, 1.0, 10.0)]
+
+
+def _near_the_lp_sphere(p: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points rho * scale * u of the plane's orthant with |u|_p = 1 and rho
+    within 1% of 1, the axes included, and their gauges rho."""
+    rng = np.random.default_rng(int(p))
+    theta = np.concatenate([[0.0, math.pi / 2], rng.uniform(0.0, math.pi / 2, 2000)])
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    u /= u.max(axis=1, keepdims=True)  # entries in [0, 1], so u^p stays finite
+    with np.errstate(under="ignore"):
+        u /= ((u**p).sum(axis=1) ** (1.0 / p))[:, None]
+    rho = rng.uniform(0.99, 1.01, size=len(u))
+    return rho[:, None] * scale * u, rho
+
+
+class TestLargeExponentBalls:
+    """At large p the power sums of an l_p ball, and scale^p, leave the
+    normal range; the ball's gauge and section stay those of its geometry."""
+
+    def test_gauges_are_the_lp_norm_balls_to_the_bit(self):
+        for p, scale in LARGE_P:
+            r, rho = _near_the_lp_sphere(p, scale)
+            expected = norm_ball(lp_norm(p), scale, 2).gauge(r)
+            np.testing.assert_allclose(expected, rho, rtol=1e-12, err_msg=f"p={p}, scale={scale}")
+            for body in (unconditional_lp_ball(p, 2, scale),
+                         reinhardt_lp_ball([1.0, 1.0], p, scale)):
+                assert np.array_equal(body.gauge(r), expected), (p, scale, body.kind)
+
+    def test_sections_are_the_bisected_ones(self):
+        from sineq.entropy import _bisected_section
+
+        rng = np.random.default_rng(5)
+        for p, scale in LARGE_P:
+            for w in ([1.0, 1.0], [0.8, 1.25]):
+                body = reinhardt_lp_ball(w, p, scale)
+                # each other coordinate well inside (c > 0) or well outside (no section)
+                u = np.where(rng.random((500, 2)) < 0.8, rng.uniform(0.0, 0.9, (500, 2)),
+                             rng.uniform(1.1, 2.0, (500, 2)))
+                r = scale * u / np.asarray(w)
+                for (c, active), (c_bis, active_bis) in zip(body.section(r),
+                                                            _bisected_section(body, r)):
+                    assert np.array_equal(active, active_bis), (p, scale, w)
+                    np.testing.assert_allclose(c[active], c_bis[active], rtol=1e-12, atol=0,
+                                               err_msg=f"p={p}, scale={scale}, w={w}")
+
+    def test_small_ball_measure_is_the_norm_balls(self):
+        from sineq.integrate import mc_measure
+        from sineq.measures import EXP_FACTOR, exponential
+
+        ball = mc_measure(unconditional_lp_ball(400.0, 2, 0.1), exponential(2), 200_000, seed=1)
+        twin = mc_measure(norm_ball(lp_norm(400.0), 0.1, 2), exponential(2), 200_000, seed=1)
+        assert ball == twin
+        # the ball lies between the squares of half-widths 0.1 * 2^(-1/400) and 0.1
+        lo, hi = (EXP_FACTOR.cdf(a) ** 2 for a in (0.1 * 2.0 ** (-1 / 400), 0.1))
+        assert lo - 4 * ball.std_error <= ball.value <= hi + 4 * ball.std_error
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: reinhardt_lp_ball([1.0, 1.0], 0.0), "exponent must be > 0"),
+    (lambda: reinhardt_lp_ball([1.0], -2.0), "exponent must be > 0"),
+    (lambda: annulus_body(2.0, 1.0), "need 0 <= inner <= outer"),
+    (lambda: box_body([]), "box needs at least one half-width"),
+    (lambda: unconditional_lp_ball(2.0, 3, 1.0, [1.0, 1.0]), "need 3 weights"),
+    (lambda: product(polydisc([1.0])), "product needs at least two bodies"),
+    (lambda: check_downward_closed(polydisc([1.0]), samples=0), "samples must be >= 1"),
+], ids=["lp-p0", "lp-p-negative", "annulus-inverted", "box-empty", "weights-count",
+        "product-of-one", "closure-no-samples"])
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -204,6 +205,12 @@ class TestFuzzCommand:
         summary = [r for r in recs if r["kind"] == "fuzz-summary"][0]
         assert summary["verdict"].startswith("4 holds")
 
+    def test_small_box_sweep(self, capsys):
+        code, out = run_cli(capsys, "fuzz", "--family", "box", "--n", "2", "--count", "2",
+                            "--samples", "2000")
+        assert code == 0
+        assert [r["kind"] for r in parse_jsonl(out)] == ["fuzz-body"] * 2 + ["fuzz-summary"]
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -394,6 +401,13 @@ class TestConfigTyping:
         code, out = self.run_with(tmp_path, capsys, config, "measure", "--body", "polydisc:r=1")
         assert (code, out) == (2, "")
 
+    def test_json_list_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["samples", 5000]))
+        assert main(["--config", str(cfg), "measure", "--body", "polydisc:r=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "is not a JSON object" in err
+
     def test_true_is_a_bare_flag_and_false_is_dropped(self, tmp_path, capsys):
         args = ("verify", "--body", "annulus:inner=1,outer=2", "--engine", "mc",
                 "--samples", "2000", "--grid", "1,2")
@@ -533,3 +547,43 @@ class TestFailLoudly:
         assert main(["measure", "--body", "polydisc:r=1", "--output", str(out)]) == 0
         (rec,) = parse_jsonl(out.read_text())
         assert rec["kind"] == "measure"
+
+
+class TestHugeParameters:
+    """Parameters whose powers leave the binary64 range keep their sets."""
+
+    @pytest.mark.parametrize("scale", ["0.1", "10"])
+    def test_large_exponent_ball_holds_without_a_warning(self, capsys, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--body", f"lp-ball:p=400,n=2,scale={scale}",
+                         "--measure", "exponential", "--engine", "mc", "--samples", "20000"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert {r["verdict"] for r in parse_jsonl(out)} == {"holds"}
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--body", "polydisc:r=1,1e200", "--grid", "1,2"),
+        ("entropy", "--lemma", "multidim", "--body", "polydisc:r=1,1e200", "--engine", "exact"),
+    ], ids=["verify", "entropy"])
+    def test_huge_polydisc_radius_is_a_cylinder(self, capsys, args):
+        code, out = run_cli(capsys, *args)
+        recs = parse_jsonl(out)
+        assert code == 0 and recs
+        assert all(r["margin"] == 0.0 and r["verdict"] == "holds" for r in recs)
+
+
+class TestEntropyAndMomentInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--lemma", "multidim", "--body", "annulus:inner=1,outer=2"],
+         "invalid input for entropy check"),
+        (["entropy", "--lemma", "1d"], "--f step:JUMPS:VALUES is required"),
+        (["entropy", "--f", "step:0.5:0,1", "--tail-measure", "bogus"], "unknown tail measure"),
+        (["entropy", "--f", "step:0.5:0,1", "--tail-measure", "mu"], "unknown tail measure"),
+        (["entropy", "--f", "step:0.5:0,1:exponential-1d"], "must be step:JUMPS:VALUES"),
+        (["moments", "--norm", "bogus"], "unknown norm"),
+    ], ids=["annulus-complement", "missing-f", "bogus-tail-measure", "tail-measure-alias",
+            "inline-tail-measure", "bogus-norm"])
+    def test_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -466,3 +466,12 @@ class TestUnsupportedPaths:
         g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))
         with pytest.raises(ValueError, match="closed form"):
             check_subadditivity(g, 2, engine=Engine(method="exact"))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: check_lemma_multidim(complement_indicator(polydisc([1.0])), 1, "radial-mu"),
+     "measure must be complex-gaussian or exponential"),
+], ids=["multidim-factor-tag"])
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

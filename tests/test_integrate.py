@@ -37,7 +37,6 @@ from sineq.integrate import (
     estimate,
     mc_integral,
     mc_measure,
-    point_drawer,
     record,
     tensor_quadrature,
     tolerance,
@@ -126,20 +125,25 @@ DRAW_MEASURES = [complex_gaussian(2), exponential(3), MeasureKind("radial-mu", 2
 TAKES = (1, 2, 999, CHUNK - 1, CHUNK)
 
 
+def whole_block(measure: MeasureKind, stream: SampleStream, block: int) -> np.ndarray:
+    """All CHUNK rows of a block, written out: one uniform per coordinate
+    through the factor quantile."""
+    return measure.factor.quantile_in_place(stream.generator(block).random((CHUNK, measure.n)))
+
+
 class TestTakeRows:
     """Drawing only the rows taken gives the rows of a whole-block draw."""
 
     @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
     def test_draw_points_is_prefix_of_whole_block(self, measure):
         stream = SampleStream(77, 3)
-        whole = point_drawer(measure)(stream.generator(5), CHUNK)
+        whole = whole_block(measure, stream, 5)
         for take in TAKES:
             assert np.array_equal(draw_points(measure, stream, 5, take), whole[:take])
 
     @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
     def test_sample_stream_draw_is_prefix_of_whole_blocks(self, measure):
-        fn = point_drawer(measure)
-        whole = np.concatenate([fn(SampleStream(77, 3).generator(b), CHUNK) for b in (0, 1)])
+        whole = np.concatenate([whole_block(measure, SampleStream(77, 3), b) for b in (0, 1)])
         for count in TAKES + (CHUNK + 999,):
             assert np.array_equal(draw(measure, SampleStream(77, 3), count), whole[:count])
             assert len(chunk_indices(count)) == -(-count // CHUNK)
@@ -147,7 +151,7 @@ class TestTakeRows:
     @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
     def test_draw_points_from_a_row_is_the_slice_of_the_block(self, measure):
         stream = SampleStream(77, 3)
-        whole = point_drawer(measure)(stream.generator(5), CHUNK)
+        whole = whole_block(measure, stream, 5)
         for start, take in ((0, 10), (1, 7), (3, 999), (SUB, SUB), (CHUNK - 5, 5)):
             assert np.array_equal(draw_points(measure, stream, 5, take, start),
                                   whole[start:start + take])
@@ -573,23 +577,23 @@ class TestKernelGoldens:
     }
     MOMENTS = {
         ("linf", 2):
-            "4a5a59261676abbd58d7085ddb2c89357f688fde3987fd2a50fc4a6a8939accf",
+            "e2ea9138d97c840eba1baf71d7086e9913417d81ee9fda23dc88a85c9f58718b",
         ("linf", 3):
-            "00f41eeba1f112d1e1be413c719026eda1535d1e5168d76149968613862dae4b",
+            "5d1daa921cadefbcb73347a2f4a70458f0f60d1316acca1afb74af3ee90729d4",
         ("linf", 4):
-            "bf75b47edb942fbc7be1be6b35385432fdb089effd960cf4fac788fc4a99113d",
+            "fa5c172a907d10236ef196ea767eb4f98c45640e4c577101811cd7ec328fcb6a",
         ("l1", 2):
-            "5d52511588300c7adf288f6e1729f3d59f3e0ca0308c46d82baa72d62d29babb",
+            "2c916804c4f46d3f09d09056cfb2b1a7e7432e9ebaf6ccf3d37193e76b783b6b",
         ("l1", 3):
-            "81833a3cfa0ed87604dea0c87e5ed82a2c23b616eb17de9349a859f3eeb64188",
+            "4027ad3a1c24e8a7a510d2b84f470bd3f9e4bc15874f59d43773d3f433bba709",
         ("l1", 4):
-            "fe2bc60ef972e7e93a8468c99a4c9a9c3c7fe79e180a644f81b9fec710009864",
+            "b4c6bc02b93b5396de9ab62558bcf3d73db688afc21d8c1b566317bcb8cda2e9",
         ("lp:3", 2):
-            "40ae6a7ce0f2f4513e8dadf7ef10fa821a194f65bb64ae9bd5fec7fe6cae5cfb",
+            "8430a93ddaef80a467049ee740da786ca117985b3db251ecdbe8ae2345198d2c",
         ("lp:3", 3):
-            "0f8f32e07ee9b88c79a6f20bdba842d7225196861532088b66e228984ab4d866",
+            "3de5068951a2977996af696a18afff29164fa259554f93cc44b35e1a331f7cc5",
         ("lp:3", 4):
-            "c011848241ecb69fe717af560e77c8261982bbb38f3367a636bbd3224b859aad",
+            "624383e6e6d273cc6cbf03f49d9c28e005d66d40ca1b13c721cfa6c2b6144f34",
         ("gauge", 2):
             "b0fb4a793e26f9764d2aeba84ea0d3bea94e781922b81ab17d999e6a7967f38a",
         ("gauge", 3):
@@ -710,3 +714,16 @@ class TestRecord:
                        "tolerance": tolerance(0.006), "verdict": "holds", "samples": 1000,
                        "method": "mc(1000, 1)", "sampling_contract": SAMPLING_CONTRACT}
         assert record(1.0, 0.0, 1.0, 0.0, 0.0, "holds", 0, "closed-form")["tolerance"] == DET_TOL
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Engine(method="bogus"), "unknown engine method 'bogus'"),
+    (lambda: mc_integral(lambda r: r[:, 0], samples=10), "measure kind is required"),
+    (lambda: tensor_quadrature(lambda r: r[:, 0], 1, 8, "gaussian"),
+     "unsupported quadrature measure"),
+    (lambda: tensor_quadrature(lambda r: r, 2, 8), r"integrand returned shape \(64, 2\)"),
+], ids=["engine-method", "integral-without-measure", "quadrature-measure",
+        "quadrature-integrand-shape"])
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

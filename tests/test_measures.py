@@ -12,12 +12,13 @@ from sineq.measures import (
     RADIAL_FACTOR,
     MeasureKind,
     abs_moment_exponential,
-    coordinate_sum,
     cylinder_measure,
     cylinder_second_moment,
     exp_strip_first_moment,
     exp_strip_measure,
     fold_columns,
+    lp_rows,
+    moduli,
     xlnx,
 )
 from sineq.verify import body_statistics, calibrate_cylinder
@@ -216,7 +217,7 @@ class TestMeasureKind:
             extremes = np.array([0.0, 1e-300, 1e-160, 1.0, 3.5, 40.0, 1e150])
             r[:7] = extremes[(np.arange(7)[:, None] + np.arange(n)) % 7]
             assert np.array_equal(kind.weight(r), (r**d).sum(axis=1))
-            assert np.array_equal(coordinate_sum(u, r), u(r).sum(axis=1))
+            assert np.array_equal(fold_columns(np.add, r, f=u), u(r).sum(axis=1))
 
     @staticmethod
     def rows(seed: int, n: int) -> np.ndarray:
@@ -301,3 +302,42 @@ class TestRestrictedWeight:
 
     def test_full_space(self):
         assert (RADIAL_FACTOR.weight(math.inf), EXP_FACTOR.weight(math.inf)) == (2.0, 1.0)
+
+    @pytest.mark.parametrize("a", [1e155, 1e200, 1e308, math.inf])
+    def test_huge_radius_is_the_full_space(self, a):
+        # u = a^2/2 overflows from a = 1.3e154, where u * exp(-u) is NaN
+        assert (RADIAL_FACTOR.weight(a), EXP_FACTOR.weight(a)) == (2.0, 1.0)
+
+    def test_huge_box_radius_has_the_closed_forms_of_an_infinite_one(self):
+        from sineq.integrate import box_forms
+
+        grid = (0.5, 1.0, 2.0)
+        huge, inf = (box_forms(polydisc([1.0, b]), RADIAL_FACTOR, grid) for b in (1e200, math.inf))
+        assert huge == inf
+        assert huge.moment == RADIAL_FACTOR.comparison_moment(RADIAL_FACTOR.cdf(1.0), 2)[0]
+
+
+class TestLpRows:
+    def test_powers_in_place_and_rebuilds_only_the_rows_out_of_range(self):
+        # at p = 400, 10^p overflows and 0.1^p underflows to 0; 1.2^p and
+        # 0.2^p stay normal and keep the bits of the plain formula
+        x = np.array([[10.0, 1.0], [0.1, 0.1], [0.0, 0.0], [1.2, 0.2]])
+        a, asked = x.copy(), []
+
+        def rows(index):
+            asked.append(index.tolist())
+            return x[index]
+
+        out = lp_rows(a, 400.0, rows)
+        assert out.tolist() == [10.0, 0.1 * 2.0 ** (1 / 400), 0.0,
+                                (1.2**400 + 0.2**400) ** (1 / 400)]
+        assert asked == [[0, 1, 2]] and a[3].tolist() == [1.2**400, 0.2**400]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: moduli(np.zeros((2, 3))), "even number of real coordinates"),
+    (lambda: exp_strip_measure(-1.0), "half-width must be >= 0"),
+], ids=["moduli-odd-width", "strip-negative"])
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -215,3 +215,22 @@ class TestCertifiedRatio:
     def test_only_monte_carlo(self, method):
         with pytest.raises(ValueError):
             moment_ratio(linf_norm(), 2.0, 1.0, 2, Engine(method=method))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: lp_norm(0.5), "norm exponent must be >= 1"),
+    (lambda: moment_ratio(lambda x: np.abs(x[:, 0] + 0.5 * x[:, 1]), 2.0, 1.0, 2, ENGINE),
+     "not sign-invariant"),
+], ids=["lp-below-one", "sign-variant-norm"])
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("make, name", [
+    (linf_norm, "linf"), (l1_norm, "l1"), (lambda: lp_norm(3.0), "lp:3"),
+    (lambda: lp_norm(math.inf), "lp:inf"), (lambda: coordinate_norm(1), "coord:1"),
+], ids=["linf", "l1", "lp3", "lpinf", "coord1"])
+def test_records_name_the_factory_norms(make, name):
+    engine = Engine(method="mc", samples=2000, seed=1)
+    assert moment_ratio(make(), 2.0, 1.0, 2, engine).to_record()["norm"] == name

@@ -303,6 +303,13 @@ class TestFullCheckAndSweep:
         b = sweep("cube", 3, [2], e, t_grid=(1, 2))
         assert a.rows == b.rows
 
+    def test_sweep_rows_are_the_body_records(self):
+        rep = sweep("cube", 2, [2], Engine(method="mc", samples=20_000, seed=47), t_grid=(1, 2))
+        records = rep.to_records()
+        assert records[:-1] == list(rep.rows) and records[-1]["kind"] == "fuzz-summary"
+        assert [r["kind"] for r in rep.rows] == ["fuzz-body"] * 2
+        assert rep.min_margin == min(r["margin"] for r in rep.rows)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             sweep("torus", 3, [2])
@@ -487,3 +494,16 @@ class TestDegenerateCurve:
         assert len(stats_calls) == 1  # no recheck pass
         assert {r["tolerance"] for r in rep.to_records()} == {DET_TOL}
 
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: check_moment_criterion_gaussian(cube_body(1.0, 2), EXACT), TypeError,
+     "applies to ReinhardtBody bodies"),
+    (lambda: check_moment_criterion_exponential(polydisc([1.0]), EXACT), TypeError,
+     "applies to UnconditionalBody bodies"),
+    (lambda: sweep("polydisc", 0, [1]), ValueError, "count must be >= 1"),
+], ids=["gaussian-criterion-of-unconditional", "exponential-criterion-of-reinhardt",
+        "sweep-count-0"])
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
