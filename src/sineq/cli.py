@@ -163,23 +163,21 @@ def cmd_entropy(args: argparse.Namespace) -> list[dict]:
 
 def _parse_norm(text: str):
     if text == "linf":
-        return _moments.linf_norm(), "linf"
+        return _moments.linf_norm()
     if text == "l1":
-        return _moments.l1_norm(), "l1"
+        return _moments.l1_norm()
     if text.startswith("lp:"):
-        return _moments.lp_norm(float(text[3:])), text
+        return _moments.lp_norm(float(text[3:]))
     if text == "coord" or text.startswith("coord:"):
-        idx = int(text[6:]) if ":" in text else 0
-        return _moments.coordinate_norm(idx), text
+        return _moments.coordinate_norm(int(text[6:]) if ":" in text else 0)
     if text.startswith("body:"):
-        body = _bodies.parse_descriptor(text[5:], "unconditional")
-        return body, f"gauge[{body.descriptor()}]"
+        return _bodies.parse_descriptor(text[5:], "unconditional")
     raise ValueError(f"unknown norm {text!r}")
 
 
 def cmd_moments(args: argparse.Namespace) -> list[dict]:
-    norm, desc = _parse_norm(args.norm)
-    pair = _moments.moment_ratio(norm, args.p, args.q, args.n, _engine(args), norm_desc=desc)
+    norm = _parse_norm(args.norm)
+    pair = _moments.moment_ratio(norm, args.p, args.q, args.n, _engine(args))
     return [dict(pair.to_record(), body="")]
 
 

@@ -130,11 +130,6 @@ class StepFunction:
         """1 on [a, inf), 0 before: the equality case of the 1-D inequality."""
         return StepFunction((a,), (0.0, 1.0))
 
-    def scaled(self, c: float) -> "StepFunction":
-        if c < 0:
-            raise ValueError("scale must be >= 0")
-        return StepFunction(self.jumps, tuple(c * v for v in self.values))
-
 
 @dataclass(frozen=True)
 class TailMeasure1D:
@@ -219,20 +214,16 @@ def inverse_tail(measure: TailMeasure1D, y: float) -> float:
     return candidate
 
 
-def _piece_boundaries(f: StepFunction) -> list[float]:
-    return [0.0, *f.jumps, math.inf]
-
-
-def _piece_masses(f: StepFunction, measure: TailMeasure1D) -> list[float]:
-    bounds = _piece_boundaries(f)
-    if measure.factor is not None:
-        cdf = [measure.factor.cdf(b) for b in bounds[:-1]] + [1.0]
-        return [hi - lo for lo, hi in zip(cdf, cdf[1:])]
-    masses = [0.0] * (len(bounds) - 1)
-    jumps = np.asarray(f.jumps)
-    for loc, mass in measure.atoms:
-        masses[int(np.searchsorted(jumps, loc, side="right"))] += mass
-    return masses
+def _step_sides(f: StepFunction, measure: TailMeasure1D) -> tuple[float, float]:
+    """Ent(f) and -int f (1 + ln tail) dmu of a step function against a
+    known-CDF measure from one list of tails s at the piece ends (0 at inf):
+    piece masses s_lo - s_hi, right side terms v (s_hi ln s_hi - s_lo ln s_lo)."""
+    tails = [measure.tail(x) for x in (0.0, *f.jumps)] + [0.0]
+    masses = [lo - hi for lo, hi in zip(tails, tails[1:])]
+    mean = math.fsum(v * m for v, m in zip(f.values, masses))
+    flnf = math.fsum(xlnx(v) * m for v, m in zip(f.values, masses))
+    rhs = math.fsum(v * (xlnx(hi) - xlnx(lo)) for v, lo, hi in zip(f.values, tails, tails[1:]))
+    return flnf - xlnx(mean), rhs
 
 
 def entropy(
@@ -241,17 +232,15 @@ def entropy(
 ) -> float:
     """Ent(f) against a 1-D tail measure.
 
-    Exact for step functions (tail differences) and for discrete measures
-    (finite sums); general callables against the known-CDF measures use
+    A known-CDF measure weighs the pieces of a step function by tail
+    differences, exactly; a discrete measure sums over its atoms, exact
+    for every f.  General callables against the known-CDF measures use
     graded composite quadrature in the CDF variable, accurate well beyond
     the documented 1e-6 for bounded f (the grading absorbs the v*ln(v)
     singularity where f vanishes).
     """
-    if isinstance(f, StepFunction):
-        masses = _piece_masses(f, measure)
-        mean = math.fsum(v * m for v, m in zip(f.values, masses))
-        flnf = math.fsum(xlnx(v) * m for v, m in zip(f.values, masses))
-        return flnf - xlnx(mean)
+    if isinstance(f, StepFunction) and measure.factor is not None:
+        return _step_sides(f, measure)[0]
     nodes, w = measure.rule()
     vals = np.asarray(f(nodes), dtype=float)
     if (vals < 0).any():
@@ -316,17 +305,17 @@ def check_lemma_1d(
 ) -> EntropyReport:
     """The 1-D entropy inequality: Ent(f) vs -int f (1 + ln tail) dmu.
 
-    Step functions get the exact oracle on both sides: with s = tail at
-    the piece boundaries, each piece of height v contributes
-    v * (s_hi*ln(s_hi) - s_lo*ln(s_lo)) for the boundary tails taken in
-    decreasing order.  A zero tail under positive f makes the right side
-    +inf (vacuous truth); with a discrete measure this happens at the top
-    atom whenever f is positive there.
+    A step function against a known-CDF measure gets the exact oracle on
+    both sides from one list of tails s at the piece ends: the piece masses
+    are differences of s, and a piece of height v adds
+    v * (s_hi*ln(s_hi) - s_lo*ln(s_lo)) to the right side, so the slack of
+    a tail indicator is exactly 0.  A discrete measure reads f at its
+    atoms, step function or callable; a positive f at its top atom (zero
+    tail) makes the right side +inf (vacuous truth).
 
     General callables are monotonicity-checked on the quadrature grid and
-    fall back to the graded CDF-domain rule on both sides (documented
-    tolerance 1e-6 for bounded f; the rule itself does far better);
-    against discrete measures they stay exact.
+    fall back to the graded CDF-domain rule on both sides against a
+    known-CDF measure (documented tolerance 1e-6 for bounded f).
 
     So the lemma has one path for each input: "exact" for step functions
     and discrete measures, "quadrature" otherwise.  ``engine`` may force
@@ -341,17 +330,11 @@ def check_lemma_1d(
                          "measures, graded quadrature for callables against a factor measure)")
     method, note = "closed-form", ""
     if step and measure.factor is not None:
-        lhs = entropy(f, measure)
-        bounds = _piece_boundaries(f)
-        tails = [measure.tail(b) for b in bounds[:-1]] + [0.0]
-        rhs = math.fsum(
-            v * (xlnx(t_hi) - xlnx(t_lo))
-            for v, t_lo, t_hi in zip(f.values, tails, tails[1:])
-        )
+        lhs, rhs = _step_sides(f, measure)
     else:
         nodes, w = measure.rule()
         vals = f(nodes) if step else _check_monotone_callable(f, nodes)
-        lhs = entropy(f, measure) if step else _sample_entropy(vals, w)
+        lhs = _sample_entropy(vals, w)
         if measure.factor is None:
             rhs = _discrete_rhs(measure, vals)
         else:
@@ -415,11 +398,11 @@ def complement_indicator(body: ReinhardtBody | UnconditionalBody) -> MonotoneRad
     )
 
 
-def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=False):
+def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
     """Ent(g) against the right side of an inequality, both read off one
-    pass of three columns; ``layout`` gives the places of the means of
-    g ln g, of g and of the right side's integrand.  A g that breaks its
-    hypotheses gets the invalid-input report."""
+    pass of three columns in one order: g ln g, g and the right side's
+    integrand (``closed`` holds their exact means in that order).  A g
+    that breaks its hypotheses gets the invalid-input report."""
     if g.dim != n:
         raise ValueError(f"function dimension {g.dim} != n = {n}")
     bad = g.hypothesis_violations(rng_seed=engine.seed)
@@ -429,7 +412,6 @@ def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=Fa
             method="none",
             status="invalid-input", note="; ".join(bad),
         )
-    a, b, w = layout
 
     def run(e: Engine) -> Pass:
         return _integ.estimate(e, measure, columns, 3, closed, quadrature, "this g")
@@ -437,9 +419,9 @@ def _entropy_check(g, n, engine, measure, columns, closed, layout, quadrature=Fa
     def sides(est: Pass) -> tuple[float, float, float, float]:
         """lhs, rhs, slack and its error; Ent = A - B ln B from the means
         A of g ln g and B of g."""
-        A, B, W = (float(est.means[i]) for i in layout)
+        A, B, W = (float(m) for m in est.means)
         lhs, dlhs_dB = A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
-        return lhs, W, W - lhs, est.se({a: -1.0, b: -dlhs_dB, w: 1.0})
+        return lhs, W, W - lhs, est.se({0: -1.0, 1: -dlhs_dB, 2: 1.0})
 
     est = run(engine)
     verdict, note = _integ.certify(est, lambda p: sides(p)[2:], _integ.rechecks(engine, run))
@@ -480,7 +462,7 @@ def check_lemma_multidim(
         vals, u = g(r), fold_columns(np.add, r, f=factor.u)
         return np.stack([_np_xlnx(vals), vals, vals * (u - n)], axis=1)
 
-    return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed, (0, 1, 2),
+    return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed,
                           quadrature=True)
 
 
@@ -575,7 +557,7 @@ def check_subadditivity(
         raise ValueError(f"factor must be radial-mu or exponential-1d, got {factor!r}")
     body = g.complement_body
     forms = _integ.box_forms(body, FACTORS[factor])
-    closed = None if forms is None else [forms.slice_entropy, -0.0, 1.0 - forms.curve[0]]
+    closed = None if forms is None else [-0.0, 1.0 - forms.curve[0], forms.slice_entropy]
 
     def columns(r: np.ndarray) -> np.ndarray:
         if body is not None:
@@ -583,6 +565,6 @@ def check_subadditivity(
         else:
             slices = _slice_entropies_general(g, FACTORS[factor], r)
         vals = g(r)
-        return np.stack([slices, _np_xlnx(vals), vals], axis=1)
+        return np.stack([_np_xlnx(vals), vals, slices], axis=1)
 
-    return _entropy_check(g, n, engine, MeasureKind(factor, n), columns, closed, (1, 2, 0))
+    return _entropy_check(g, n, engine, MeasureKind(factor, n), columns, closed)

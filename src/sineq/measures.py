@@ -304,15 +304,13 @@ def cylinder_measure(R: float, n: int) -> float:
 
 
 def cylinder_second_moment(R: float, n: int) -> float:
-    """Integral of |z|^2 over the cylinder {|z_1| <= R} in C^n.
-
-    Closed form in the cylinder's measure m = 1 - exp(-R^2/2):
-
-        2*(1 - m)*ln(1 - m) + 2*n*m
-
-    with 0*ln 0 = 0 covering the full-space limit (value 2n there).
+    """Integral of |z|^2 over the cylinder {|z_1| <= R} in C^n: the weight
+    moment of the box (R, inf, ..., inf) by :func:`box_closed_forms`, the
+    disc's restricted weight in u = R^2/2 plus 2 per free coordinate times
+    the measure 1 - exp(-u) (2n for the full space).
     """
-    return RADIAL_FACTOR.comparison_moment(cylinder_measure(R, n), n)[0]
+    cylinder_measure(R, n)  # rejects R < 0 and n < 1
+    return box_closed_forms((R,) + (math.inf,) * (n - 1), RADIAL_FACTOR).moment
 
 
 def exp_strip_measure(p: float) -> float:
@@ -327,11 +325,12 @@ def exp_strip_measure(p: float) -> float:
 
 def exp_strip_first_moment(p: float, n: int) -> float:
     """Integral of |x|_1 over the strip {|x_1| <= p} under the n-fold
-    symmetric exponential measure:  n*(1 - exp(-p)) - p*exp(-p)."""
+    symmetric exponential measure, n*(1 - exp(-p)) - p*exp(-p), as the
+    weight moment of the box (p, inf, ..., inf) by :func:`box_closed_forms`."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    m = exp_strip_measure(p)
-    return float(n) if math.isinf(p) else n * m - p * EXP_FACTOR.tail(p)
+    exp_strip_measure(p)  # rejects p < 0
+    return box_closed_forms((p,) + (math.inf,) * (n - 1), EXP_FACTOR).moment
 
 
 def abs_moment_exponential(p: float) -> float:

@@ -11,7 +11,8 @@ are estimated on one shared sample stream, so their errors are positively
 correlated and the ratio is much tighter than the individual moments.
 The estimate is Monte Carlo only; its verdict comes from
 :func:`integrate.certify`.  The norm factories name their evaluators
-(``linf``, ``l1``, ``lp:P``, ``coord:K``), the names records carry; ``lp:P``
+(``linf``, ``l1``, ``lp:P``, ``coord:K``, and a gauge after its body's
+descriptor), one name per norm, and records carry that name; ``lp:P``
 is :func:`measures.lp_rows`, the kernel of the l_p ball gauges.
 """
 
@@ -81,22 +82,25 @@ def l1_norm() -> Callable[[np.ndarray], np.ndarray]:
 
 def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
     """(sum_k |x_k|^p)^(1/p) by :func:`measures.lp_rows`, homogeneous at
-    large p too; the max norm at p = inf."""
+    large p too; the max norm at p = inf.  Its name ``lp:P`` spells p by
+    its shortest repr less a trailing ``.0``: one name per exponent."""
     if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    return _named(f"lp:{p:g}", lambda x: lp_rows(np.abs(x), p, lambda rows: np.abs(x[rows])))
+    name = "lp:" + repr(float(p)).removesuffix(".0")
+    return _named(name, lambda x: lp_rows(np.abs(x), p, lambda rows: np.abs(x[rows])))
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
-    """Minkowski gauge of an unconditional body as a norm evaluator: the
-    body's own gauge at |x|.  A body without a gauge, or one unbounded
-    along some axis (its gauge vanishes there), raises ``ValueError``."""
+    """Minkowski gauge of an unconditional body as a norm evaluator, named
+    after the body's descriptor: the body's own gauge at |x|.  A body
+    without a gauge, or one unbounded along some axis (its gauge vanishes
+    there), raises ``ValueError``."""
     gauge = body.gauge
     if gauge is None:
         raise ValueError(f"body {body.descriptor()!r} has no gauge")
     if not (gauge(np.eye(body.dim)) > 0).all():
         raise ValueError("gauge of an unbounded body is not a norm")
-    return lambda x: gauge(np.abs(x))
+    return _named(f"gauge[{body.descriptor()}]", lambda x: gauge(np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,8 @@ def moment_ratio(
     """Estimate (E||x||^p)^(1/p) / (E||x||^q)^(1/q) on one stream and
     compare against C(p, q).
 
+    ``norm`` is an evaluator, recorded by ``norm_desc`` or else by its
+    ``__name__``, or a body standing for its :func:`gauge_norm`.
     The standard error of the ratio comes from the delta method on
     (log of) the two raw moments including their covariance.
     """
@@ -176,7 +182,6 @@ def moment_ratio(
     _check_exponents(p, q)
     measure = exponential(n)  # rejects n < 1 before the norm sees an empty array
     if isinstance(norm, UnconditionalBody):
-        norm_desc = norm_desc or f"gauge[{norm.descriptor()}]"
         if norm.dim != n:
             raise ValueError(f"norm body {norm.descriptor()!r} has dimension {norm.dim}, "
                              f"not n = {n}")

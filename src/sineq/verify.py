@@ -327,14 +327,6 @@ class DilationPoint:
     verdict: str
     note: str = ""  # how the verdict was certified; not part of the records
 
-    @property
-    def margin_sigmas(self) -> float:
-        """Margin in std_error units; +-inf on deterministic paths unless
-        the margin is itself zero."""
-        if self.margin_se > 0:
-            return self.margin / self.margin_se
-        return 0.0 if self.margin == 0 else math.copysign(math.inf, self.margin)
-
 
 @dataclass(frozen=True)
 class DilationReport:

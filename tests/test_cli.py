@@ -183,6 +183,16 @@ class TestMomentsCommand:
         assert {k: v for k, v in rec.items() if k != "norm"} == {
             k: v for k, v in linf.items() if k != "norm"}
 
+    @pytest.mark.parametrize("spellings, name", [
+        (["lp:3", "lp:3.0", "lp:03"], "lp:3"), (["coord", "coord:0"], "coord:0"),
+    ], ids=["lp3", "coord0"])
+    def test_one_norm_prints_one_name(self, capsys, spellings, name):
+        args = ("--n", "2", "--p", "2", "--q", "1", "--samples", "2000")
+        outs = [run_cli(capsys, "moments", "--norm", text, *args) for text in spellings]
+        assert [code for code, _ in outs] == [0] * len(spellings)
+        assert {out for _, out in outs} == {outs[0][1]}
+        assert parse_jsonl(outs[0][1])[0]["norm"] == name
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", ["50", "400", "1000"])
     def test_large_lp_exponent_holds(self, capsys, p):

@@ -26,6 +26,7 @@ from sineq.entropy import (
     inverse_tail,
 )
 from sineq.integrate import Engine
+from sineq.measures import xlnx
 
 HALF_LN2 = 0.34657359027997264  # -(1/2) ln(1/2)
 SQRT_2LN2 = 1.1774100225154747
@@ -115,7 +116,8 @@ class TestEntropy:
             f = random_step(rng)
             mu = random_measure(rng)
             c = float(rng.uniform(0.1, 10))
-            assert entropy(f.scaled(c), mu) == pytest.approx(
+            scaled = StepFunction(f.jumps, tuple(c * v for v in f.values))
+            assert entropy(scaled, mu) == pytest.approx(
                 c * entropy(f, mu), rel=1e-12, abs=1e-12
             )
 
@@ -185,6 +187,22 @@ class TestLemma1d:
         rep = check_lemma_1d(f, RADIAL)
         assert rep.lhs == pytest.approx(-s * math.log(s), abs=1e-12)
         assert rep.rhs == pytest.approx(rep.lhs, abs=1e-12)
+
+    @pytest.mark.parametrize("mu", [RADIAL, EXP1D], ids=["radial", "exponential"])
+    def test_tail_indicator_slack_is_exactly_zero(self, mu):
+        # both sides read the one tail s at a: Ent = -s ln s = the right side
+        for a in [k / 50 for k in range(1, 401)] + [10.0, 20.0, 30.0, 37.0]:
+            rep = check_lemma_1d(StepFunction.tail_indicator(a), mu)
+            assert rep.slack == 0.0, a
+            assert rep.lhs == -xlnx(mu.tail(a)), a
+
+    def test_discrete_measure_reads_the_atoms(self):
+        # a step function against atoms is the callable path: f at the atoms
+        mu = TailMeasure1D.discrete([0.0, 0.4, 1.0, 3.0], [0.3, 0.2, 0.3, 0.2])
+        f = StepFunction((0.5, 2.0), (0.0, 1.0, 2.0))
+        step, call = check_lemma_1d(f, mu), check_lemma_1d(lambda x: f(x), mu)
+        assert (step.lhs, step.rhs, step.method) == (call.lhs, call.rhs, call.method)
+        assert entropy(f, mu) == entropy(lambda x: f(x), mu) == step.lhs
 
     def test_constant_function(self):
         rep = check_lemma_1d(StepFunction((), (2.0,)), EXP1D)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ class TestExpStrip:
     def test_free_coordinate_identity(self, p, n):
         lhs = exp_strip_first_moment(p, n) - exp_strip_first_moment(p, 1)
         assert lhs == pytest.approx((n - 1) * exp_strip_measure(p), abs=1e-12)
+
+
+def _decimal_box_moment(a: float, n: int, d: int) -> Decimal:
+    """Weight moment of the box (a, inf, ..., inf) under the n-fold factor
+    of degree d, in 60-digit decimal: d (1 - (1+u) e^-u) for the bounded
+    coordinate plus d (1 - e^-u) for each free one, u = a^d / d."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = Decimal(a) ** d / d
+        e = (-u).exp()
+        return d * (1 - (1 + u) * e) + (n - 1) * d * (1 - e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_comparison_moments_against_decimal(n):
+    # written in u, the box form keeps its precision at small R and p, where
+    # a form in the measure m = 1 - exp(-u) cancels
+    worst = 0.0
+    for R in np.geomspace(0.01, 9.0, 200):
+        exact = _decimal_box_moment(float(R), n, 2)
+        worst = max(worst, abs(float((Decimal(cylinder_second_moment(R, n)) - exact) / exact)))
+    for p in np.geomspace(0.001, 50.0, 200):
+        exact = _decimal_box_moment(float(p), n, 1)
+        worst = max(worst, abs(float((Decimal(exp_strip_first_moment(p, n)) - exact) / exact)))
+    assert worst < 1e-11
 
 
 class TestAbsMomentExponential:

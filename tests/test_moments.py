@@ -199,7 +199,7 @@ class TestCertifiedRatio:
     def test_excursion_above_constant_is_rechecked(self):
         # the coordinate functional attains C(2, 1); at 2,000 samples, seed
         # 1459, the ratio reads 3.1 sigma above it and no recheck repeats that
-        # (seed found by tests/data/repin_contract_2.py)
+        # (seed found by `git show 0035a95:tests/data/repin_contract_2.py`)
         pair = moment_ratio(coordinate_norm(0), 2.0, 1.0, 1,
                             Engine(method="mc", samples=2000, seed=1459))
         assert (pair.bound - pair.ratio) / pair.ratio_se == pytest.approx(-3.14, abs=0.01)
@@ -230,7 +230,12 @@ def test_bad_input_raises(call, match):
 @pytest.mark.parametrize("make, name", [
     (linf_norm, "linf"), (l1_norm, "l1"), (lambda: lp_norm(3.0), "lp:3"),
     (lambda: lp_norm(math.inf), "lp:inf"), (lambda: coordinate_norm(1), "coord:1"),
-], ids=["linf", "l1", "lp3", "lpinf", "coord1"])
+    (lambda: lp_norm(2.0), "lp:2"), (lambda: lp_norm(2.0000001), "lp:2.0000001"),
+    (lambda: lp_norm(np.float64(3)), "lp:3"),
+    (lambda: gauge_norm(cross_polytope(1.5, 2)), "gauge[cross-polytope:scale=1.5,n=2]"),
+    (lambda: cross_polytope(1.5, 2), "gauge[cross-polytope:scale=1.5,n=2]"),
+], ids=["linf", "l1", "lp3", "lpinf", "coord1", "lp2", "lp2.0000001", "lp3-numpy",
+        "gauge", "body"])
 def test_records_name_the_factory_norms(make, name):
     engine = Engine(method="mc", samples=2000, seed=1)
     assert moment_ratio(make(), 2.0, 1.0, 2, engine).to_record()["norm"] == name
