@@ -28,11 +28,13 @@ draws the bits of ``radial-mu(n)`` and ``exponential(n)`` those of
 ``exponential-1d(n)``.  Contract 3 keeps those draws and reduces each
 block in sub-blocks of ``SUB`` rows: cross products are summed by numpy
 within a sub-block and exactly (``math.fsum``) across sub-blocks and
-blocks; column sums run on from one sub-block of a block to the next
-(numpy adds two or more columns row by row, so they are the sums of the
-whole block) and are summed exactly across blocks.  So contract 3 moved
-the covariances of passes longer than ``SUB`` rows in their last bits, and
-of the means only those of single-column passes.
+blocks; column sums run on from one sub-block of a block to the next and
+are summed exactly across blocks.  Columns are reduced C-ordered, whatever
+the caller's layout; two or more are summed row by row
+(``np.einsum("ij->j")``), so their sums are those of the whole block, and
+a single column pairwise (``sum``).  So contract 3 moved the covariances
+of passes longer than ``SUB`` rows in their last bits, and of the means
+only those of single-column passes.
 
 Estimation passes and verdicts
 ------------------------------
@@ -216,8 +218,8 @@ class Sublevels(NamedTuple):
         prods[:k, :k] = counts[np.minimum.outer(np.arange(k), np.arange(k))]
         prods[:k, k] = prods[k, :k] = below + [held.sum()] * (k - at)
         prods[k, k] = np.square(held).sum()
-        # the weight's sum runs on row by row, as numpy sums a column of a
-        # matrix of two or more
+        # the weight's sum runs on row by row, as SampleMoments sums two or
+        # more columns
         held[0] += carry[k]
         sums = np.append(carry[:k] + counts, np.cumsum(held, out=held)[-1])
         return len(self.rho), sums, prods
@@ -234,6 +236,10 @@ class SampleMoments:
     next; cross products are summed per sub-block.  ``finalize`` sums both
     over blocks and sub-blocks with ``math.fsum``, which is exact, so the
     result does not depend on scheduling.
+
+    Columns are reduced as a C-ordered copy when they are not C-ordered, so
+    no layout changes a bit.  Two or more columns are summed row by row by
+    ``np.einsum("ij->j")``; a single column keeps numpy's pairwise ``sum``.
     """
 
     def __init__(self, ncols: int):
@@ -246,14 +252,16 @@ class SampleMoments:
         if isinstance(cols, Sublevels):
             count, sums, prods = cols.moments(carry)
         else:
-            cols = np.asarray(cols, dtype=float)
+            cols = np.ascontiguousarray(cols, dtype=float)
             if cols.ndim != 2 or cols.shape[1] != self.ncols:
                 raise ValueError(f"expected (m, {self.ncols}) columns, got {cols.shape}")
             prods = cols.T @ cols
-            # numpy adds two or more columns row by row, so the block's sums
-            # so far, added into the first row, give the whole block's sums
+            # two or more columns are summed row by row, so the block's sums
+            # so far, added into the first row, give the whole block's sums;
+            # one column is summed pairwise
             cols[0] += carry
-            count, sums = cols.shape[0], cols.sum(axis=0)
+            count = cols.shape[0]
+            sums = np.einsum("ij->j", cols) if self.ncols > 1 else cols.sum(axis=0)
         self._sums[block] = sums
         self._parts.append((count, prods))
 

@@ -164,8 +164,9 @@ def body_statistics(
             return _integ.Sublevels(gauge(r), grid, measure.weight(r), idx1)
         out = np.empty((r.shape[0], len(grid) + 1))
         for i, t in enumerate(grid):
-            out[:, i] = body.base(r / t)
-        out[:, -1] = measure.weight(r) * out[:, idx1]
+            # a product, not an assignment: no cast into a strided column
+            np.multiply(body.base(r / t), 1.0, out=out[:, i])
+        np.multiply(measure.weight(r), out[:, idx1], out=out[:, -1])
         return out
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,

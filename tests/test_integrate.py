@@ -20,6 +20,7 @@ from sineq.bodies import (
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
+    validate_body,
 )
 from sineq.integrate import (
     CHUNK,
@@ -30,6 +31,7 @@ from sineq.integrate import (
     Pass,
     SAMPLING_CONTRACT,
     SUB,
+    SampleMoments,
     SampleStream,
     certify,
     chunk_indices,
@@ -206,6 +208,66 @@ class TestSubBlocks:
         blocks = [cols[:CHUNK].sum(axis=0), cols[CHUNK:].sum(axis=0)]
         sums = [math.fsum(b[j] for b in blocks) for j in range(cols.shape[1])]
         assert np.array_equal(stats.means, np.array(sums) / samples)
+
+
+class TestColumnSums:
+    """``SampleMoments`` sums two or more columns of a sub-block row by row
+    (``einsum``) and a single column pairwise (``sum``), whatever the
+    memory layout of the array it is handed."""
+
+    ROWS = [1, 2, 3, 8191, 8192, 8193, SUB - 1, SUB]
+
+    @staticmethod
+    def rowwise(c: np.ndarray) -> np.ndarray:
+        acc = c[0].copy()
+        for row in c[1:]:
+            acc += row
+        return acc
+
+    @staticmethod
+    def adversarial(rng, m: int, k: int) -> np.ndarray:
+        # rows scaled by 1e-8 .. 1e8 and a first row of 1e16, which swallows
+        # the low bits of every later row in a running sum
+        c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
+        c[0] = 1e16
+        return c
+
+    @staticmethod
+    def moments(k: int, *parts: np.ndarray):
+        acc = SampleMoments(k)
+        for part in parts:
+            acc.add_chunk(0, part)
+        return acc.finalize()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_two_or_more_columns_are_summed_row_by_row(self, k):
+        rng = np.random.default_rng(k)
+        for m in self.ROWS:
+            for c in (rng.random((m, k)), self.adversarial(rng, m, k)):
+                rows = self.rowwise(c)
+                assert np.einsum("ij->j", c).tobytes() == rows.tobytes()
+                assert c.sum(axis=0).tobytes() == rows.tobytes()
+                if m > 1:
+                    means = self.moments(k, c.copy())[1]
+                    assert means.tobytes() == (rows / m).tobytes()
+
+    def test_one_column_is_summed_pairwise(self):
+        c = self.adversarial(np.random.default_rng(1), SUB, 1)
+        pairwise = c.sum(axis=0)
+        assert pairwise.tobytes() != self.rowwise(c).tobytes()  # the two rules differ here
+        assert self.moments(1, c.copy())[1].tobytes() == (pairwise / SUB).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_layout_does_not_change_a_bit(self, k):
+        c = self.adversarial(np.random.default_rng(10 + k), 20_000, k)
+        wide = np.empty((c.shape[0], 2 * k))
+        wide[:, ::2] = c
+        n, means, cov = self.moments(k, c[:12_000].copy(), c[12_000:].copy())
+        for other in (np.asfortranarray(c), np.ascontiguousarray(c.T).T, wide[:, ::2]):
+            assert not other.flags.c_contiguous and np.array_equal(other, c)
+            got = self.moments(k, other[:12_000], other[12_000:])
+            assert got[0] == n
+            assert got[1].tobytes() == means.tobytes() and got[2].tobytes() == cov.tobytes()
 
 
 class TestMcMeasure:
@@ -463,6 +525,26 @@ class TestSamplingContract:
         digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
         assert digest == "e5ca7d8f67796d9e8340cacab8a33e514654bc3dbd751c5e94fd9360dafbee6e"
 
+    def test_column_pass_pinned(self):
+        # a validated custom shadow has no gauge, so its pass reduces the
+        # column matrix: two blocks, five sub-blocks
+        from sineq.verify import DEFAULT_T_GRID, body_statistics
+
+        body = validate_body(custom_reinhardt(
+            2, lambda r: (r * r).sum(axis=1) + r[:, 0] * r[:, 1] <= 2.25), rng_seed=3)
+        assert body.validated and body.gauge is None
+        stats = body_statistics(body, None, DEFAULT_T_GRID,
+                                Engine(method="mc", samples=150_000, seed=2026, stream=9))
+        assert stats.cov.shape == (6, 6)
+        digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
+        assert digest == "7c1b2dc31e0193ce538599b4270af29caded9dce33d1a34c21cb60a1eaa60e8b"
+
+    def test_moment_ratio_pass_pinned(self):
+        # two columns over two blocks, five sub-blocks
+        record = _golden_moments("linf", 3, samples=150_000)
+        assert _record_digest(record) == (
+            "2623a203adb599b194fd992b2143e9d20c0fa05a6375f0c1aa481dee122bb6bf")
+
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
     PINNED = {
         ("complex-gaussian", 2): (
@@ -525,14 +607,14 @@ def _golden_entropy(check, body, tag):
     return rep.to_record()
 
 
-def _golden_moments(norm, n):
+def _golden_moments(norm, n, samples=70_000):
     from sineq import moments
 
     make = {"linf": moments.linf_norm, "l1": moments.l1_norm,
             "lp:3": lambda: moments.lp_norm(3.0),
             "gauge": lambda: unconditional_lp_ball(2.5, n, 1.3, [0.8, 1.0, 1.2, 1.1][:n])}
     return moments.moment_ratio(make[norm](), 2.5, 0.75, n,
-                                Engine(method="mc", samples=70_000, seed=29)).to_record()
+                                Engine(method="mc", samples=samples, seed=29)).to_record()
 
 
 def _golden_statistics(body):

@@ -340,6 +340,30 @@ class TestBodyStatistics:
         assert bx.m == pytest.approx(w1 * w2, abs=1e-12)
 
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64], ids=lambda d: d.__name__)
+    def test_predicate_columns_do_not_depend_on_the_dtype(self, monkeypatch, dtype):
+        # a shadow may answer with 0/1 integers or floats instead of bools;
+        # the columns of a body without a gauge hold the same floats
+        columns = []
+        estimate = verify_module._integ.estimate
+
+        def kept(engine, measure, cols, *args, **kwargs):
+            columns.append(cols)
+            return estimate(engine, measure, cols, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module._integ, "estimate", kept)
+        shadow = lambda r: (r * r).sum(axis=1) + r[:, 0] * r[:, 1] <= 2.25  # noqa: E731
+        engine = Engine(method="mc", samples=40_000, seed=41)
+        ref = body_statistics(custom_reinhardt(2, shadow), None, DEFAULT_T_GRID, engine)
+        got = body_statistics(custom_reinhardt(2, lambda r: shadow(r).astype(dtype)), None,
+                              DEFAULT_T_GRID, engine)
+        r = np.random.default_rng(4).exponential(size=(5000, 2))
+        want = columns[0](r)
+        assert 0 < want[:, :-1].mean() < 1
+        assert columns[1](r).tobytes() == want.tobytes()
+        assert ref.means.tobytes() == got.means.tobytes()
+        assert ref.cov.tobytes() == got.cov.tobytes()
+
 class TestMarginSigmas:
     def test_deterministic_paths(self):
         rep = dilation_curve(cylinder_body(1.1, 2), t_grid=(1, 2), engine=EXACT)
