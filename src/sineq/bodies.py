@@ -229,7 +229,7 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
     w = np.asarray(weights, dtype=float)
 
     def gauge(m: np.ndarray) -> np.ndarray:
-        return lp_rows(w * m, exponent, lambda rows: w * m[rows]) / scale
+        return lp_rows(m, exponent, w) / scale
 
     if math.isinf(exponent):
         return {"gauge": gauge, "section": _box_geometry(scale / w)["section"]}

@@ -16,7 +16,10 @@ into blocks.  :func:`run_chunked` draws, evaluates and reduces each block
 ``SUB`` rows at a time, while the sub-block is still in cache, and
 :class:`SampleMoments` combines the sub-block partials exactly, which makes
 every estimate bit-identical across runs and across any degree of
-parallelism for equal ``(seed, samples)``.
+parallelism for equal ``(seed, samples)``.  The sub-blocks of a block
+longer than ``SUB`` rows are drawn into one buffer that is kept for the
+next block and the next run, so the points a ``columns`` callback gets are
+a view into a reused buffer, valid only for that call.
 
 What a block holds and how it is reduced is versioned by
 ``SAMPLING_CONTRACT``, which every record carries; a change to either
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
@@ -178,17 +182,30 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
 
 
 def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int,
-                start: int = 0) -> np.ndarray:
+                start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Rows ``[start, start + take)`` of coordinate radii of block ``block``
-    (``start + take <= CHUNK``): one uniform per coordinate through the
-    factor quantile.  The generator skips the ``start * n`` doubles before
-    them: a counter step per four, one draw per remaining one."""
+    (``0 <= start``, ``1 <= take``, ``start + take <= CHUNK``): one uniform
+    per coordinate through the factor quantile.  The generator skips the
+    ``start * n`` doubles before them: a counter step per four, one draw per
+    remaining one.  With ``out``, a C-contiguous float64 array of n columns
+    and at least ``take`` rows, the rows are written into its first ``take``
+    rows and that view is returned, with the bits of a fresh draw."""
+    if not (0 <= start and 1 <= take and start + take <= CHUNK):
+        raise ValueError(f"rows [{start}, {start + take}) are not rows of a "
+                         f"{CHUNK}-row block")
+    n = measure.n
+    if out is not None:
+        if not (out.dtype == np.float64 and out.flags.c_contiguous and out.ndim == 2
+                and out.shape[1] == n and out.shape[0] >= take):
+            raise ValueError(f"out must be a C-contiguous float64 array of {n} columns "
+                             f"and at least {take} rows")
+        out = out[:take]
     gen = stream.generator(block)
-    steps, rest = divmod(start * measure.n, 4)
+    steps, rest = divmod(start * n, 4)
     gen.bit_generator.advance(steps)
     if rest:
         gen.random(rest)
-    return measure.factor.quantile_in_place(gen.random((take, measure.n)))
+    return measure.factor.quantile_in_place(gen.random((take, n), out=out))
 
 
 class Sublevels(NamedTuple):
@@ -277,6 +294,28 @@ class SampleMoments:
         return n, mean, cov / n
 
 
+# At most one sub-block draw buffer is kept between blocks and runs: a
+# fresh (SUB, n) array per sub-block is handed back to the OS and faulted
+# in again by the next one.
+_spare: list[np.ndarray] = []
+_spare_lock = threading.Lock()
+
+
+def _take_buffer(size: int) -> np.ndarray:
+    """The spare draw buffer, or a new one when the spare is taken or has
+    fewer than ``size`` doubles."""
+    with _spare_lock:
+        flat = _spare.pop() if _spare else None
+    return np.empty(size) if flat is None or flat.size < size else flat
+
+
+def _keep_buffer(flat: np.ndarray) -> None:
+    """Keep ``flat`` as the spare unless another buffer already is one."""
+    with _spare_lock:
+        if not _spare:
+            _spare.append(flat)
+
+
 def run_chunked(
     measure: MeasureKind,
     samples: int,
@@ -289,15 +328,28 @@ def run_chunked(
     """Evaluate per-sample column vectors over ``samples`` reproducible
     draws and return (n, means, covariance of the means).  Each block is
     drawn, evaluated and reduced ``SUB`` rows at a time; workers take whole
-    blocks; fewer than 2 samples raise ``ValueError``."""
+    blocks; fewer than 2 samples raise ``ValueError``.
+
+    The points ``columns`` gets are a view into a reused buffer, valid only
+    for that call: a block of more than ``SUB`` rows draws all its
+    sub-blocks into one buffer, which the next block and the next run
+    reuse, so ``columns`` copies any points it keeps."""
     base = SampleStream(seed, stream)
     acc = SampleMoments(ncols)
 
     def work(block_take: tuple[int, int]) -> None:
         block, take = block_take
-        for start in range(0, take, SUB):
-            pts = draw_points(measure, base, block, min(SUB, take - start), start)
-            acc.add_chunk(block, columns(pts))
+        if take <= SUB:
+            acc.add_chunk(block, columns(draw_points(measure, base, block, take)))
+            return
+        flat = _take_buffer(SUB * measure.n)
+        buf = flat[:SUB * measure.n].reshape(SUB, measure.n)
+        try:
+            for start in range(0, take, SUB):
+                pts = draw_points(measure, base, block, min(SUB, take - start), start, buf)
+                acc.add_chunk(block, columns(pts))
+        finally:
+            _keep_buffer(flat)
 
     tasks = chunk_indices(samples)
     if workers > 1:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,29 +191,40 @@ def fold_columns(op, q: np.ndarray, skip: int | None = None, f=None) -> np.ndarr
     return out
 
 
-def lp_rows(a: np.ndarray, p: float, rows: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """(sum_k a_k^p)^(1/p) per row of the (m, n) array ``a`` >= 0, max_k a_k
-    at p = inf.  ``a`` is raised to the p-th power in place, so the caller
-    passes a fresh array; ``rows(index)`` rebuilds the rows ``index`` of it.
+def lp_rows(a: np.ndarray, p: float, w: np.ndarray | None = None) -> np.ndarray:
+    """(sum_k |w_k a_k|^p)^(1/p) per row of the (m, n) array ``a``, max_k
+    |w_k a_k| at p = inf, for weights ``w`` > 0, one per column (all 1 when
+    None).  ``a`` is only read: each column is weighted, raised to the p-th
+    power and folded in turn in one (m,) buffer, so no (m, n) temporary is
+    made.
 
     At large p the power sum s of a row can overflow or fall below the
     normal range, where the norm is not homogeneous; such a row with max M
-    in (0, inf) is recomputed from ``rows`` as M * (sum_k (a_k/M)^p)^(1/p),
-    and every other row keeps the bits of the plain formula."""
+    in (0, inf) is recomputed as M * (sum_k |w_k a_k / M|^p)^(1/p), and
+    every other row keeps the bits of the plain formula."""
+    s, t = np.zeros(a.shape[0]), np.empty(a.shape[0])
+    fold = np.maximum if math.isinf(p) else np.add
+    with np.errstate(over="ignore"):  # a power sum out of range is recomputed below
+        for k, c in enumerate(a.T):
+            col = t if k else s
+            np.abs(c if w is None else np.multiply(c, w[k], out=col), out=col)
+            if not math.isinf(p):
+                np.power(col, p, out=col)
+            if k:
+                fold(s, t, out=s)
     if math.isinf(p):
-        return fold_columns(np.maximum, a)
-    with np.errstate(over="ignore"):
-        s = fold_columns(np.add, np.power(a, p, out=a))
-    out = s ** (1.0 / p)
+        return s
     tiny = np.finfo(float).tiny
-    if not (s.min(initial=np.inf) >= tiny and s.max(initial=0.0) < np.inf):
-        redo = np.flatnonzero(~((s >= tiny) & (s < np.inf)))
-        b = rows(redo)
+    in_range = s.min(initial=np.inf) >= tiny and s.max(initial=0.0) < np.inf
+    redo = None if in_range else np.flatnonzero(~((s >= tiny) & (s < np.inf)))
+    s **= 1.0 / p  # in place, through the same scalar-exponent paths as s ** (1 / p)
+    if redo is not None:
+        b = np.abs(a[redo] if w is None else a[redo] * w)
         M = fold_columns(np.maximum, b)
         keep = (M > 0) & (M < np.inf)
         q = b[keep] / M[keep, None]
-        out[redo[keep]] = M[keep] * fold_columns(np.add, np.power(q, p, out=q)) ** (1.0 / p)
-    return out
+        s[redo[keep]] = M[keep] * fold_columns(np.add, np.power(q, p, out=q)) ** (1.0 / p)
+    return s
 
 
 @dataclass(frozen=True)

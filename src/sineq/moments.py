@@ -87,12 +87,14 @@ def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
     if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     name = "lp:" + repr(float(p)).removesuffix(".0")
-    return _named(name, lambda x: lp_rows(np.abs(x), p, lambda rows: np.abs(x[rows])))
+    return _named(name, lambda x: lp_rows(x, p))
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
     """Minkowski gauge of an unconditional body as a norm evaluator, named
-    after the body's descriptor: the body's own gauge at |x|.  A body
+    after the body's descriptor: the body's own gauge at a copy |x|, so
+    ``x`` is never written (the package's gauges only read their
+    input, and an l_p ball's makes no second copy).  A body
     without a gauge, or one unbounded along some axis (its gauge vanishes
     there), raises ``ValueError``."""
     gauge = body.gauge

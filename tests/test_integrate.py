@@ -40,6 +40,7 @@ from sineq.integrate import (
     mc_integral,
     mc_measure,
     record,
+    run_chunked,
     tensor_quadrature,
     tolerance,
 )
@@ -157,6 +158,86 @@ class TestTakeRows:
         for start, take in ((0, 10), (1, 7), (3, 999), (SUB, SUB), (CHUNK - 5, 5)):
             assert np.array_equal(draw_points(measure, stream, 5, take, start),
                                   whole[start:start + take])
+
+
+class TestDrawBuffer:
+    """``draw_points`` writes into an ``out`` array, and ``run_chunked``
+    draws the sub-blocks of a long block into one reused buffer."""
+
+    @pytest.mark.parametrize("start, take", [(0, CHUNK + 5), (CHUNK, 1), (-2, 3), (0, 0)],
+                             ids=["past-the-end", "start-at-end", "negative-start", "no-rows"])
+    def test_rows_outside_the_block_raise(self, start, take):
+        with pytest.raises(ValueError, match="are not rows of a"):
+            draw_points(exponential(2), SampleStream(1), 0, take, start)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((SUB, 2), dtype=np.float32),
+        np.empty((SUB, 2), order="F"),
+        np.empty((SUB, 4))[:, ::2],
+        np.empty((SUB, 3)),
+        np.empty((9, 2)),
+        np.empty(2 * SUB),
+    ], ids=["float32", "fortran", "strided", "columns", "rows", "flat"])
+    def test_a_bad_out_raises(self, out):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            draw_points(exponential(2), SampleStream(1), 0, 10, 0, out)
+
+    @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
+    def test_out_is_a_view_with_the_bits_of_a_fresh_draw(self, measure):
+        stream, buf = SampleStream(77, 3), np.full((SUB, measure.n), np.nan)
+        for take in (1, SUB - 1, SUB):
+            for start in (0, 3, SUB):
+                pts = draw_points(measure, stream, 5, take, start, out=buf)
+                assert pts.shape == (take, measure.n) and np.shares_memory(pts, buf)
+                assert np.array_equal(pts, draw_points(measure, stream, 5, take, start))
+
+    @staticmethod
+    def _seen(samples: int, workers: int = 1) -> tuple[list[np.ndarray], tuple]:
+        """The points each ``columns`` call got, and the run's result."""
+        seen = []
+
+        def columns(r: np.ndarray) -> np.ndarray:
+            seen.append(r)
+            return np.stack([r[:, 0], r.sum(axis=1)], axis=1)
+
+        return seen, run_chunked(exponential(3), samples, 13, 0, columns, 2, workers)
+
+    def test_columns_see_one_buffer_across_sub_blocks_and_runs(self):
+        # two full blocks of four sub-blocks and a last block of one
+        seen, _ = self._seen(2 * CHUNK + 5000)
+        assert [len(r) for r in seen] == [SUB] * 8 + [5000]
+        assert all(np.shares_memory(r, seen[0]) for r in seen[:8])
+        again, _ = self._seen(CHUNK)
+        assert np.shares_memory(again[0], seen[0])
+
+    def test_buffered_pass_has_the_bits_of_fresh_draws(self):
+        samples = 2 * CHUNK + 5000
+        r = draw(exponential(3), SampleStream(13), samples)
+        acc = SampleMoments(2)
+        for block, take in chunk_indices(samples):
+            for start in range(0, take, SUB):
+                rows = r[block * CHUNK + start:block * CHUNK + min(take, start + SUB)]
+                acc.add_chunk(block, np.stack([rows[:, 0], rows.sum(axis=1)], axis=1))
+        expected = acc.finalize()
+        for workers in (1, 2):
+            got = self._seen(samples, workers)[1]
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1]) and np.array_equal(got[2], expected[2])
+
+    def test_a_nested_run_gets_its_own_buffer(self):
+        outer, inner = [], []
+
+        def columns(r: np.ndarray) -> np.ndarray:
+            if not inner:
+                run_chunked(exponential(3), CHUNK, 14, 0,
+                            lambda q: inner.append(q) or q[:, :2].copy(), 2)
+            outer.append(r)
+            return np.stack([r[:, 0], r.sum(axis=1)], axis=1)
+
+        nested = run_chunked(exponential(3), CHUNK, 13, 0, columns, 2)
+        assert not any(np.shares_memory(q, r) for q in inner for r in outer)
+        plain = self._seen(CHUNK)[1]
+        assert all(np.array_equal(a, b) for a, b in zip(nested, plain))
 
 
 class TestSubBlocks:

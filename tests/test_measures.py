@@ -344,20 +344,29 @@ class TestRestrictedWeight:
 
 
 class TestLpRows:
-    def test_powers_in_place_and_rebuilds_only_the_rows_out_of_range(self):
+    def test_reads_its_input_and_recomputes_the_rows_out_of_range(self):
         # at p = 400, 10^p overflows and 0.1^p underflows to 0; 1.2^p and
         # 0.2^p stay normal and keep the bits of the plain formula
         x = np.array([[10.0, 1.0], [0.1, 0.1], [0.0, 0.0], [1.2, 0.2]])
-        a, asked = x.copy(), []
-
-        def rows(index):
-            asked.append(index.tolist())
-            return x[index]
-
-        out = lp_rows(a, 400.0, rows)
+        a = x.copy()
+        out = lp_rows(a, 400.0)
         assert out.tolist() == [10.0, 0.1 * 2.0 ** (1 / 400), 0.0,
                                 (1.2**400 + 0.2**400) ** (1 / 400)]
-        assert asked == [[0, 1, 2]] and a[3].tolist() == [1.2**400, 0.2**400]
+        assert np.array_equal(a, x)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, math.inf])
+    def test_weighted_columns_keep_the_bits_of_the_whole_array(self, p):
+        # one weighted column at a time gives the bits of weighting the
+        # whole array, raising it to the p-th power and folding its columns;
+        # signs do not count
+        a = np.random.default_rng(5).exponential(size=(999, 4)) * [1.0, 1e-3, 1e3, 1.0]
+        w = np.array([0.9, 1.0, 1.1, 1.2])
+        if math.isinf(p):
+            expected = fold_columns(np.maximum, w * a)
+        else:
+            expected = fold_columns(np.add, np.power(w * a, p)) ** (1.0 / p)
+        assert np.array_equal(lp_rows(a, p, w), expected)
+        assert np.array_equal(lp_rows(-a, p, w), expected)
 
 
 @pytest.mark.parametrize("call, match", [

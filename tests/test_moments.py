@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,62 @@ class TestGaugeNorm:
         ball = norm_ball(lambda x: (x**2).sum(axis=1), 1.0, 2)
         with pytest.raises(ValueError, match="not positively homogeneous"):
             moment_ratio(ball, 2.0, 1.0, 2, ENGINE)
+
+
+def _signed_points() -> np.ndarray:
+    """Rows with negative entries and -0.0, as a caller may pass them."""
+    x = np.random.default_rng(12).standard_normal((300, 4)) * 2
+    x[::7, 1] = -0.0
+    x[::11] = -0.0
+    return x
+
+
+NORMS = [lp_norm(3.0), lp_norm(1.0), lp_norm(math.inf), lp_norm(400.0), l1_norm(),
+         linf_norm(), coordinate_norm(2)]
+GAUGE_BODIES = [box_body([0.5, 1.5, 2.5, 3.0]),
+                unconditional_lp_ball(3.0, 4, 1.7, [0.9, 1.0, 1.1, 1.2]),
+                cross_polytope(1.5, 4), norm_ball(lp_norm(2.5), 1.3, 4)]
+
+
+class TestNoWrites:
+    """No norm or gauge writes its input; a gauge norm is the body's gauge
+    at |x| to the bit."""
+
+    @pytest.mark.parametrize("norm", NORMS, ids=lambda f: f.__name__)
+    def test_norm_leaves_its_input(self, norm):
+        x = _signed_points()
+        before = x.copy()
+        norm(x)
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("body", GAUGE_BODIES, ids=lambda b: b.kind)
+    def test_gauge_norm_is_the_gauge_at_abs_and_leaves_its_input(self, body):
+        x = _signed_points()
+        before = x.copy()
+        got = gauge_norm(body)(x)
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == body.gauge(np.abs(x)).tobytes()
+        radii = np.abs(x)
+        body.gauge(radii)
+        assert radii.tobytes() == np.abs(before).tobytes()
+
+
+def test_gauge_moment_ratio_allocation_is_pinned():
+    # a second pass over two blocks of a 4-dimensional l_p ball's gauge:
+    # the draws go into the retained sub-block buffer and the gauge folds
+    # one weighted column at a time, so no (SUB, n) array is made per
+    # sub-block but the gauge norm's |x|; drawing each sub-block fresh and
+    # weighting the whole array peaked at 3.5 MiB
+    norm = gauge_norm(unconditional_lp_ball(3.0, 4, 2.0, [0.9, 1.0, 1.1, 1.2]))
+    engine = Engine(method="mc", samples=262_000, seed=3)
+    moment_ratio(norm, 2.0, 1.0, 4, engine)
+    tracemalloc.start()
+    try:
+        moment_ratio(norm, 2.0, 1.0, 4, engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 class TestCertifiedRatio:
