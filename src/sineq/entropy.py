@@ -114,6 +114,8 @@ class StepFunction:
         object.__setattr__(self, "values", values)
         if len(values) != len(jumps) + 1:
             raise ValueError("need len(values) == len(jumps) + 1")
+        if not all(map(math.isfinite, jumps + values)):
+            raise ValueError("jump points and step values must be finite")
         if any(x < 0 for x in jumps) or any(b <= a for a, b in zip(jumps, jumps[1:])):
             raise ValueError("jump points must be nonnegative and strictly increasing")
         if any(v < 0 for v in values):
@@ -154,6 +156,8 @@ class TailMeasure1D:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("discrete measure needs at least one atom")
+        if not all(math.isfinite(x) for atom in atoms for x in atom):
+            raise ValueError("atom locations and masses must be finite")
         locs = [a for a, _ in atoms]
         if any(a < 0 for a in locs) or any(b <= a for a, b in zip(locs, locs[1:])):
             raise ValueError("atom locations must be nonnegative and distinct")
@@ -442,9 +446,11 @@ def check_lemma_multidim(
     for the exponential measure.
 
     Engines: "exact" (complement indicator of a coordinate-box body),
-    "quadrature" (tensor Gauss-Laguerre, n <= 4, smooth g only), "mc"
-    (shared-sample estimate of both sides with a delta-method standard
-    error for the slack).  "auto" picks exact when available, else mc.
+    "quadrature" (tensor Gauss-Laguerre, n <= 4, smooth g only: a g with a
+    ``complement_body`` is refused, since the rule errs on an indicator by
+    at least 1/(2*order)), "mc" (shared-sample estimate of both sides with
+    a delta-method standard error for the slack).  "auto" picks exact when
+    available, else mc.
     """
     engine = engine or Engine()
     if measure_tag not in ("complex-gaussian", "exponential"):
@@ -463,7 +469,7 @@ def check_lemma_multidim(
         return np.stack([_np_xlnx(vals), vals, vals * (u - n)], axis=1)
 
     return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed,
-                          quadrature=True)
+                          quadrature=g.complement_body is None)
 
 
 # ---------------------------------------------------------------------------

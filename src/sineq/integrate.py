@@ -43,7 +43,8 @@ Estimation passes and verdicts
 ------------------------------
 Every check reads its values off one :class:`Pass` (column means and
 their covariance) made by :func:`estimate`, the one rule for the engine
-paths.  :func:`certify` is the one verdict protocol: "holds" needs margin
+paths; its quadrature path is the one use of the tensor Gauss-Laguerre
+rule.  :func:`certify` is the one verdict protocol: "holds" needs margin
 >= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
 Monte Carlo margin below it is "violated" only when all three
 :func:`rechecks` passes reproduce it ("inconclusive" when they disagree).
@@ -149,12 +150,9 @@ class Engine:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        _check_order(self.order)
-
-
-def _check_order(order: int) -> None:
-    if not 2 <= order <= MAX_QUADRATURE_ORDER:
-        raise ValueError(f"quadrature order must be in [2, {MAX_QUADRATURE_ORDER}], got {order}")
+        if not 2 <= self.order <= MAX_QUADRATURE_ORDER:
+            raise ValueError(f"quadrature order must be in [2, {MAX_QUADRATURE_ORDER}], "
+                             f"got {self.order}")
 
 
 @dataclass
@@ -405,8 +403,9 @@ def estimate(engine: Engine, measure: MeasureKind,
     """The pass of ``engine`` over ``columns`` of ``measure``'s points.
     "auto" takes the exact column means ``closed`` when the caller has them
     and Monte Carlo otherwise; "quadrature" needs columns smooth in the
-    points of a factor measure (``quadrature``).  A path that does not
-    apply raises ``ValueError`` naming ``subject``."""
+    points (``quadrature``), n <= 4, and evaluates them once on the tensor
+    Gauss-Laguerre rule.  A path that does not apply raises ``ValueError``
+    naming ``subject``."""
     method = engine.method
     if method == "auto":
         method = "exact" if closed is not None else "mc"
@@ -418,9 +417,19 @@ def estimate(engine: Engine, measure: MeasureKind,
     if method == "quadrature":
         if not quadrature:
             raise ValueError(f"no quadrature path for {subject}")
-        wts, cols = _on_tensor_rule(columns, measure.n, engine.order, measure.factor.tag,
-                                    (ncols,))
-        # the weights' dot with each contiguous column, as tensor_quadrature takes it
+        n = measure.n
+        if n > 4:
+            raise ValueError(f"tensor quadrature supports 1 <= n <= 4, got {n}")
+        u, w = np.polynomial.laguerre.laggauss(engine.order)
+        axis = measure.factor.r(u)
+        pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        wts = functools.reduce(np.multiply.outer, [w] * n).ravel()
+        cols = np.asarray(columns(pts), dtype=float)
+        if cols.shape != (wts.size, ncols):
+            raise ValueError(f"integrand returned shape {cols.shape}, "
+                             f"expected {(wts.size, ncols)}")
+        require_finite(cols, "integrand", pts)
+        # each mean is the weights' dot with the contiguous column
         means = np.array([wts @ np.ascontiguousarray(cols[:, j]) for j in range(ncols)])
         return Pass(f"quadrature({engine.order})", engine.seed, engine.stream, wts.size,
                     means, np.zeros((ncols, ncols)))
@@ -573,7 +582,8 @@ def tensor_quadrature(
     measure: str = "radial-mu",
 ) -> Estimate:
     """Deterministic product quadrature for phase-invariant integrands on
-    the radius orthant [0, inf)^n.
+    the radius orthant [0, inf)^n, 1 <= n <= 4: the quadrature pass of
+    :func:`estimate` over the integrand as its one column.
 
     Per axis the substitution u = r^2/2 turns the radial factor measure
     into the unit-rate exponential, for which Gauss-Laguerre nodes of the
@@ -585,28 +595,8 @@ def tensor_quadrature(
     at least 1/order of the total weight, so use Monte Carlo when jumps
     matter (measured error 4.4e-2 at order 64 on a product indicator).
     """
-    wts, vals = _on_tensor_rule(integrand, n, order, measure)
-    return Estimate(float(wts @ vals), 0.0, f"quadrature({order})", wts.size)
-
-
-def _on_tensor_rule(f: Callable[[np.ndarray], np.ndarray], n: int, order: int, measure: str,
-                    width: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of the tensor rule of :func:`tensor_quadrature` and ``f``
-    on all its nodes, of shape (nodes,) + ``width``, checked finite."""
-    if n < 1 or n > 4:
-        raise ValueError(f"tensor quadrature supports 1 <= n <= 4, got {n}")
     if measure not in FACTORS:
         raise ValueError(f"unsupported quadrature measure {measure!r}")
-    _check_order(order)
-    u, w = np.polynomial.laguerre.laggauss(order)
-    axis = FACTORS[measure].r(u)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.ones(1)
-    for _ in range(n):
-        wts = np.outer(wts, w).ravel()
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],) + width:
-        raise ValueError(f"integrand returned shape {vals.shape}, "
-                         f"expected {(pts.shape[0],) + width}")
-    return wts, require_finite(vals, "integrand", pts)
+    p = estimate(Engine(method="quadrature", order=order), MeasureKind(measure, n),
+                 lambda r: np.column_stack([integrand(r)]), 1, quadrature=True)
+    return Estimate(float(p.means[0]), 0.0, p.method, p.samples)

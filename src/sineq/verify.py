@@ -546,6 +546,8 @@ def sweep(
     engine = engine or Engine()
     if count < 1:
         raise ValueError("count must be >= 1")
+    if len(dims) == 0:
+        raise ValueError("dims must name at least one dimension")
     rng = np.random.default_rng([engine.seed, 0x5EED])
     rows = []
     for i in range(count):

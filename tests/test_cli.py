@@ -331,7 +331,10 @@ class TestCertifiedExitCodes:
          "--engine", "quadrature"],
         ["moments", "--norm", "linf", "--n", "2", "--engine", "exact"],
         ["moments", "--norm", "linf", "--n", "2", "--engine", "quadrature"],
-    ], ids=["subadditivity-quadrature", "moments-exact", "moments-quadrature"])
+        ["entropy", "--lemma", "multidim", "--body", "cylinder:R=1,n=2",
+         "--engine", "quadrature"],
+    ], ids=["subadditivity-quadrature", "moments-exact", "moments-quadrature",
+            "multidim-indicator-quadrature"])
     def test_unsupported_path_exits_2(self, capsys, args):
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
@@ -506,6 +509,18 @@ class TestFailLoudly:
         err = self.assert_invalid(
             capsys, ["entropy", "--lemma", "1d", "--f", "step:0.6931:0,1", "--engine", engine])
         assert f"the 1-D entropy lemma has no {engine} path" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--f", "step:0.5:0,nan"],
+        ["--f", "step:0.5:0,inf"],
+        ["--f", "step:nan:0,1"],
+        ["--f", "step:0.5:0,1", "--tail-measure", "atoms:0@nan,1@1"],
+        ["--f", "step:0.5:0,1", "--tail-measure", "atoms:0@0.5,nan@0.5"],
+        ["--f", "step:0.5:0,1", "--tail-measure", "atoms:0@0.5,inf@0.5"],
+    ], ids=["nan-value", "inf-value", "nan-jump", "nan-mass", "nan-atom", "inf-atom"])
+    def test_1d_lemma_non_finite_input(self, capsys, extra):
+        err = self.assert_invalid(capsys, ["entropy", "--lemma", "1d", *extra])
+        assert "must be finite" in err
 
     @pytest.mark.parametrize("order", ["0", "1", "181"])
     def test_quadrature_order_outside_range(self, capsys, monkeypatch, order):

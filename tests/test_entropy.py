@@ -67,6 +67,11 @@ class TestStepFunction:
             StepFunction((1.0,), (-0.1, 0.5))  # negative
         with pytest.raises(ValueError):
             StepFunction((1.0,), (0.0, 1.0, 2.0))  # length mismatch
+        # NaN passes every comparison, and f is bounded with jumps in [0, inf)
+        for jumps, values in [((0.5,), (0.0, math.nan)), ((0.5,), (0.0, math.inf)),
+                              ((math.nan,), (0.0, 1.0)), ((math.inf,), (0.0, 1.0))]:
+            with pytest.raises(ValueError, match="must be finite"):
+                StepFunction(jumps, values)
 
     def test_evaluation(self):
         f = StepFunction((1.0, 2.0), (0.0, 1.0, 3.0))
@@ -81,8 +86,11 @@ class TestTailMeasure1D:
         (lambda: TailMeasure1D.discrete([], []), "at least one atom"),
         (lambda: TailMeasure1D.discrete([-1.0, 1.0], [0.5, 0.5]), "nonnegative and distinct"),
         (lambda: TailMeasure1D.discrete([0.0, 1.0], [0.5, 0.6]), "sum to 1"),
+        (lambda: TailMeasure1D.discrete([0.0, 1.0], [math.nan, 1.0]), "must be finite"),
+        (lambda: TailMeasure1D.discrete([0.0, math.nan], [0.5, 0.5]), "must be finite"),
+        (lambda: TailMeasure1D.discrete([0.0, math.inf], [0.5, 0.5]), "must be finite"),
     ], ids=["atoms-on-a-factor", "unknown-kind", "no-atom", "negative-location",
-            "masses-off-one"])
+            "masses-off-one", "nan-mass", "nan-location", "inf-location"])
     def test_bad_atoms_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -334,6 +342,10 @@ class TestLemmaMultidim:
         rep = check_lemma_multidim(g, 2, engine=Engine(method="quadrature", order=48))
         assert rep.status == "ok"
         assert rep.slack >= -1e-9
+        # the lhs, rhs and slack of the tensor rule, to the bit
+        assert (repr(rep.lhs), repr(rep.rhs), repr(rep.slack)) == (
+            "0.042988988024754815", "0.2037059902361199", "0.1607170022113651")
+        assert (rep.method, rep.samples) == ("quadrature(48)", 48**2)
 
     def test_quadrature_evaluates_g_once(self):
         nodes = []
@@ -479,6 +491,14 @@ class TestUnsupportedPaths:
         g = complement_indicator(polydisc([1.0, 1.3]))
         with pytest.raises(ValueError, match="quadrature"):
             check_subadditivity(g, 2, engine=Engine(method="quadrature"))
+
+    @pytest.mark.parametrize("body", [cylinder_body(1.0, 2), polydisc([1.0, 1.5])],
+                             ids=["cylinder", "polydisc"])
+    def test_multidim_refuses_quadrature_on_an_indicator(self, body):
+        # the tensor rule errs by >= 1/(2*order) on an indicator, far above DET_TOL
+        with pytest.raises(ValueError, match="no quadrature path for this g"):
+            check_lemma_multidim(complement_indicator(body), 2,
+                                 engine=Engine(method="quadrature"))
 
     def test_subadditivity_exact_needs_box(self):
         g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))

@@ -44,7 +44,7 @@ from sineq.integrate import (
     tensor_quadrature,
     tolerance,
 )
-from sineq.measures import MeasureKind, complex_gaussian, exponential
+from sineq.measures import FACTORS, MeasureKind, complex_gaussian, exponential
 
 SQRT_2LN2 = 1.1774100225154747
 N = 200_000
@@ -529,6 +529,14 @@ class TestTensorQuadrature:
         with pytest.raises(ValueError):
             tensor_quadrature(one, 2, order=9999)
 
+    def test_demo_values_to_the_bit(self):
+        # the two values demos/01 prints, as reprs
+        second = tensor_quadrature(lambda r: (r * r).sum(axis=1), 2, order=24)
+        damped = tensor_quadrature(lambda r: np.exp(-(r * r).sum(axis=1)), 2, order=24)
+        assert (repr(second.value), repr(damped.value)) == ("4.000000000000117",
+                                                            "0.11111111111109062")
+        assert (second.method, second.samples) == ("quadrature(24)", 24**2)
+
     def test_oracle_value_against_scipy(self):
         # smooth radial integrand cross-checked by adaptive quadrature
         oracle, _ = quad(lambda r: math.cos(r) * r * math.exp(-r * r / 2), 0, np.inf)
@@ -565,10 +573,18 @@ class TestEstimate:
                      quadrature=True)
         assert calls == [12**n]
         assert p.method == "quadrature(12)" and p.samples == 12**n
-        # each mean is the one-column quadrature of a contiguous copy, to the bit
-        per_column = [tensor_quadrature(lambda r, j=j: np.array(columns(r)[:, j]), n, 12, tag)
-                      for j in range(3)]
-        assert p.means.tolist() == [e.value for e in per_column]
+        # the tensor Gauss-Laguerre rule written out: laggauss nodes through
+        # the factor's r, outer-product weights, and each mean the weights'
+        # dot with the contiguous column, to the bit
+        u, w = np.polynomial.laguerre.laggauss(12)
+        axis = FACTORS[tag].r(u)
+        pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
+        wts = np.ones(1)
+        for _ in range(n):
+            wts = np.outer(wts, w).ravel()
+        cols = columns(pts)
+        assert p.means.tolist() == [float(wts @ np.ascontiguousarray(cols[:, j]))
+                                    for j in range(3)]
 
     def test_quadrature_pass_checks_the_columns(self):
         with pytest.raises(NonFiniteIntegrandError):

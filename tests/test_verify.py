@@ -314,6 +314,10 @@ class TestFullCheckAndSweep:
         with pytest.raises(ValueError):
             sweep("torus", 3, [2])
 
+    def test_sweep_without_dims_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            sweep("cube", 3, [])
+
 
 class TestBodyStatistics:
     def test_closed_matches_mc_covariances_sanity(self):
