@@ -119,7 +119,7 @@ class _RadialBody:
     kind: str
     params: dict
     base: RadialPredicate | None = field(default=None, repr=False)
-    validated: bool = True
+    validated: bool = False
     gauge: Gauge | None = field(default=None, repr=False)
     section: Section | None = field(default=None, repr=False)
     box: tuple[float, ...] | None = None
@@ -160,9 +160,9 @@ class _RadialBody:
 class ReinhardtBody(_RadialBody):
     """A complete Reinhardt set in C^n, represented by its radial shadow.
 
-    ``validated`` is False for custom shadows until
-    :func:`check_downward_closed` has passed (and for the demonstration
-    constructor :func:`annulus_body`, which deliberately leaves the class).
+    Only the class constructors, :func:`product`, ``dilate`` and
+    :func:`validate_body` grant ``validated``: custom shadows, hand-built
+    bodies and the deliberately out-of-class :func:`annulus_body` lack it.
     """
 
     measure_tag: ClassVar[str] = "complex-gaussian"
@@ -217,7 +217,7 @@ def _box_geometry(radii: Sequence[float]) -> dict:
                 for k, a_k in enumerate(a))
 
     return {"box": tuple(a.tolist()), "gauge": lambda m: fold_columns(np.maximum, divide(m)),
-            "section": section}
+            "section": section, "validated": True}
 
 
 def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
@@ -232,7 +232,7 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
         return lp_rows(m, exponent, w) / scale
 
     if math.isinf(exponent):
-        return {"gauge": gauge, "section": _box_geometry(scale / w)["section"]}
+        return {"gauge": gauge, "section": _box_geometry(scale / w)["section"], "validated": True}
     with np.errstate(over="ignore", under="ignore"):
         v, rhs = w, np.float64(scale) ** exponent
     if not np.finfo(float).tiny <= rhs < math.inf:
@@ -248,7 +248,7 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
             c = np.power(np.maximum(room, 0.0, out=room), 1.0 / exponent, out=room)
             yield np.divide(c, v_k, out=c), active
 
-    return {"gauge": gauge, "section": section}
+    return {"gauge": gauge, "section": section, "validated": True}
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +309,13 @@ def reinhardt_lp_ball(
 def custom_reinhardt(
     n: int, shadow: RadialPredicate, params: dict | None = None
 ) -> ReinhardtBody:
-    """Wrap a user shadow predicate; flagged unvalidated until
-    :func:`check_downward_closed` passes."""
+    """Wrap a user shadow predicate; unvalidated until :func:`validate_body`
+    passes, which a check runs itself unless it runs experimentally."""
     return ReinhardtBody(
         dim=_check_dim(n),
         kind="custom",
         params=params or {"n": n},
         base=shadow,
-        validated=False,
     )
 
 
@@ -332,7 +331,6 @@ def annulus_body(inner: float, outer: float) -> ReinhardtBody:
         kind="annulus",
         params={"inner": inner, "outer": outer},
         base=lambda m: (m[:, 0] >= inner) & (m[:, 0] <= outer),
-        validated=False,
     )
 
 
@@ -405,7 +403,6 @@ def norm_ball(
         dim=_check_dim(n),
         kind="norm-ball",
         params={"scale": scale, "n": n},
-        validated=False,
         gauge=gauge,
     )
 
@@ -599,6 +596,7 @@ _KEYS = {
     "box": {"a"}, "cross-polytope": {"scale", "n"}, "annulus": {"inner", "outer"},
     "weighted-lp-ball": {"p", "w", "scale"},
 }
+_REINHARDT_KINDS = {"cylinder", "polydisc", "annulus"}  # weighted-lp-ball is in both
 
 
 def _parse_params(text: str, keys: set[str], desc: str) -> dict[str, list[str]]:
@@ -631,12 +629,12 @@ def _one(params: dict, key: str, desc: str, cast=float, default=None):
 
 def parse_descriptor(text: str, family: str | None = None) -> _RadialBody:
     """Parse the documented ``kind:key=value,...`` text form; an unknown
-    kind, an unknown or repeated key, or a list where one value belongs
-    raises ``ValueError``.
+    kind, an unknown or repeated key, a list where one value belongs, or a
+    product whose parts mix the families raises ``ValueError``.
 
-    ``family`` ("reinhardt" or "unconditional") disambiguates kinds that
-    exist in both families (weighted-lp-ball, product); only an
-    unconditional weighted-lp-ball takes ``n``.
+    ``family`` ("reinhardt" or "unconditional") picks the family of kinds in
+    both (weighted-lp-ball, product) and refuses a kind of the other one;
+    only an unconditional weighted-lp-ball takes ``n``.
     """
     text = text.strip()
     if ":" not in text:
@@ -647,10 +645,16 @@ def parse_descriptor(text: str, family: str | None = None) -> _RadialBody:
         if not rest.startswith("parts="):
             raise ValueError(f"product descriptor must be product:parts=...: {text!r}")
         parts = [parse_descriptor(p, family) for p in rest[len("parts="):].split("|")]
+        if len({type(p) for p in parts}) > 1:
+            raise ValueError(f"descriptor {text!r} mixes Reinhardt and unconditional parts")
         return product(*parts)
     kind = "weighted-lp-ball" if kind == "lp-ball" else kind
     if kind not in _KEYS:
         raise ValueError(f"unknown body kind {kind!r} in descriptor {text!r}")
+    other = "unconditional" if kind in _REINHARDT_KINDS else "reinhardt"
+    if family == other and kind != "weighted-lp-ball":
+        need = "a Reinhardt" if family == "reinhardt" else "an unconditional"
+        raise ValueError(f"the {family} family needs {need} body, got {text!r}")
     unconditional_lp = kind == "weighted-lp-ball" and family == "unconditional"
     params = _parse_params(rest, _KEYS[kind] | ({"n"} if unconditional_lp else set()), text)
     if kind == "cylinder":

@@ -255,15 +255,15 @@ def entropy(
 @dataclass(frozen=True)
 class EntropyReport:
     """Both sides of an entropy inequality plus the verdict bookkeeping
-    (``verdict`` is "" on invalid input; ``verdict_note`` stays out of the
-    record).  ``samples`` is the pass's own count, 0 on a closed form."""
+    (``verdict_note`` stays out of the record).  ``status`` is always "ok"
+    (invalid input raises).  ``samples`` is the pass's own count, 0 on a closed form."""
 
     lhs: float
     rhs: float
     slack: float
     std_error: float
     method: str
-    status: str = "ok"  # ok | invalid-input
+    status: str = "ok"
     note: str = ""
     verdict: str = ""
     verdict_note: str = ""
@@ -271,7 +271,7 @@ class EntropyReport:
 
     @property
     def holds(self) -> bool:
-        return self.status == "ok" and self.verdict == "holds"
+        return self.verdict == "holds"
 
     def to_record(self) -> dict:
         return dict(_integ.record(self.lhs, self.std_error, self.rhs, self.slack, self.std_error,
@@ -406,16 +406,12 @@ def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
     """Ent(g) against the right side of an inequality, both read off one
     pass of three columns in one order: g ln g, g and the right side's
     integrand (``closed`` holds their exact means in that order).  A g
-    that breaks its hypotheses gets the invalid-input report."""
+    that breaks its hypotheses raises ``ValueError`` naming the problems."""
     if g.dim != n:
         raise ValueError(f"function dimension {g.dim} != n = {n}")
     bad = g.hypothesis_violations(rng_seed=engine.seed)
     if bad:
-        return EntropyReport(
-            lhs=math.nan, rhs=math.nan, slack=math.nan, std_error=0.0,
-            method="none",
-            status="invalid-input", note="; ".join(bad),
-        )
+        raise ValueError(f"invalid input for entropy check: {'; '.join(bad)}")
 
     def run(e: Engine) -> Pass:
         return _integ.estimate(e, measure, columns, 3, closed, quadrature, "this g")

@@ -44,7 +44,8 @@ Estimation passes and verdicts
 Every check reads its values off one :class:`Pass` (column means and
 their covariance) made by :func:`estimate`, the one rule for the engine
 paths; its quadrature path is the one use of the tensor Gauss-Laguerre
-rule.  :func:`certify` is the one verdict protocol: "holds" needs margin
+rule.  A NaN or inf column value, or a NaN gauge, aborts a pass (:func:`_evaluate`).
+:func:`certify` is the one verdict protocol: "holds" needs margin
 >= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
 Monte Carlo margin below it is "violated" only when all three
 :func:`rechecks` passes reproduce it ("inconclusive" when they disagree).
@@ -150,6 +151,8 @@ class Engine:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 2 <= self.order <= MAX_QUADRATURE_ORDER:
             raise ValueError(f"quadrature order must be in [2, {MAX_QUADRATURE_ORDER}], "
                              f"got {self.order}")
@@ -212,7 +215,7 @@ class Sublevels(NamedTuple):
     sets), then ``weight`` * 1[rho <= grid[at]].
 
     ``rho <= t`` is ``rho / t <= 1.0`` to the bit for finite t > 0, the
-    membership rule of a dilate, and a NaN gauge lies in no set."""
+    membership rule of a dilate; ``rho`` may be +inf, never NaN."""
 
     rho: np.ndarray
     grid: tuple[float, ...]
@@ -268,8 +271,6 @@ class SampleMoments:
             count, sums, prods = cols.moments(carry)
         else:
             cols = np.ascontiguousarray(cols, dtype=float)
-            if cols.ndim != 2 or cols.shape[1] != self.ncols:
-                raise ValueError(f"expected (m, {self.ncols}) columns, got {cols.shape}")
             prods = cols.T @ cols
             # two or more columns are summed row by row, so the block's sums
             # so far, added into the first row, give the whole block's sums;
@@ -338,14 +339,15 @@ def run_chunked(
     def work(block_take: tuple[int, int]) -> None:
         block, take = block_take
         if take <= SUB:
-            acc.add_chunk(block, columns(draw_points(measure, base, block, take)))
+            pts = draw_points(measure, base, block, take)
+            acc.add_chunk(block, _evaluate(columns, pts, ncols))
             return
         flat = _take_buffer(SUB * measure.n)
         buf = flat[:SUB * measure.n].reshape(SUB, measure.n)
         try:
             for start in range(0, take, SUB):
                 pts = draw_points(measure, base, block, min(SUB, take - start), start, buf)
-                acc.add_chunk(block, columns(pts))
+                acc.add_chunk(block, _evaluate(columns, pts, ncols))
         finally:
             _keep_buffer(flat)
 
@@ -357,6 +359,20 @@ def run_chunked(
         for task in tasks:
             work(task)
     return acc.finalize()
+
+
+def _evaluate(columns, points: np.ndarray, ncols: int):
+    """``columns(points)``, all finite (a gauge may be +inf), as (m, ncols) floats."""
+    cols = columns(points)
+    if isinstance(cols, Sublevels):
+        if np.isnan(cols.rho).any():  # +inf is a zero radius, NaN no value
+            require_finite(np.where(np.isnan(cols.rho), np.nan, 0.0), "gauge", points)
+        return cols
+    cols = np.asarray(cols, dtype=float)
+    cols = cols[:, None] if cols.ndim == 1 else cols
+    if cols.shape != (len(points), ncols):
+        raise ValueError(f"integrand returned shape {cols.shape}, expected {(len(points), ncols)}")
+    return require_finite(cols, "integrand", points)
 
 
 def check_pairing(body, measure: MeasureKind) -> None:
@@ -424,11 +440,7 @@ def estimate(engine: Engine, measure: MeasureKind,
         axis = measure.factor.r(u)
         pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
         wts = functools.reduce(np.multiply.outer, [w] * n).ravel()
-        cols = np.asarray(columns(pts), dtype=float)
-        if cols.shape != (wts.size, ncols):
-            raise ValueError(f"integrand returned shape {cols.shape}, "
-                             f"expected {(wts.size, ncols)}")
-        require_finite(cols, "integrand", pts)
+        cols = _evaluate(columns, pts, ncols)
         # each mean is the weights' dot with the contiguous column
         means = np.array([wts @ np.ascontiguousarray(cols[:, j]) for j in range(ncols)])
         return Pass(f"quadrature({engine.order})", engine.seed, engine.stream, wts.size,
@@ -519,7 +531,7 @@ def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
     mean with binomial standard error."""
     forms = box_forms(body, measure.factor)
     check_pairing(body, measure)
-    p = estimate(engine, measure, lambda r: body.base(r)[:, None].astype(float), 1,
+    p = estimate(engine, measure, body.base, 1,
                  None if forms is None else forms.curve,
                  subject=f"the measure of {body.descriptor()!r}")
     m = float(p.means[0])
@@ -555,8 +567,8 @@ def mc_integral(
     The integrand takes an (m, n) array of coordinate radii, |z_k| or
     |x_k|, the draws of ``measure``; the integrands this serves depend on
     the points through their radii only.  It is evaluated only on rows
-    inside the restriction, and any non-finite value there aborts with a
-    diagnostic.
+    inside the restriction; the pass aborts on any non-finite value with
+    :class:`NonFiniteIntegrandError` naming its point.
     """
     if measure is None:
         raise ValueError("measure kind is required")
@@ -568,7 +580,7 @@ def mc_integral(
         inside = np.ones(r.shape[0], dtype=bool) if body is None else body.base(r)
         if inside.any():
             vals[inside] = np.asarray(integrand(r[inside]), dtype=float)
-        return require_finite(vals, "integrand", r)[:, None]
+        return vals
 
     engine = Engine(method="mc", samples=samples, seed=seed, stream=stream, workers=workers)
     p = estimate(engine, measure, columns, 1)
@@ -598,5 +610,5 @@ def tensor_quadrature(
     if measure not in FACTORS:
         raise ValueError(f"unsupported quadrature measure {measure!r}")
     p = estimate(Engine(method="quadrature", order=order), MeasureKind(measure, n),
-                 lambda r: np.column_stack([integrand(r)]), 1, quadrature=True)
+                 integrand, 1, quadrature=True)
     return Estimate(float(p.means[0]), 0.0, p.method, p.samples)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import integrate as _integ
-from .bodies import UnconditionalBody, require_finite
+from .bodies import UnconditionalBody
 from .integrate import Engine, Estimate, Pass
 from .measures import abs_moment_exponential, exponential, fold_columns, lp_rows
 
@@ -195,7 +195,7 @@ def moment_ratio(
 
     def columns(x: np.ndarray) -> np.ndarray:
         # the draws are |x|; the contract check made the norm sign-invariant
-        v = require_finite(np.asarray(norm(x), dtype=float), "norm", x)
+        v = np.asarray(norm(x), dtype=float)
         return np.stack([v**p, v**q], axis=1)
 
     def run(e: Engine) -> Pass:

@@ -30,7 +30,8 @@ estimated once on the full grid and shared by the criteria and every curve
 point, so a ``full_check`` runs at most 3 extra passes however many of its
 checks fail; each report keeps the protocol's note.  The curve point t = 1
 is the calibration itself: its reference is the body's measure and its
-margin is 0 exactly.
+margin is 0 exactly.  Every check validates an unvalidated body at the
+engine's seed, and refuses one outside its class, unless ``experimental``.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def _default_measure(body) -> MeasureKind:
     return MeasureKind(body.measure_tag, body.dim)
 
 
-def _require_validated(body, experimental: bool) -> None:
+def _in_class(body, engine: Engine, experimental: bool):
+    """``body`` if validated or ``experimental``, else its validated copy."""
     if body.validated or experimental:
-        return
-    raise ValueError(
-        f"body {body.descriptor()!r} is not validated for its class; "
-        "run the closure/convexity checks or pass experimental=True "
-        "(no correctness promise outside the supported classes)"
-    )
+        return body
+    try:
+        return _b.validate_body(body, rng_seed=engine.seed)
+    except ValueError as e:
+        raise ValueError(f"{e}; pass experimental=True (--experimental) to check it anyway") from e
 
 
 @dataclass(frozen=True)
@@ -272,9 +273,9 @@ def _criterion_report(stats: BodyStats, rechecks: Rechecks, criterion: str) -> C
 
 def _check_criterion(body, engine, stats, experimental, criterion, family=object):
     engine = engine or Engine()
-    _require_validated(body, experimental)
     if not isinstance(body, family):
         raise TypeError(f"the {criterion} criterion applies to {family.__name__} bodies")
+    body = _in_class(body, engine, experimental)
     stats = stats or body_statistics(body, None, (), engine)
     return _criterion_report(stats, _rechecks(body, stats, engine), criterion)
 
@@ -296,7 +297,7 @@ def check_moment_criterion_gaussian(
     experimental: bool = False,
 ) -> CriterionReport:
     """Second-moment form: the |z|^2 mass of K must not exceed
-    2n*m + 2(1-m)ln(1-m) at m = measure(K)."""
+    2n*m + 2(1-m)ln(1-m) at m = measure(K); ``experimental`` as in :func:`full_check`."""
     return _check_criterion(body, engine, stats, experimental, "gaussian-moment", ReinhardtBody)
 
 
@@ -307,7 +308,7 @@ def check_moment_criterion_exponential(
     experimental: bool = False,
 ) -> CriterionReport:
     """First-moment form under the exponential measure, with the
-    complement-indicator entropy reformulation attached."""
+    complement-indicator entropy form attached; ``experimental`` as in :func:`full_check`."""
     return _check_criterion(body, engine, stats, experimental, "exponential-moment",
                             UnconditionalBody)
 
@@ -376,10 +377,10 @@ def dilation_curve(
 
     For t >= 1 the body curve must dominate the reference; for t < 1 the
     reversed inequality is required (derived behavior for the complex
-    case, flagged in the report note).
+    case, flagged in the report note).  ``experimental`` skips the class check.
     """
     engine = engine or Engine()
-    _require_validated(body, experimental)
+    body = _in_class(body, engine, experimental)
     stats = stats or body_statistics(body, measure, t_grid, engine)
     return _curve_report(stats, _rechecks(body, stats, engine))
 
@@ -472,9 +473,9 @@ def full_check(
 ) -> FullCheckReport:
     """Derivative criterion, moment criterion and dilation curve from one
     shared estimation pass; a Monte Carlo violation costs at most 3 shared
-    recheck passes."""
+    recheck passes.  ``experimental`` skips the class check of the body."""
     engine = engine or Engine()
-    _require_validated(body, experimental)
+    body = _in_class(body, engine, experimental)
     stats = body_statistics(body, None, t_grid, engine)
     rechecks = _rechecks(body, stats, engine)
     deriv = _criterion_report(stats, rechecks, "derivative")

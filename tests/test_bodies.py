@@ -362,6 +362,20 @@ class TestDescriptors:
         with pytest.raises(ValueError, match=message):
             parse_descriptor(text, family)
 
+    @pytest.mark.parametrize("text, family, message", [
+        ("polydisc:r=1", "unconditional",
+         "^the unconditional family needs an unconditional body, got 'polydisc:r=1'$"),
+        ("box:a=1,2", "reinhardt",
+         "^the reinhardt family needs a Reinhardt body, got 'box:a=1,2'$"),
+        ("product:parts=polydisc:r=1|strip:p=1", "reinhardt", "got 'strip:p=1'$"),
+        ("product:parts=polydisc:r=1|strip:p=1", None, "mixes Reinhardt and unconditional parts"),
+        ("product:parts=strip:p=1|lp-ball:p=2,w=1", None, "mixes Reinhardt and unconditional"),
+    ], ids=["reinhardt-kind", "unconditional-kind", "product-part", "mixed-product",
+            "mixed-product-lp"])
+    def test_kind_of_the_other_family_rejected(self, text, family, message):
+        with pytest.raises(ValueError, match=message):
+            parse_descriptor(text, family)
+
     def test_other_familys_key_rejected(self):
         text = "weighted-lp-ball:p=3,n=2,scale=1.2,w=1,0.5"
         with pytest.raises(ValueError, match="key 'n' unknown"):

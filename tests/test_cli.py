@@ -522,6 +522,30 @@ class TestFailLoudly:
         err = self.assert_invalid(capsys, ["entropy", "--lemma", "1d", *extra])
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--body", "product:parts=polydisc:r=1|strip:p=1"],
+         "needs a Reinhardt body, got 'strip:p=1'"),
+        (["moments", "--norm", "body:polydisc:r=1,2", "--n", "2"],
+         "needs an unconditional body, got 'polydisc:r=1,2'"),
+    ], ids=["verify-mixed-product", "moments-reinhardt-norm-body"])
+    def test_body_of_the_other_family(self, capsys, argv, message):
+        assert message in self.assert_invalid(capsys, argv)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--body", "polydisc:r=1,1", "--samples", "1000"],
+        ["verify", "--body", "polydisc:r=1,1", "--engine", "mc", "--samples", "1000"],
+        ["verify", "--body", "annulus:inner=1,outer=2"],
+        ["entropy", "--lemma", "multidim", "--body", "polydisc:r=1,1.5", "--engine", "mc",
+         "--samples", "1000"],
+        ["moments", "--samples", "1000"],
+        ["fuzz", "--count", "1", "--samples", "1000"],
+    ], ids=["measure", "verify", "verify-annulus", "entropy-multidim", "moments", "fuzz"])
+    def test_seed_outside_64_bits(self, capsys, argv, seed):
+        # a seed is a Philox key word: -1 and 2**64 would alias other seeds
+        err = self.assert_invalid(capsys, argv + ["--seed", seed])
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
     @pytest.mark.parametrize("order", ["0", "1", "181"])
     def test_quadrature_order_outside_range(self, capsys, monkeypatch, order):
         def never(args):

@@ -25,7 +25,7 @@ from sineq.entropy import (
     entropy,
     inverse_tail,
 )
-from sineq.integrate import Engine
+from sineq.integrate import Engine, NonFiniteIntegrandError
 from sineq.measures import xlnx
 
 HALF_LN2 = 0.34657359027997264  # -(1/2) ln(1/2)
@@ -361,16 +361,15 @@ class TestLemmaMultidim:
 
     def test_invalid_hypothesis_reported(self):
         g = MonotoneRadialFunction(2, 1.0, lambda r: np.exp(-r.sum(axis=1)))
-        rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
-        assert rep.status == "invalid-input"
-        assert "decreasing" in rep.note
+        with pytest.raises(ValueError, match="^invalid input for entropy check: decreasing"):
+            check_lemma_multidim(g, 2, engine=Engine(samples=1000))
 
     @pytest.mark.parametrize("value, problem", [(-0.5, "negative values sampled"),
                                                 (2.0, "declared bound exceeded")])
     def test_g_outside_its_range_reported(self, value, problem):
         g = MonotoneRadialFunction(2, 1.0, lambda r: np.full(r.shape[0], value))
-        rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
-        assert (rep.status, rep.note, rep.verdict) == ("invalid-input", problem, "")
+        with pytest.raises(ValueError, match=f"^invalid input for entropy check: {problem}$"):
+            check_lemma_multidim(g, 2, engine=Engine(samples=1000))
 
     def test_exact_needs_box_body(self):
         g = complement_indicator(reinhardt_lp_ball([1.0, 1.0], 2.0, 1.5))
@@ -481,9 +480,27 @@ class TestCertifiedEntropyVerdicts:
             assert (rep.verdict, rep.verdict_note) == ("holds", "")
 
     def test_invalid_input_has_no_verdict(self):
+        # a g that breaks its hypotheses gets no report, so no verdict
         g = MonotoneRadialFunction(2, 1.0, lambda r: np.exp(-r.sum(axis=1)))
-        rep = check_lemma_multidim(g, 2, engine=Engine(samples=1000))
-        assert (rep.status, rep.verdict, rep.holds) == ("invalid-input", "", False)
+        for check in (check_lemma_multidim, check_subadditivity):
+            with pytest.raises(ValueError, match="decreasing along a coordinatewise increase"):
+                check(g, 2, engine=Engine(samples=1000))
+
+
+class TestNonFiniteG:
+    def test_nan_g_aborts_on_every_path(self):
+        # NaN beyond |r|_1 = 6 passes the sampled hypothesis checks, which
+        # compare values; the pass then names the NaN and its point
+        def nan_far_out(r):
+            return np.where(r.sum(axis=1) > 6, np.nan, np.minimum(1, 0.1 * r.sum(axis=1)))
+
+        g = MonotoneRadialFunction(2, 1.0, nan_far_out)
+        mc, quadrature = Engine(method="mc", samples=20_000), Engine(method="quadrature")
+        for run in (lambda: check_lemma_multidim(g, 2, engine=mc),
+                    lambda: check_subadditivity(g, 2, engine=mc),
+                    lambda: check_lemma_multidim(g, 2, engine=quadrature)):
+            with pytest.raises(NonFiniteIntegrandError, match=r"^integrand returned nan at \[\d"):
+                run()
 
 
 class TestUnsupportedPaths:

@@ -901,8 +901,10 @@ class TestRecord:
     (lambda: tensor_quadrature(lambda r: r[:, 0], 1, 8, "gaussian"),
      "unsupported quadrature measure"),
     (lambda: tensor_quadrature(lambda r: r, 2, 8), r"integrand returned shape \(64, 2\)"),
+    (lambda: Engine(seed=-1), r"seed must be in \[0, 2\*\*64\), got -1"),
+    (lambda: Engine(seed=2**64), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
 ], ids=["engine-method", "integral-without-measure", "quadrature-measure",
-        "quadrature-integrand-shape"])
+        "quadrature-integrand-shape", "negative-seed", "seed-past-64-bits"])
 def test_bad_input_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sineq import bodies as bodies_module
 from sineq import verify as verify_module
 from sineq.bodies import (
     ReinhardtBody,
@@ -17,8 +18,11 @@ from sineq.bodies import (
     cylinder_body,
     norm_ball,
     polydisc,
+    product,
     reinhardt_lp_ball,
     strip_body,
+    unconditional_lp_ball,
+    validate_body,
 )
 from sineq.integrate import DET_TOL, Engine, NonFiniteIntegrandError, recheck_stream
 from sineq.measures import (
@@ -439,6 +443,70 @@ class TestNonFiniteNorm:
         ball = norm_ball(lambda m: np.full(m.shape[0], np.nan), 1.0, 2)
         with pytest.raises(NonFiniteIntegrandError):
             full_check(ball, Engine(method="mc", samples=20_000), experimental=True)
+
+
+class TestClassRefusal:
+    """A check validates an unvalidated body itself, unless it runs
+    experimentally, and refuses one outside its class."""
+
+    MC = Engine(method="mc", samples=20_000, seed=7)
+
+    def test_hand_built_upward_set_refused(self):
+        upward = ReinhardtBody(dim=1, kind="custom", params={"n": 1},
+                               base=lambda m: m[:, 0] >= 1.0)
+        assert not upward.validated
+        for check in (full_check, dilation_curve, check_derivative_criterion,
+                      check_moment_criterion_gaussian):
+            with pytest.raises(ValueError, match=r"^body 'custom:n=1' is not a complete Reinhardt "
+                                                 r"set \(downward-closure violation: .*\); pass "
+                                                 r"experimental=True \(--experimental\) to check"):
+                check(upward, self.MC)
+        rep = full_check(upward, self.MC, experimental=True)
+        assert rep.verdict == "violated"
+
+    def test_valid_custom_shadow_runs_without_experimental(self):
+        shadow = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.5)
+        assert not shadow.validated
+        rep = full_check(shadow, self.MC)
+        assert rep.verdict == "holds"
+        assert rep.to_records() == full_check(shadow, self.MC, experimental=True).to_records()
+
+    def test_only_an_unvalidated_body_is_validated(self, monkeypatch):
+        calls = []
+
+        def counted(body, *args, **kwargs):
+            calls.append(body.descriptor())
+            return validate_body(body, *args, **kwargs)
+
+        monkeypatch.setattr(bodies_module, "validate_body", counted)
+        constructed = [
+            polydisc([1.0, 1.5]), cylinder_body(1.0, 2), reinhardt_lp_ball([1.0, 0.7], 0.8, 1.5),
+            reinhardt_lp_ball([1.0, 2.0], math.inf),
+            product(polydisc([1.0]), cylinder_body(0.5, 1)), polydisc([1.0, 2.0]).dilate(1.5),
+            strip_body(0.7, 2), cube_body(1.0, 2), box_body([0.5, 1.5]),
+            unconditional_lp_ball(3.0, 2, 1.2), cross_polytope(1.5, 2),
+        ]
+        engine = Engine(method="mc", samples=5000, seed=3)
+        for body in constructed:
+            assert body.validated
+            assert full_check(body, engine).verdict == "holds"
+        assert calls == []
+        full_check(custom_reinhardt(2, lambda r: r.max(axis=1) <= 1.0), engine)
+        assert calls == ["custom:n=2"]
+
+
+class TestNonFiniteGauge:
+    def test_nan_gauge_aborts_and_names_its_point(self):
+        engine = Engine(method="mc", samples=20_000, seed=7)
+        for gauge in (lambda m: np.full(m.shape[0], np.nan),
+                      lambda m: np.where(m[:, 0] > 0.5, np.nan, m[:, 0])):
+            body = ReinhardtBody(dim=1, kind="custom", params={"n": 1}, gauge=gauge)
+            with pytest.raises(NonFiniteIntegrandError, match=r"^gauge returned nan at \[\d"):
+                full_check(body, engine)
+        # +inf is the gauge of a zero radius wherever that coordinate is not 0
+        body = polydisc([1.0, 0.0])
+        assert body.gauge(np.ones((1, 2))).tolist() == [math.inf]
+        assert full_check(body, engine).derivative.note == "degenerate: measure 0"
 
 
 class TestRecheckStreams:
