@@ -558,9 +558,13 @@ def validate_body(body: _RadialBody, samples: int = 5000, rng_seed: int = 0):
     Custom shadows stay unvalidated until this passes, since the dilation
     comparisons are only guaranteed on the supported classes.  The checks
     are downward closure and, for unconditional bodies, midpoint convexity;
-    ``contains`` reads |z_k| or |x_k|, so invariance needs no check.
+    ``contains`` reads |z_k| or |x_k|, so invariance needs no check.  An
+    unvalidated body whose descriptor parses in its family must also agree
+    with the parsed body on the sampled points, so that its records name it.
     """
     unconditional = isinstance(body, UnconditionalBody)
+    if not body.validated:
+        _check_named(body, "unconditional" if unconditional else "reinhardt", samples, rng_seed)
     report = check_downward_closed(body, samples, rng_seed)
     if not report.ok:
         problem = (f"downward-closure violation: member {report.violation[0]} "
@@ -571,6 +575,26 @@ def validate_body(body: _RadialBody, samples: int = 5000, rng_seed: int = 0):
         return replace(body, validated=True)
     family = "an unconditional convex body" if unconditional else "a complete Reinhardt set"
     raise ValueError(f"body {body.descriptor()!r} is not {family} ({problem})")
+
+
+def _check_named(body: _RadialBody, family: str, samples: int, rng_seed: int) -> None:
+    """Raise unless ``body`` has the membership, on the points that
+    :func:`check_downward_closed` samples, of the body its descriptor
+    parses to in ``family``; a descriptor that does not parse names none."""
+    desc = body.descriptor()
+    try:
+        named = parse_descriptor(desc, family)
+    except ValueError:
+        return
+    r = _orthant_cloud(np.random.default_rng(rng_seed), samples, body.dim)
+    if named.dim != body.dim:
+        problem = f"dimension {named.dim}, not {body.dim}"
+    else:
+        differ = np.nonzero(named.radial_member(r) != body.radial_member(r))[0]
+        if differ.size == 0:
+            return
+        problem = f"membership differs at {tuple(r[differ[0]].tolist())}"
+    raise ValueError(f"body {desc!r} is not the body its descriptor names ({problem})")
 
 
 def check_midpoint_convex(

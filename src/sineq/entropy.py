@@ -375,13 +375,17 @@ class MonotoneRadialFunction:
         return np.asarray(self.evaluator(np.asarray(r, dtype=float)), dtype=float)
 
     def hypothesis_violations(self, samples: int = 1000, rng_seed: int = 0) -> list[str]:
-        """Sampled check of boundedness, nonnegativity and coordinatewise
-        monotonicity (predicates are black boxes, so this is probabilistic)."""
+        """Sampled check of finiteness, boundedness, nonnegativity and
+        coordinatewise monotonicity (predicates are black boxes, so this is
+        probabilistic); a NaN fails every comparison, so finiteness is its
+        own check."""
         rng = np.random.default_rng(rng_seed)
         lo = rng.exponential(size=(samples, self.dim))
         hi = lo + rng.exponential(size=(samples, self.dim))
         g_lo, g_hi = self(lo), self(hi)
         bad: list[str] = []
+        if not (np.isfinite(g_lo).all() and np.isfinite(g_hi).all()):
+            bad.append("non-finite values sampled")
         if (g_lo < -1e-12).any() or (g_hi < -1e-12).any():
             bad.append("negative values sampled")
         if (g_lo > self.bound + 1e-9).any() or (g_hi > self.bound + 1e-9).any():
@@ -413,9 +417,6 @@ def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
     if bad:
         raise ValueError(f"invalid input for entropy check: {'; '.join(bad)}")
 
-    def run(e: Engine) -> Pass:
-        return _integ.estimate(e, measure, columns, 3, closed, quadrature, "this g")
-
     def sides(est: Pass) -> tuple[float, float, float, float]:
         """lhs, rhs, slack and its error; Ent = A - B ln B from the means
         A of g ln g and B of g."""
@@ -423,8 +424,8 @@ def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
         lhs, dlhs_dB = A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
         return lhs, W, W - lhs, est.se({0: -1.0, 1: -dlhs_dB, 2: 1.0})
 
-    est = run(engine)
-    verdict, note = _integ.certify(est, lambda p: sides(p)[2:], _integ.rechecks(engine, run))
+    est = _integ.estimate(engine, measure, columns, 3, closed, quadrature, "this g")
+    verdict, note = _integ.certify(est, lambda p: sides(p)[2:])
     return EntropyReport(*sides(est), est.method, verdict=verdict, verdict_note=note,
                          samples=est.samples)
 

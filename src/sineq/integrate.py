@@ -48,7 +48,9 @@ rule.  A NaN or inf column value, or a NaN gauge, aborts a pass (:func:`_evaluat
 :func:`certify` is the one verdict protocol: "holds" needs margin
 >= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
 Monte Carlo margin below it is "violated" only when all three
-:func:`rechecks` passes reproduce it ("inconclusive" when they disagree).
+:meth:`Pass.recheck` passes reproduce it ("inconclusive" when they
+disagree).  Those rechecks belong to the pass, so every margin read off it
+shares them; :class:`Engine` refuses their reserved streams.
 :func:`record` writes the columns every check's record shares, with the
 tolerance its verdict applied.
 """
@@ -59,7 +61,7 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,7 +84,6 @@ __all__ = [
     "tolerance",
     "within_tolerance",
     "recheck_stream",
-    "rechecks",
     "certify",
     "worst",
     "record",
@@ -153,6 +154,9 @@ class Engine:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not 0 <= self.stream < 1 << _RECHECK_SHIFT:
+            raise ValueError(f"engine stream {self.stream} outside [0, 2**{_RECHECK_SHIFT}): "
+                             "higher streams are reserved for rechecks")
         if not 2 <= self.order <= MAX_QUADRATURE_ORDER:
             raise ValueError(f"quadrature order must be in [2, {MAX_QUADRATURE_ORDER}], "
                              f"got {self.order}")
@@ -387,7 +391,10 @@ def check_pairing(body, measure: MeasureKind) -> None:
 @dataclass(frozen=True)
 class Pass:
     """One estimation pass: the means of per-sample columns and the
-    covariance of those means (zeros on a deterministic path)."""
+    covariance of those means (zeros on a deterministic path).  ``redraw(k)``
+    of a Monte Carlo pass made by :func:`estimate` is the (samples, means,
+    cov) of recheck ``k``: its columns drawn once more at its own seed with
+    twice its samples, on stream :func:`recheck_stream`, and memoised."""
 
     method: str  # closed-form | quadrature(order) | mc(samples, seed)
     seed: int
@@ -395,10 +402,19 @@ class Pass:
     samples: int
     means: np.ndarray
     cov: np.ndarray
+    redraw: Callable[[int], tuple[int, np.ndarray, np.ndarray]] | None = field(
+        default=None, kw_only=True, repr=False, compare=False)
 
     @property
     def deterministic(self) -> bool:
         return not self.method.startswith("mc(")
+
+    def recheck(self, k: int) -> Pass:
+        """Recheck pass ``k`` (1..3): a copy of this pass, of its type, with
+        the means and covariance of its redraw and no rechecks of its own."""
+        n, means, cov = self.redraw(k)
+        return replace(self, method=f"mc({n}, {self.seed})", stream=recheck_stream(self.stream, k),
+                       samples=n, means=means, cov=cov, redraw=None)
 
     def se(self, grad: dict[int, float]) -> float:
         """Delta-method standard error sqrt(g . cov . g) of a smooth function
@@ -447,7 +463,14 @@ def estimate(engine: Engine, measure: MeasureKind,
                     means, np.zeros((ncols, ncols)))
     n, means, cov = run_chunked(measure, engine.samples, engine.seed, engine.stream,
                                 columns, ncols, engine.workers)
-    return Pass(f"mc({engine.samples}, {engine.seed})", engine.seed, engine.stream, n, means, cov)
+
+    @functools.cache
+    def redraw(k: int) -> tuple[int, np.ndarray, np.ndarray]:
+        return run_chunked(measure, 2 * engine.samples, engine.seed,
+                           recheck_stream(engine.stream, k), columns, ncols, engine.workers)
+
+    return Pass(f"mc({engine.samples}, {engine.seed})", engine.seed, engine.stream, n, means, cov,
+                redraw=redraw)
 
 
 def tolerance(se: float) -> float:
@@ -464,39 +487,21 @@ def within_tolerance(margin: float, se: float) -> bool:
 def recheck_stream(stream: int, k: int) -> int:
     """Stream index of recheck pass ``k`` (1..3) of primary stream
     ``stream``: k * 2**62 + stream.  Primary streams lie in [0, 2**62)
-    (:func:`rechecks` enforces it), so no primary draw, of this run or of
+    (:class:`Engine` enforces it), so no primary draw, of this run or of
     any other seed's, repeats a recheck draw."""
     return (k << _RECHECK_SHIFT) | (stream & ((1 << _RECHECK_SHIFT) - 1))
 
 
-Rechecks = Callable[[int], Pass]
-
-
-def rechecks(engine: Engine, run: Callable[[Engine], Pass]) -> Rechecks:
-    """Recheck pass ``k`` (1..3) of ``run(engine)``: Monte Carlo, same seed,
-    reserved stream :func:`recheck_stream`, doubled samples; each pass runs
-    once however many margins ask for it."""
-    if not 0 <= engine.stream < 1 << _RECHECK_SHIFT:
-        raise ValueError(f"engine stream {engine.stream} outside [0, 2**{_RECHECK_SHIFT}): "
-                         "higher streams are reserved for rechecks")
-
-    @functools.cache
-    def rechecked(k: int) -> Pass:
-        return run(replace(engine, method="mc", stream=recheck_stream(engine.stream, k),
-                           samples=engine.samples * 2))
-
-    return rechecked
-
-
-def certify(primary: Pass, margin: Callable[[Pass], tuple[float, float]],
-            recheck: Rechecks) -> tuple[str, str]:
+def certify(primary: Pass, margin: Callable[[Pass], tuple[float, float]]) -> tuple[str, str]:
     """(verdict, note) of the margin that ``margin`` reads off a pass as
-    (margin, std_error): holds / violated / inconclusive."""
+    (margin, std_error): holds / violated / inconclusive, a Monte Carlo
+    margin below tolerance read again off each :meth:`Pass.recheck`."""
     if within_tolerance(*margin(primary)):
         return "holds", ""
     if primary.deterministic:
         return "violated", "deterministic margin"
-    outcomes = [not within_tolerance(*margin(recheck(k))) for k in range(1, RECHECK_PASSES + 1)]
+    outcomes = [not within_tolerance(*margin(primary.recheck(k)))
+                for k in range(1, RECHECK_PASSES + 1)]
     if all(outcomes):
         return "violated", f"reproduced by {RECHECK_PASSES} recheck passes at doubled samples"
     if not any(outcomes):

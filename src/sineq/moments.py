@@ -198,10 +198,6 @@ def moment_ratio(
         v = np.asarray(norm(x), dtype=float)
         return np.stack([v**p, v**q], axis=1)
 
-    def run(e: Engine) -> Pass:
-        return _integ.estimate(e, measure, columns, 2,
-                               subject=f"the moment ratio of {norm_desc}")
-
     def moments(est: Pass) -> tuple[Estimate, Estimate, float, float]:
         """(E||x||^p)^(1/p) and (E||x||^q)^(1/q), their ratio and its error."""
         A, B = float(est.means[0]), float(est.means[1])
@@ -220,9 +216,10 @@ def moment_ratio(
         return bound - ratio, ratio_se
 
     bound = cpq(p, q)
-    est = run(engine)
+    est = _integ.estimate(engine, measure, columns, 2,
+                          subject=f"the moment ratio of {norm_desc}")
     moment_p, moment_q, ratio, ratio_se = moments(est)
-    verdict, note = _integ.certify(est, margin, _integ.rechecks(engine, run))
+    verdict, note = _integ.certify(est, margin)
     return MomentPair(
         p=p,
         q=q,

@@ -25,10 +25,11 @@ module holds the margins, not the formulas.  :class:`BodyStats` is the
 :class:`integrate.Pass` of :func:`body_statistics` plus its body, and every
 standard error is the delta method on that pass's covariance.
 
-Verdicts come from :func:`integrate.certify`.  Here the recheck passes are
-estimated once on the full grid and shared by the criteria and every curve
-point, so a ``full_check`` runs at most 3 extra passes however many of its
-checks fail; each report keeps the protocol's note.  The curve point t = 1
+Verdicts come from :func:`integrate.certify`.  The recheck passes belong
+to the :class:`BodyStats` pass, on its full grid, whatever engine a check
+is given, and are shared by every check that reads it, so a ``full_check``
+runs at most 3 extra passes however many of its checks fail; each report
+keeps the protocol's note.  The curve point t = 1
 is the calibration itself: its reference is the body's measure and its
 margin is 0 exactly.  Every check validates an unvalidated body at the
 engine's seed, and refuses one outside its class, unless ``experimental``.
@@ -47,7 +48,7 @@ from . import bodies as _b
 from . import integrate as _integ
 from .bodies import ReinhardtBody, UnconditionalBody, product
 from .entropy import EntropyReport
-from .integrate import Engine, Estimate, Pass, Rechecks, certify, worst
+from .integrate import Engine, Estimate, Pass, certify, worst
 from .measures import EXP_FACTOR, RADIAL_FACTOR, MeasureKind
 
 __all__ = [
@@ -231,22 +232,17 @@ def _degenerate(stats: BodyStats) -> str | None:
     return None
 
 
-def _rechecks(body, stats: BodyStats, engine: Engine) -> Rechecks:
-    """The shared recheck passes of ``stats``, on its grid."""
-    return _integ.rechecks(engine, lambda e: body_statistics(body, stats.measure, stats.t_grid, e))
-
-
 _MOMENT_CRITERION = {"complex-gaussian": "gaussian-moment", "exponential": "exponential-moment"}
 
 
-def _criterion_report(stats: BodyStats, rechecks: Rechecks, criterion: str) -> CriterionReport:
+def _criterion_report(stats: BodyStats, criterion: str) -> CriterionReport:
     note = _degenerate(stats)
     if note is not None:
         zero = Estimate(0.0, 0.0, stats.method, stats.samples)
         return CriterionReport(criterion, stats.body_desc, zero, zero, 0.0, 0.0,
                                "holds", stats.seed, stats.samples, note=note)
     slack, se = _slack_pieces(stats)
-    verdict, vnote = certify(stats, _slack_pieces, rechecks)
+    verdict, vnote = certify(stats, _slack_pieces)
 
     factor, n, m = stats.measure.factor, stats.measure.n, stats.m
     if criterion == "derivative":
@@ -277,7 +273,7 @@ def _check_criterion(body, engine, stats, experimental, criterion, family=object
         raise TypeError(f"the {criterion} criterion applies to {family.__name__} bodies")
     body = _in_class(body, engine, experimental)
     stats = stats or body_statistics(body, None, (), engine)
-    return _criterion_report(stats, _rechecks(body, stats, engine), criterion)
+    return _criterion_report(stats, criterion)
 
 
 def check_derivative_criterion(
@@ -382,10 +378,10 @@ def dilation_curve(
     engine = engine or Engine()
     body = _in_class(body, engine, experimental)
     stats = stats or body_statistics(body, measure, t_grid, engine)
-    return _curve_report(stats, _rechecks(body, stats, engine))
+    return _curve_report(stats)
 
 
-def _curve_report(stats: BodyStats, rechecks: Rechecks) -> DilationReport:
+def _curve_report(stats: BodyStats) -> DilationReport:
     note = _degenerate(stats)
     reversed_note = (
         "t<1 direction is derived from the t>=1 inequality by rescaling"
@@ -400,7 +396,7 @@ def _curve_report(stats: BodyStats, rechecks: Rechecks) -> DilationReport:
                                         ">=" if t >= 1 else "<=", "holds"))
             continue
         margin, mse, ref, direction = _curve_margin(stats, i)
-        verdict, vnote = certify(stats, lambda s, _i=i: _curve_margin(s, _i)[:2], rechecks)
+        verdict, vnote = certify(stats, lambda s, _i=i: _curve_margin(s, _i)[:2])
         points.append(DilationPoint(t, float(stats.means[i]), stats.se({i: 1.0}),
                                     ref, margin, mse, direction, verdict, vnote))
     return DilationReport(
@@ -477,10 +473,9 @@ def full_check(
     engine = engine or Engine()
     body = _in_class(body, engine, experimental)
     stats = body_statistics(body, None, t_grid, engine)
-    rechecks = _rechecks(body, stats, engine)
-    deriv = _criterion_report(stats, rechecks, "derivative")
-    mom = _criterion_report(stats, rechecks, _MOMENT_CRITERION[stats.measure.tag])
-    curve = _curve_report(stats, rechecks)
+    deriv = _criterion_report(stats, "derivative")
+    mom = _criterion_report(stats, _MOMENT_CRITERION[stats.measure.tag])
+    curve = _curve_report(stats)
     return FullCheckReport(body=stats.body_desc, derivative=deriv, moment=mom, curve=curve)
 
 

@@ -10,8 +10,8 @@ samples, seed 7.  Contract 3 kept the draws and the means and changed how a
 block's cross products are summed, so every record must keep its keys, kind,
 method and verdict, every number must be bit-identical to the contract-2
 record or within 1e-12 of it relative, and only ``sampling_contract`` may
-change.  The report must stay "violated" after exactly 4 estimation passes
-(the primary and 3 shared rechecks).  ``--write`` rewrites the file.
+change.  The report must stay "violated" after exactly 4 Monte Carlo
+passes (``run_chunked`` calls: the primary and 3 shared rechecks).  ``--write`` rewrites the file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sineq import verify
+from sineq import integrate, verify
 from sineq.bodies import annulus_body
 from sineq.integrate import SAMPLING_CONTRACT, Engine
 
@@ -35,18 +35,18 @@ def annulus_golden() -> list[str]:
         ["git", "show", f"{CONTRACT_2_COMMIT}:tests/data/{GOLDEN.name}"],
         capture_output=True, text=True, check=True).stdout.splitlines()]
     passes = []
-    original = verify.body_statistics
+    original = integrate.run_chunked
 
     def counted(*args, **kwargs):
         passes.append(args)
         return original(*args, **kwargs)
 
-    verify.body_statistics = counted
+    integrate.run_chunked = counted
     try:
         rep = verify.full_check(annulus_body(1.0, 2.0), Engine(method="mc", samples=20_000, seed=7),
                                 experimental=True)
     finally:
-        verify.body_statistics = original
+        integrate.run_chunked = original
     new = rep.to_records()
     assert rep.verdict == "violated" and len(passes) == 4, (rep.verdict, len(passes))
     assert len(new) == len(old) == 7

@@ -488,6 +488,55 @@ class TestValidateBody:
             validate_body(body)
 
 
+class TestDescriptorNamesTheBody:
+    """An unvalidated body must be the body its descriptor names, or its
+    records would name another one."""
+
+    def test_misnamed_hand_built_body_refused(self):
+        from sineq.bodies import validate_body
+
+        # a disc of radius 2 labelled as the unit disc: downward closed, so
+        # only its name is wrong
+        body = ReinhardtBody(dim=1, kind="polydisc", params={"r": (1.0,)},
+                             gauge=lambda m: m[:, 0] / 2.0)
+        assert body.radial_member(np.array([1.5]))
+        assert not parse_descriptor(body.descriptor()).radial_member(np.array([1.5]))
+        assert check_downward_closed(body, 5000).ok
+        with pytest.raises(ValueError, match=r"^body 'polydisc:r=1\.0' is not the body its "
+                                             r"descriptor names \(membership differs at \(1\."):
+            validate_body(body)
+        wide = UnconditionalBody(dim=2, kind="cube", params={"a": 1.0, "n": 2},
+                                 gauge=lambda m: m.max(axis=1) / 2.0)
+        with pytest.raises(ValueError, match=r"^body 'cube:a=1\.0,n=2' is not the body its "):
+            validate_body(wide)
+        with pytest.raises(ValueError, match=r"descriptor names \(dimension 1, not 2\)$"):
+            validate_body(ReinhardtBody(dim=2, kind="polydisc", params={"r": (1.0,)},
+                                        gauge=lambda m: m.max(axis=1)))
+
+    def test_hand_built_body_named_right_is_validated(self):
+        from sineq.bodies import validate_body
+
+        disc = ReinhardtBody(dim=1, kind="polydisc", params={"r": (1.0,)}, gauge=lambda m: m[:, 0])
+        cube = UnconditionalBody(dim=2, kind="cube", params={"a": 1.0, "n": 2},
+                                 base=lambda m: m.max(axis=1) <= 1.0)
+        assert validate_body(disc).validated and validate_body(cube).validated
+
+    def test_constructor_bodies_parse_nothing(self, monkeypatch):
+        from sineq import bodies
+        from sineq.bodies import validate_body
+
+        parsed = []
+        original = bodies.parse_descriptor
+        monkeypatch.setattr(bodies, "parse_descriptor",
+                            lambda *args: parsed.append(args) or original(*args))
+        constructed = [polydisc([1.0, 2.0]), cube_body(1.0, 2),
+                       product(polydisc([1.0]), cylinder_body(0.5, 1)),
+                       reinhardt_lp_ball([1.0, 0.7], 0.8).dilate(1.5)]
+        for body in constructed:
+            assert validate_body(body).validated
+        assert parsed == []
+
+
 class TestCustomDilationDescriptor:
     def test_dilation_is_part_of_the_descriptor(self):
         body = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)

@@ -489,18 +489,42 @@ class TestCertifiedEntropyVerdicts:
 
 class TestNonFiniteG:
     def test_nan_g_aborts_on_every_path(self):
-        # NaN beyond |r|_1 = 6 passes the sampled hypothesis checks, which
-        # compare values; the pass then names the NaN and its point
-        def nan_far_out(r):
-            return np.where(r.sum(axis=1) > 6, np.nan, np.minimum(1, 0.1 * r.sum(axis=1)))
+        # NaN on a band of r_0 around the third order-64 quadrature node
+        # passes the sampled hypothesis checks, whose 1,000 points at seed 42
+        # miss it; 20 of the 20,000 Monte Carlo points and the node fall in
+        # it, and the pass names the NaN and its point
+        node = math.sqrt(2.0 * np.polynomial.laguerre.laggauss(64)[0][2])
 
-        g = MonotoneRadialFunction(2, 1.0, nan_far_out)
+        def nan_on_a_band(r):
+            return np.where(np.abs(r[:, 0] - node) < 1e-3, np.nan,
+                            np.minimum(1, 0.1 * r.sum(axis=1)))
+
+        g = MonotoneRadialFunction(2, 1.0, nan_on_a_band)
+        assert g.hypothesis_violations(rng_seed=42) == []
         mc, quadrature = Engine(method="mc", samples=20_000), Engine(method="quadrature")
         for run in (lambda: check_lemma_multidim(g, 2, engine=mc),
                     lambda: check_subadditivity(g, 2, engine=mc),
                     lambda: check_lemma_multidim(g, 2, engine=quadrature)):
             with pytest.raises(NonFiniteIntegrandError, match=r"^integrand returned nan at \[\d"):
                 run()
+
+    def test_nan_g_the_probe_sees_is_invalid_input(self, monkeypatch):
+        # NaN beyond |r|_1 = 6: 148 of the probe's 1,000 far points at seed 42
+        # are NaN, so both checks refuse g before any pass
+        from sineq import integrate
+
+        def nan_far_out(r):
+            return np.where(r.sum(axis=1) > 6, np.nan, np.minimum(1, 0.1 * r.sum(axis=1)))
+
+        passes = []
+        monkeypatch.setattr(integrate, "run_chunked", lambda *args: passes.append(args))
+        g = MonotoneRadialFunction(2, 1.0, nan_far_out)
+        assert g.hypothesis_violations(rng_seed=42) == ["non-finite values sampled"]
+        for check in (check_lemma_multidim, check_subadditivity):
+            with pytest.raises(ValueError, match="^invalid input for entropy check: "
+                                                 "non-finite values sampled$"):
+                check(g, 2, engine=Engine(method="mc", samples=20_000))
+        assert passes == []
 
 
 class TestUnsupportedPaths:

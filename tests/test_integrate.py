@@ -852,11 +852,11 @@ class TestContractLaw:
 
 class TestCertify:
     """The verdict protocol on hand-made passes: margin = means[0], its
-    error sqrt(cov[0, 0])."""
+    error sqrt(cov[0, 0]); ``redraw`` returns the rechecks' chosen moments."""
 
     @staticmethod
-    def make_pass(method: str, margin: float, se: float = 0.0) -> Pass:
-        return Pass(method, 1, 0, 100, np.array([margin]), np.array([[se**2]]))
+    def make_pass(method: str, margin: float, se: float = 0.0, redraw=None) -> Pass:
+        return Pass(method, 1, 0, 100, np.array([margin]), np.array([[se**2]]), redraw=redraw)
 
     @staticmethod
     def margin(p: Pass) -> tuple[float, float]:
@@ -866,24 +866,33 @@ class TestCertify:
         def no_recheck(k):
             raise AssertionError("a deterministic margin must not be rechecked")
 
-        primary = self.make_pass("closed-form", -1e-6)
-        assert certify(primary, self.margin, no_recheck) == ("violated", "deterministic margin")
-        within = self.make_pass("closed-form", -0.5 * DET_TOL)
-        assert certify(within, self.margin, no_recheck) == ("holds", "")
+        primary = self.make_pass("closed-form", -1e-6, redraw=no_recheck)
+        assert certify(primary, self.margin) == ("violated", "deterministic margin")
+        within = self.make_pass("closed-form", -0.5 * DET_TOL, redraw=no_recheck)
+        assert certify(within, self.margin) == ("holds", "")
 
     def test_disagreeing_rechecks_are_inconclusive(self):
-        primary = self.make_pass("mc(100, 1)", -0.4, 0.1)  # -4 sigma
-        rechecked = {1: self.make_pass("mc(200, 1)", -0.5, 0.1),  # reproduces
-                     2: self.make_pass("mc(200, 1)", 0.1, 0.1),   # holds
-                     3: self.make_pass("mc(200, 1)", -0.5, 0.1)}
+        # recheck k's (margin, se): reproduces, holds, reproduces
+        redrawn = {1: (-0.5, 0.1), 2: (0.1, 0.1), 3: (-0.5, 0.1)}
         calls = []
 
-        def recheck(k):
+        def redraw(k):
             calls.append(k)
-            return rechecked[k]
+            margin, se = redrawn[k]
+            return 200, np.array([margin]), np.array([[se**2]])
 
-        assert certify(primary, self.margin, recheck) == ("inconclusive", "rechecks disagree")
+        primary = self.make_pass("mc(100, 1)", -0.4, 0.1, redraw)  # -4 sigma
+        assert certify(primary, self.margin) == ("inconclusive", "rechecks disagree")
         assert calls == [1, 2, 3]
+
+    def test_recheck_is_a_copy_without_rechecks(self):
+        primary = self.make_pass("mc(100, 1)", -0.4, 0.1,
+                                 lambda k: (200, np.array([0.1 * k]), np.array([[0.01]])))
+        again = primary.recheck(2)
+        assert (again.method, again.seed, again.stream, again.samples) == (
+            "mc(200, 1)", 1, 2 << 62, 200)
+        assert self.margin(again) == (0.2, 0.1)
+        assert again.redraw is None and primary.means.tolist() == [-0.4]
 
 
 class TestRecord:
@@ -903,8 +912,12 @@ class TestRecord:
     (lambda: tensor_quadrature(lambda r: r, 2, 8), r"integrand returned shape \(64, 2\)"),
     (lambda: Engine(seed=-1), r"seed must be in \[0, 2\*\*64\), got -1"),
     (lambda: Engine(seed=2**64), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    (lambda: Engine(stream=-1), r"^engine stream -1 outside \[0, 2\*\*62\): higher streams "
+                                r"are reserved for rechecks$"),
+    (lambda: Engine(stream=2**62), r"^engine stream 4611686018427387904 outside \[0, 2\*\*62\)"),
 ], ids=["engine-method", "integral-without-measure", "quadrature-measure",
-        "quadrature-integrand-shape", "negative-seed", "seed-past-64-bits"])
+        "quadrature-integrand-shape", "negative-seed", "seed-past-64-bits",
+        "negative-stream", "recheck-stream"])
 def test_bad_input_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -263,6 +264,37 @@ class TestCertifiedRatio:
         assert (pair.verdict, pair.holds) == ("holds", True)
         assert pair.verdict_note == "initial 3-sigma excursion not reproduced"
         assert pair.to_record()["verdict"] == "holds"
+
+    # the record of this case as written before the rechecks moved into the pass
+    RECHECKED_RECORD = (
+        '{"bound": 1.4142135623730951, "kind": "moment-ratio", "margin": -0.0045072054773585, '
+        '"method": "mc(300000, 338)", "moment_p": 1.4258405223759107, '
+        '"moment_q": 1.0050184325815181, "n": 2, "norm": "coord:0", "p": 2.0, "q": 1.0, '
+        '"ratio": 1.4187207678504536, "ratio_se": 0.0013215466530676141, '
+        '"reference": 1.4142135623730951, "samples": 300000, "sampling_contract": 3, '
+        '"seed": 338, "std_error": 0.0013215466530676141, "tolerance": 0.003964639959202843, '
+        '"value": 1.4187207678504536, "verdict": "holds"}')
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recheck_path_record_is_pinned(self, monkeypatch, workers):
+        # 3.4 sigma above C(2, 1) at seed 338: the three rechecks run and
+        # none reproduces it
+        from sineq import integrate
+
+        passes = []
+        original = integrate.run_chunked
+
+        def counted(measure, samples, seed, stream, *args):
+            passes.append((samples, seed, stream))
+            return original(measure, samples, seed, stream, *args)
+
+        monkeypatch.setattr(integrate, "run_chunked", counted)
+        pair = moment_ratio(coordinate_norm(0), 2.0, 1.0, 2,
+                            Engine(method="mc", samples=300_000, seed=338, workers=workers))
+        assert passes == [(300_000, 338, 0)] + [(600_000, 338, k << 62) for k in (1, 2, 3)]
+        assert (pair.verdict, pair.verdict_note) == (
+            "holds", "initial 3-sigma excursion not reproduced")
+        assert json.dumps(pair.to_record(), sort_keys=True) == self.RECHECKED_RECORD
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):

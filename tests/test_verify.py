@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sineq import bodies as bodies_module
+from sineq import integrate as integrate_module
 from sineq import verify as verify_module
 from sineq.bodies import (
     ReinhardtBody,
@@ -33,6 +34,7 @@ from sineq.measures import (
 )
 from sineq.verify import (
     DEFAULT_T_GRID,
+    BodyStats,
     body_statistics,
     calibrate_cylinder,
     calibrate_strip,
@@ -53,16 +55,18 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
-def stats_calls(monkeypatch) -> list:
-    """Records the arguments of every estimation pass that verify runs."""
+def mc_passes(monkeypatch) -> list:
+    """Records (samples, seed, stream) and the result (n, means, cov) of
+    every Monte Carlo pass, primary or recheck, in the order they run."""
     calls = []
-    original = verify_module.body_statistics
+    original = integrate_module.run_chunked
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(measure, samples, seed, stream, *args, **kwargs):
+        result = original(measure, samples, seed, stream, *args, **kwargs)
+        calls.append(((samples, seed, stream), result))
+        return result
 
-    monkeypatch.setattr(verify_module, "body_statistics", counted)
+    monkeypatch.setattr(integrate_module, "run_chunked", counted)
     return calls
 
 
@@ -387,23 +391,23 @@ class TestMarginSigmas:
 
 
 class TestSharedRechecks:
-    def test_full_check_runs_each_recheck_pass_once(self, stats_calls):
+    def test_full_check_runs_each_recheck_pass_once(self, mc_passes):
         # every criterion and four curve points fail; all share 3 passes
         rep = full_check(annulus_body(1.0, 2.0), Engine(method="mc", samples=20_000, seed=7),
                          experimental=True)
         assert rep.verdict == "violated"
-        assert len(stats_calls) == 4
+        assert len(mc_passes) == 4
         golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
         assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
 
-    def test_standalone_checks_recheck_on_their_own(self, stats_calls):
+    def test_standalone_checks_recheck_on_their_own(self, mc_passes):
         body = annulus_body(1.0, 2.0)
         engine = Engine(method="mc", samples=20_000, seed=7)
         assert check_derivative_criterion(body, engine, experimental=True).verdict == "violated"
-        assert len(stats_calls) == 4
-        stats_calls.clear()
+        assert len(mc_passes) == 4
+        mc_passes.clear()
         assert dilation_curve(body, engine=engine, experimental=True).verdict == "violated"
-        assert len(stats_calls) == 4
+        assert len(mc_passes) == 4
 
     @pytest.mark.parametrize("body", [
         annulus_body(1.0, 2.0),
@@ -423,8 +427,48 @@ class TestSharedRechecks:
         assert (a.slack, a.std_error, a.verdict) == (b.slack, b.std_error, b.verdict)
 
 
+class TestRechecksBelongToThePass:
+    """A check given ``stats`` rechecks that pass: its seed, twice its
+    samples, its grid, whatever engine the check gets, once for all checks."""
+
+    BODY = annulus_body(1.0, 2.0)
+    ENGINE = Engine(method="mc", samples=20_000, seed=7)
+    RECHECKS = [(40_000, 7, k << 62) for k in (1, 2, 3)]
+
+    @pytest.mark.parametrize("engine", [None, Engine(method="mc", samples=1000, seed=3)],
+                             ids=["no-engine", "other-engine"])
+    @pytest.mark.parametrize("check", [check_derivative_criterion, check_moment_criterion_gaussian,
+                                       dilation_curve])
+    def test_rechecks_draw_at_the_stats_engine(self, mc_passes, check, engine):
+        stats = body_statistics(self.BODY, None, DEFAULT_T_GRID, self.ENGINE)
+        mc_passes.clear()
+        rep = check(self.BODY, engine=engine, stats=stats, experimental=True)
+        assert rep.verdict == "violated"
+        assert [key for key, _ in mc_passes] == self.RECHECKS
+
+    def test_three_checks_on_one_stats_run_three_rechecks(self, mc_passes):
+        stats = body_statistics(self.BODY, None, DEFAULT_T_GRID, self.ENGINE)
+        reports = [check_derivative_criterion(self.BODY, self.ENGINE, stats, experimental=True),
+                   check_moment_criterion_gaussian(self.BODY, self.ENGINE, stats,
+                                                   experimental=True),
+                   dilation_curve(self.BODY, engine=self.ENGINE, stats=stats, experimental=True)]
+        assert [r.verdict for r in reports] == ["violated"] * 3
+        assert reports[0].note == "reproduced by 3 recheck passes at doubled samples"
+        assert [key for key, _ in mc_passes] == [(20_000, 7, 0)] + self.RECHECKS
+
+    def test_a_recheck_of_body_stats_is_body_stats(self, mc_passes):
+        stats = body_statistics(self.BODY, None, DEFAULT_T_GRID, self.ENGINE)
+        again = stats.recheck(2)
+        assert stats.recheck(2).means.tobytes() == again.means.tobytes()
+        assert len(mc_passes) == 2  # the primary and one recheck, drawn once
+        assert isinstance(again, BodyStats) and again.redraw is None
+        assert (again.t_grid, again.body_desc, again.seed, again.samples, again.stream) == (
+            stats.t_grid, stats.body_desc, 7, 40_000, 2 << 62)
+        assert again.method == "mc(40000, 7)"
+
+
 class TestCurveAtOne:
-    def test_t_one_holds_without_rechecks_on_random_polydiscs(self, stats_calls):
+    def test_t_one_holds_without_rechecks_on_random_polydiscs(self, mc_passes):
         # a t = 1 reference computed through log1p/expm1 gives 11 of these
         # 300 a margin of -1 ulp with a 0 std error, which starts rechecks
         rng = np.random.default_rng(2026)
@@ -435,7 +479,7 @@ class TestCurveAtOne:
             (p,) = rep.points
             assert (p.margin, p.margin_se, p.reference) == (0.0, 0.0, p.value)
             assert p.verdict == "holds"
-        assert len(stats_calls) == 300
+        assert len(mc_passes) == 300
 
 
 class TestNonFiniteNorm:
@@ -463,6 +507,14 @@ class TestClassRefusal:
                 check(upward, self.MC)
         rep = full_check(upward, self.MC, experimental=True)
         assert rep.verdict == "violated"
+
+    def test_misnamed_body_refused(self):
+        # its records would read "polydisc:r=1.0", a body it is not
+        disc = ReinhardtBody(dim=1, kind="polydisc", params={"r": (1.0,)},
+                             gauge=lambda m: m[:, 0] / 2.0)
+        with pytest.raises(ValueError, match=r"^body 'polydisc:r=1\.0' is not the body its "
+                                             r"descriptor names \(.*\); pass experimental=True"):
+            full_check(disc, self.MC)
 
     def test_valid_custom_shadow_runs_without_experimental(self):
         shadow = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.5)
@@ -512,30 +564,29 @@ class TestNonFiniteGauge:
 class TestRecheckStreams:
     ANNULUS_ENGINE = Engine(method="mc", samples=20_000, seed=7)
 
-    def test_recheck_keys_are_distinct_and_reserved(self, stats_calls):
+    def test_recheck_keys_are_distinct_and_reserved(self, mc_passes):
         rep = full_check(annulus_body(1.0, 2.0), self.ANNULUS_ENGINE, experimental=True)
         assert rep.verdict == "violated"
-        assert len(stats_calls) == 4
+        assert len(mc_passes) == 4
         golden = (DATA / "annulus_full_check_mc20000_seed7.jsonl").read_text().splitlines()
         assert [json.dumps(r, sort_keys=True) for r in rep.to_records()] == golden
-        engines = [call[3] for call in stats_calls]
-        keys = [(e.seed, e.stream) for e in engines]
+        keys = [(seed, stream) for (_, seed, stream), _ in mc_passes]
         assert keys[0] == (7, 0)
         assert len(set(keys)) == 4
-        for k, e in enumerate(engines[1:], start=1):
-            assert (e.seed, e.samples) == (7, 40_000)
-            assert e.stream == recheck_stream(0, k) == k << 62
+        for k, ((samples, seed, stream), _) in enumerate(mc_passes[1:], start=1):
+            assert (seed, samples) == (7, 40_000)
+            assert stream == recheck_stream(0, k) == k << 62
 
-    def test_recheck_does_not_alias_a_primary_pass(self, stats_calls):
+    def test_recheck_does_not_alias_a_primary_pass(self, mc_passes):
         # recheck 1 used to be seed 8 on the primary stream: the primary
         # pass of seed 8 at 40,000 samples
         body = annulus_body(1.0, 2.0)
         full_check(body, self.ANNULUS_ENGINE, experimental=True)
-        recheck = body_statistics(body, None, DEFAULT_T_GRID, stats_calls[1][3])
+        _, (_, means, cov) = mc_passes[1]
         neighbour = body_statistics(body, None, DEFAULT_T_GRID,
                                     Engine(method="mc", samples=40_000, seed=8))
-        assert not np.array_equal(recheck.means, neighbour.means)
-        assert not np.array_equal(recheck.cov, neighbour.cov)
+        assert not np.array_equal(means, neighbour.means)
+        assert not np.array_equal(cov, neighbour.cov)
 
     def test_sweep_and_tensorization_streams_stay_primary(self):
         # primary streams are engine.stream + offset; a recheck stream sits
@@ -580,7 +631,7 @@ class TestDegenerateCurve:
     ], ids=["measure-0", "measure-1"])
     @pytest.mark.parametrize("engine", [EXACT, Engine(method="mc", samples=5000, seed=3)],
                              ids=["exact", "mc"])
-    def test_full_check_holds_with_degenerate_note(self, body, note, value, engine, stats_calls):
+    def test_full_check_holds_with_degenerate_note(self, body, note, value, engine, mc_passes):
         rep = full_check(body, engine, (0.5, 1.0, 2.0))
         assert rep.verdict == "holds"
         assert rep.derivative.note == rep.moment.note == note
@@ -588,7 +639,7 @@ class TestDegenerateCurve:
         assert [p.verdict for p in rep.curve.points] == ["holds"] * 3
         assert [(p.value, p.reference, p.margin, p.margin_se) for p in rep.curve.points] == [
             (value, value, 0.0, 0.0)] * 3
-        assert len(stats_calls) == 1  # no recheck pass
+        assert len(mc_passes) == (engine.method == "mc")  # no recheck pass
         assert {r["tolerance"] for r in rep.to_records()} == {DET_TOL}
 
 
