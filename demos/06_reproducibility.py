@@ -11,7 +11,10 @@ contract.  Since contract 2 a row is the vector of coordinate radii
 (|z_1|, ..., |z_n|), one uniform per coordinate through the radial
 quantile: the bodies are invariant under rotating each z_k, so the radii
 are all a check reads.  Contract 3 keeps those rows and reduces a block
-``integrate.SUB`` rows at a time.
+``integrate.SUB`` rows at a time.  Contract 4 keeps them too and hands a
+sub-block's columns over as rows, each summed pairwise, with the dot
+product of each pair of columns summed exactly over pieces of
+``integrate.PIECE`` rows.
 
 Run:  python demos/06_reproducibility.py
 """

@@ -89,14 +89,15 @@ class NonFiniteIntegrandError(RuntimeError):
 
 
 def require_finite(vals: np.ndarray, what: str, points: np.ndarray) -> np.ndarray:
-    """``vals`` (one row per row of ``points``) if every entry is finite;
-    else :class:`NonFiniteIntegrandError` names the first NaN or inf and
-    its point."""
+    """``vals`` (its last axis runs over the rows of ``points``) if every
+    entry is finite; else :class:`NonFiniteIntegrandError` names a NaN or
+    inf at the first point that has one, and that point."""
     finite = np.isfinite(vals)
     if finite.all():
         return vals
-    bad = np.unravel_index(np.argmin(finite), finite.shape)
-    raise NonFiniteIntegrandError(f"{what} returned {vals[bad]} at {points[bad[0]].tolist()}")
+    at = int(np.argmin(finite.all(axis=tuple(range(finite.ndim - 1)))))
+    bad = vals[..., at][~finite[..., at]].flat[0]
+    raise NonFiniteIntegrandError(f"{what} returned {bad} at {points[at].tolist()}")
 
 
 def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:

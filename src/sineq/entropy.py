@@ -58,8 +58,9 @@ __all__ = [
 ]
 
 
-def _np_xlnx(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
+def _np_xlnx(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(v) if out is None else out
+    out.fill(0.0)
     pos = (v > 0) & (v != 1)  # 0 and 1 give +0.0, which out holds: no log
     out[pos] = v[pos] * np.log(v[pos])
     return out
@@ -462,8 +463,12 @@ def check_lemma_multidim(
         closed = [-0.0, 1.0 - m, factor.entropy_sides(m, forms.moment, n)[1]]
 
     def columns(r: np.ndarray) -> np.ndarray:
-        vals, u = g(r), fold_columns(np.add, r, f=factor.u)
-        return np.stack([_np_xlnx(vals), vals, vals * (u - n)], axis=1)
+        out = np.empty((3, r.shape[0]))
+        vals, u = out[1], fold_columns(np.add, r, f=factor.u)
+        vals[...] = g(r)
+        np.multiply(vals, np.subtract(u, n, out=u), out=out[2])
+        _np_xlnx(vals, out=out[0])
+        return out
 
     return _entropy_check(g, n, engine, MeasureKind(factor.tag, n), columns, closed,
                           quadrature=g.complement_body is None)
@@ -563,11 +568,15 @@ def check_subadditivity(
     closed = None if forms is None else [-0.0, 1.0 - forms.curve[0], forms.slice_entropy]
 
     def columns(r: np.ndarray) -> np.ndarray:
+        # the slices first: the one array of the three columns is made after
+        # their temporaries are freed, and takes their place on the heap
         if body is not None:
             slices = _slice_entropies_indicator(body, FACTORS[factor], r)
         else:
             slices = _slice_entropies_general(g, FACTORS[factor], r)
-        vals = g(r)
-        return np.stack([_np_xlnx(vals), vals, slices], axis=1)
+        out = np.empty((3, r.shape[0]))
+        out[1], out[2] = g(r), slices
+        _np_xlnx(out[1], out=out[0])
+        return out
 
     return _entropy_check(g, n, engine, MeasureKind(factor, n), columns, closed)

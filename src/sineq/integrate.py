@@ -28,16 +28,20 @@ directly, one uniform per coordinate through the factor quantile, since
 the bodies of both families read nothing else (each is invariant under the
 phase of every z_k or the sign of every x_k).  So ``complex-gaussian(n)``
 draws the bits of ``radial-mu(n)`` and ``exponential(n)`` those of
-``exponential-1d(n)``.  Contract 3 keeps those draws and reduces each
-block in sub-blocks of ``SUB`` rows: cross products are summed by numpy
-within a sub-block and exactly (``math.fsum``) across sub-blocks and
-blocks; column sums run on from one sub-block of a block to the next and
-are summed exactly across blocks.  Columns are reduced C-ordered, whatever
-the caller's layout; two or more are summed row by row
-(``np.einsum("ij->j")``), so their sums are those of the whole block, and
-a single column pairwise (``sum``).  So contract 3 moved the covariances
-of passes longer than ``SUB`` rows in their last bits, and of the means
-only those of single-column passes.
+``exponential-1d(n)``.  Contract 3 kept those draws and reduced each block
+in sub-blocks of ``SUB`` rows, summing a block's columns row by row.
+Contract 4 keeps the draws and the sub-blocks and lays the columns out
+column-major: a ``columns`` callback returns an (ncols, m) array, one row
+per column (1-D for one column), or :class:`Sublevels`.  Each sub-block's
+column sums are pairwise (``sum``); its cross product of columns i <= j
+is one BLAS dot per piece of ``PIECE`` samples, the pieces summed with
+``math.fsum`` (no dot is long enough for OpenBLAS to split it across
+threads, so no bit depends on the BLAS thread count); sums and products
+are summed over all sub-blocks with ``math.fsum``.  Indicator columns sum
+and multiply to exact integers, so their means and mutual covariances
+kept their contract-3 bits, as did every closed form and quadrature pass;
+the estimates of real-valued columns (the weight, entropy columns, norm
+powers) moved in their last bits.
 
 Estimation passes and verdicts
 ------------------------------
@@ -99,9 +103,13 @@ __all__ = [
     "check_pairing",
 ]
 
-SAMPLING_CONTRACT = 3
+SAMPLING_CONTRACT = 4
 CHUNK = 1 << 17
 SUB = 1 << 15  # rows drawn, evaluated and reduced at a time; divides CHUNK
+# samples per BLAS dot of a cross product: OpenBLAS splits a dot of more
+# than 10,000 entries across its threads, so its bits would depend on the
+# thread count; divides SUB
+PIECE = 1 << 13
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 MAX_QUADRATURE_ORDER = 180  # laggauss weight computation overflows beyond this
@@ -226,72 +234,70 @@ class Sublevels(NamedTuple):
     weight: np.ndarray
     at: int
 
-    def moments(self, carry: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-        """(count, ``carry`` + column sums, cross products).  Indicator sums
-        and products are counts; a weight cross entry reads only its own t
-        (the ``at`` sum for t >= grid[at], its own masked sum below), so no
-        entry depends on the rest of the grid."""
+    def moments(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(count, column sums, cross products).  Indicator sums and
+        products are counts; a weight cross entry reads only its own t (the
+        weight column's sum for t >= grid[at], its own masked sum below), so
+        no entry depends on the rest of the grid.  The weight column's sum
+        and square are those :class:`SampleMoments` takes of it as a column
+        (a finite weight >= 0 times a 0/1 mask is the masked weight)."""
         k, at = len(self.grid), self.at
         inside = [self.rho <= t for t in self.grid]
         counts = np.array([np.count_nonzero(m) for m in inside], dtype=float)
-        held = np.where(inside[at], self.weight, 0.0)
-        below = [np.where(inside[i], self.weight, 0.0).sum() for i in range(at)]
+        held = self.weight * inside[at]
+        total = held.sum()
+        below = [(self.weight * inside[i]).sum() for i in range(at)]
         prods = np.empty((k + 1, k + 1))
         prods[:k, :k] = counts[np.minimum.outer(np.arange(k), np.arange(k))]
-        prods[:k, k] = prods[k, :k] = below + [held.sum()] * (k - at)
-        prods[k, k] = np.square(held).sum()
-        # the weight's sum runs on row by row, as SampleMoments sums two or
-        # more columns
-        held[0] += carry[k]
-        sums = np.append(carry[:k] + counts, np.cumsum(held, out=held)[-1])
-        return len(self.rho), sums, prods
+        prods[:k, k] = prods[k, :k] = below + [total] * (k - at)
+        prods[k, k] = _dots(held, held[None])[0]
+        return len(self.rho), np.append(counts, total), prods
+
+
+def _dots(a: np.ndarray, rows: np.ndarray) -> list[float]:
+    """The dot product of ``a`` with each row of ``rows`` (as many entries
+    each): one BLAS dot per consecutive piece of ``PIECE`` entries (the
+    last one shorter), the pieces summed exactly (``math.fsum``)."""
+    cut = a.size - a.size % PIECE
+    whole = np.vecdot(a[:cut].reshape(-1, PIECE), rows[:, :cut].reshape(len(rows), -1, PIECE))
+    tails = np.vecdot(a[cut:], rows[:, cut:]).tolist()
+    return [math.fsum(pieces + [tail]) for pieces, tail in zip(whole.tolist(), tails)]
 
 
 class SampleMoments:
     """Count, column sums and cross products of per-sample column vectors,
     added sub-block by sub-block and reduced exactly.
 
-    ``add_chunk(block, cols)`` takes the columns of the next rows of a
-    block, an (m, ncols) array (which it overwrites) or :class:`Sublevels`;
-    the sub-blocks of a block come in row order from one thread, blocks in
-    any order.  A block's column sums run on from one sub-block to the
-    next; cross products are summed per sub-block.  ``finalize`` sums both
-    over blocks and sub-blocks with ``math.fsum``, which is exact, so the
-    result does not depend on scheduling.
-
-    Columns are reduced as a C-ordered copy when they are not C-ordered, so
-    no layout changes a bit.  Two or more columns are summed row by row by
-    ``np.einsum("ij->j")``; a single column keeps numpy's pairwise ``sum``.
+    ``add_chunk(cols)`` takes the columns of some rows, a C-contiguous
+    (ncols, m) array, one row per column (1-D for one column), or
+    :class:`Sublevels`; sub-blocks may come in any order from any thread.
+    Each column is summed pairwise (``sum``) and each pair of columns
+    i <= j multiplied by :func:`_dots`; ``finalize`` sums those partials
+    over all sub-blocks with ``math.fsum``, which is exact, so the result
+    does not depend on scheduling.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._sums: dict[int, np.ndarray] = {}  # block -> its column sums so far
-        self._parts: list[tuple[int, np.ndarray]] = []  # (rows, cross products)
+        self._parts: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rows, sums, products)
 
-    def add_chunk(self, block: int, cols) -> None:
-        carry = self._sums.get(block, np.zeros(self.ncols))
+    def add_chunk(self, cols) -> None:
         if isinstance(cols, Sublevels):
-            count, sums, prods = cols.moments(carry)
-        else:
-            cols = np.ascontiguousarray(cols, dtype=float)
-            prods = cols.T @ cols
-            # two or more columns are summed row by row, so the block's sums
-            # so far, added into the first row, give the whole block's sums;
-            # one column is summed pairwise
-            cols[0] += carry
-            count = cols.shape[0]
-            sums = np.einsum("ij->j", cols) if self.ncols > 1 else cols.sum(axis=0)
-        self._sums[block] = sums
-        self._parts.append((count, prods))
+            self._parts.append(cols.moments())
+            return
+        rows = cols.reshape(self.ncols, -1)
+        prods = np.empty((self.ncols, self.ncols))
+        for i in range(self.ncols):
+            prods[i, i:] = prods[i:, i] = _dots(rows[i], rows[i:])
+        self._parts.append((rows.shape[1], rows.sum(axis=1), prods))
 
     def finalize(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Returns (n, mean vector, covariance matrix of the mean)."""
-        n = sum(count for count, _ in self._parts)
+        n = sum(count for count, _, _ in self._parts)
         if n < 2:
             raise ValueError("need at least 2 samples")
-        sums = [math.fsum(col) for col in zip(*(s.tolist() for s in self._sums.values()))]
-        prods = [math.fsum(col) for col in zip(*(p.ravel().tolist() for _, p in self._parts))]
+        sums = [math.fsum(col) for col in zip(*(s.tolist() for _, s, _ in self._parts))]
+        prods = [math.fsum(col) for col in zip(*(p.ravel().tolist() for _, _, p in self._parts))]
         mean = np.array(sums) / n
         cov = (np.reshape(prods, (self.ncols, self.ncols)) - n * np.outer(mean, mean)) / (n - 1)
         return n, mean, cov / n
@@ -343,15 +349,14 @@ def run_chunked(
     def work(block_take: tuple[int, int]) -> None:
         block, take = block_take
         if take <= SUB:
-            pts = draw_points(measure, base, block, take)
-            acc.add_chunk(block, _evaluate(columns, pts, ncols))
+            acc.add_chunk(_evaluate(columns, draw_points(measure, base, block, take), ncols))
             return
         flat = _take_buffer(SUB * measure.n)
         buf = flat[:SUB * measure.n].reshape(SUB, measure.n)
         try:
             for start in range(0, take, SUB):
                 pts = draw_points(measure, base, block, min(SUB, take - start), start, buf)
-                acc.add_chunk(block, _evaluate(columns, pts, ncols))
+                acc.add_chunk(_evaluate(columns, pts, ncols))
         finally:
             _keep_buffer(flat)
 
@@ -366,16 +371,19 @@ def run_chunked(
 
 
 def _evaluate(columns, points: np.ndarray, ncols: int):
-    """``columns(points)``, all finite (a gauge may be +inf), as (m, ncols) floats."""
+    """``columns(points)``, all finite (a gauge may be +inf), as a
+    C-contiguous (ncols, m) float array, one row per column (1-D for one
+    column; a C-contiguous float array is not copied), or :class:`Sublevels`."""
     cols = columns(points)
     if isinstance(cols, Sublevels):
         if np.isnan(cols.rho).any():  # +inf is a zero radius, NaN no value
             require_finite(np.where(np.isnan(cols.rho), np.nan, 0.0), "gauge", points)
         return cols
-    cols = np.asarray(cols, dtype=float)
-    cols = cols[:, None] if cols.ndim == 1 else cols
-    if cols.shape != (len(points), ncols):
-        raise ValueError(f"integrand returned shape {cols.shape}, expected {(len(points), ncols)}")
+    cols = np.ascontiguousarray(cols, dtype=float)
+    m = len(points)
+    if cols.shape != (ncols, m) and not (ncols == 1 and cols.shape == (m,)):
+        raise ValueError(f"integrand returned shape {cols.shape}, expected {(ncols, m)}: "
+                         "one row per column")
     return require_finite(cols, "integrand", points)
 
 
@@ -456,9 +464,8 @@ def estimate(engine: Engine, measure: MeasureKind,
         axis = measure.factor.r(u)
         pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
         wts = functools.reduce(np.multiply.outer, [w] * n).ravel()
-        cols = _evaluate(columns, pts, ncols)
-        # each mean is the weights' dot with the contiguous column
-        means = np.array([wts @ np.ascontiguousarray(cols[:, j]) for j in range(ncols)])
+        # each mean is the weights' dot with the column's contiguous row
+        means = np.array([wts @ col for col in _evaluate(columns, pts, ncols).reshape(ncols, -1)])
         return Pass(f"quadrature({engine.order})", engine.seed, engine.stream, wts.size,
                     means, np.zeros((ncols, ncols)))
     n, means, cov = run_chunked(measure, engine.samples, engine.seed, engine.stream,

@@ -196,7 +196,7 @@ def moment_ratio(
     def columns(x: np.ndarray) -> np.ndarray:
         # the draws are |x|; the contract check made the norm sign-invariant
         v = np.asarray(norm(x), dtype=float)
-        return np.stack([v**p, v**q], axis=1)
+        return np.stack([v**p, v**q])
 
     def moments(est: Pass) -> tuple[Estimate, Estimate, float, float]:
         """(E||x||^p)^(1/p) and (E||x||^q)^(1/q), their ratio and its error."""

@@ -32,7 +32,9 @@ runs at most 3 extra passes however many of its checks fail; each report
 keeps the protocol's note.  The curve point t = 1
 is the calibration itself: its reference is the body's measure and its
 margin is 0 exactly.  Every check validates an unvalidated body at the
-engine's seed, and refuses one outside its class, unless ``experimental``.
+engine's seed, or at the seed of the ``stats`` it is given, and refuses one
+outside its class, unless ``experimental``; it refuses ``stats`` of another
+body or measure.
 """
 
 from __future__ import annotations
@@ -102,14 +104,25 @@ def _default_measure(body) -> MeasureKind:
     return MeasureKind(body.measure_tag, body.dim)
 
 
-def _in_class(body, engine: Engine, experimental: bool):
-    """``body`` if validated or ``experimental``, else its validated copy."""
+def _in_class(body, seed: int, experimental: bool):
+    """``body`` if validated or ``experimental``, else its copy validated at ``seed``."""
     if body.validated or experimental:
         return body
     try:
-        return _b.validate_body(body, rng_seed=engine.seed)
+        return _b.validate_body(body, rng_seed=seed)
     except ValueError as e:
         raise ValueError(f"{e}; pass experimental=True (--experimental) to check it anyway") from e
+
+
+def _given_stats(body, stats: BodyStats, measure: MeasureKind | None, experimental: bool) -> None:
+    """Raise unless ``stats`` is a pass over ``body`` under ``measure`` (the
+    body's own when None) and ``body`` is in class at the seed of ``stats``."""
+    measure = measure or _default_measure(body)
+    if stats.body_desc != body.descriptor() or stats.measure != measure:
+        raise ValueError(f"stats of {stats.body_desc!r} under {stats.measure.tag}"
+                         f"({stats.measure.n}) do not belong to {body.descriptor()!r} "
+                         f"under {measure.tag}({measure.n})")
+    _in_class(body, stats.seed, experimental)
 
 
 @dataclass(frozen=True)
@@ -164,11 +177,10 @@ def body_statistics(
             # a gauge body answers every t from one evaluation: r lies in tK
             # exactly when rho_K(r) <= t, the rule of body.dilate(t)
             return _integ.Sublevels(gauge(r), grid, measure.weight(r), idx1)
-        out = np.empty((r.shape[0], len(grid) + 1))
+        out = np.empty((len(grid) + 1, r.shape[0]))
         for i, t in enumerate(grid):
-            # a product, not an assignment: no cast into a strided column
-            np.multiply(body.base(r / t), 1.0, out=out[:, i])
-        np.multiply(measure.weight(r), out[:, idx1], out=out[:, -1])
+            out[i] = body.base(r / t)
+        np.multiply(measure.weight(r), out[idx1], out=out[-1])
         return out
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
@@ -271,9 +283,11 @@ def _check_criterion(body, engine, stats, experimental, criterion, family=object
     engine = engine or Engine()
     if not isinstance(body, family):
         raise TypeError(f"the {criterion} criterion applies to {family.__name__} bodies")
-    body = _in_class(body, engine, experimental)
-    stats = stats or body_statistics(body, None, (), engine)
-    return _criterion_report(stats, criterion)
+    if stats is not None:
+        _given_stats(body, stats, None, experimental)
+        return _criterion_report(stats, criterion)
+    body = _in_class(body, engine.seed, experimental)
+    return _criterion_report(body_statistics(body, None, (), engine), criterion)
 
 
 def check_derivative_criterion(
@@ -376,9 +390,11 @@ def dilation_curve(
     case, flagged in the report note).  ``experimental`` skips the class check.
     """
     engine = engine or Engine()
-    body = _in_class(body, engine, experimental)
-    stats = stats or body_statistics(body, measure, t_grid, engine)
-    return _curve_report(stats)
+    if stats is not None:
+        _given_stats(body, stats, measure, experimental)
+        return _curve_report(stats)
+    body = _in_class(body, engine.seed, experimental)
+    return _curve_report(body_statistics(body, measure, t_grid, engine))
 
 
 def _curve_report(stats: BodyStats) -> DilationReport:
@@ -471,7 +487,7 @@ def full_check(
     shared estimation pass; a Monte Carlo violation costs at most 3 shared
     recheck passes.  ``experimental`` skips the class check of the body."""
     engine = engine or Engine()
-    body = _in_class(body, engine, experimental)
+    body = _in_class(body, engine.seed, experimental)
     stats = body_statistics(body, None, t_grid, engine)
     deriv = _criterion_report(stats, "derivative")
     mom = _criterion_report(stats, _MOMENT_CRITERION[stats.measure.tag])

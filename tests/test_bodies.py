@@ -455,7 +455,8 @@ class TestRequireFinite:
         assert require_finite(vals, "integrand", np.zeros((2, 3))) is vals
 
     def test_first_bad_value_and_its_point_named(self):
-        vals = np.array([[1.0, 2.0], [3.0, np.inf], [np.nan, 0.0]])
+        # one row per column, one entry per point
+        vals = np.array([[1.0, 3.0, np.nan], [2.0, np.inf, 0.0]])
         points = np.array([[0.0], [0.5], [1.0]])
         with pytest.raises(NonFiniteIntegrandError, match=r"^integrand returned inf at \[0.5\]$"):
             require_finite(vals, "integrand", points)
@@ -640,18 +641,19 @@ class TestGauges:
         # the gauge path hands over sublevels, not columns; their moments are
         # those of the explicit membership columns of the dilates
         explicit = np.stack([body.dilate(t).radial_member(r).astype(float) for t in grid]
-                            + [measure.weight(r) * body.radial_member(r)], axis=1)
+                            + [measure.weight(r) * body.radial_member(r)])
         part = captured["columns"](r)
         assert isinstance(part, Sublevels)
         fast, slow = SampleMoments(len(grid) + 1), SampleMoments(len(grid) + 1)
-        fast.add_chunk(0, part)
-        slow.add_chunk(0, explicit)
+        fast.add_chunk(part)
+        slow.add_chunk(explicit)
         (n, mean, cov), (n_slow, mean_slow, cov_slow) = fast.finalize(), slow.finalize()
         assert n == n_slow == len(r)
-        # counts are exact; the weight entries are sums in another order
-        assert np.array_equal(mean[:-1], mean_slow[:-1])
+        # counts are exact, and the weight is summed and squared as a column;
+        # its cross entries with the indicators are sums in another order
+        assert np.array_equal(mean, mean_slow)
         assert np.array_equal(cov[:-1, :-1], cov_slow[:-1, :-1])
-        np.testing.assert_allclose(mean[-1], mean_slow[-1], rtol=1e-12, atol=0)
+        assert cov[-1, -1] == cov_slow[-1, -1]
         np.testing.assert_allclose(cov[-1], cov_slow[-1], rtol=1e-12, atol=0)
 
     @gauge_cases

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from sineq.integrate import (
     Engine,
     Estimate,
     NonFiniteIntegrandError,
+    PIECE,
     Pass,
     SAMPLING_CONTRACT,
     SUB,
@@ -48,6 +52,7 @@ from sineq.measures import FACTORS, MeasureKind, complex_gaussian, exponential
 
 SQRT_2LN2 = 1.1774100225154747
 N = 200_000
+SRC = str(Path(sys.modules["sineq"].__file__).parents[1])
 
 
 def within_3se(estimate: Estimate, truth: float) -> bool:
@@ -198,7 +203,7 @@ class TestDrawBuffer:
 
         def columns(r: np.ndarray) -> np.ndarray:
             seen.append(r)
-            return np.stack([r[:, 0], r.sum(axis=1)], axis=1)
+            return np.stack([r[:, 0], r.sum(axis=1)])
 
         return seen, run_chunked(exponential(3), samples, 13, 0, columns, 2, workers)
 
@@ -217,7 +222,7 @@ class TestDrawBuffer:
         for block, take in chunk_indices(samples):
             for start in range(0, take, SUB):
                 rows = r[block * CHUNK + start:block * CHUNK + min(take, start + SUB)]
-                acc.add_chunk(block, np.stack([rows[:, 0], rows.sum(axis=1)], axis=1))
+                acc.add_chunk(np.stack([rows[:, 0], rows.sum(axis=1)]))
         expected = acc.finalize()
         for workers in (1, 2):
             got = self._seen(samples, workers)[1]
@@ -230,9 +235,9 @@ class TestDrawBuffer:
         def columns(r: np.ndarray) -> np.ndarray:
             if not inner:
                 run_chunked(exponential(3), CHUNK, 14, 0,
-                            lambda q: inner.append(q) or q[:, :2].copy(), 2)
+                            lambda q: inner.append(q) or q[:, :2].T.copy(), 2)
             outer.append(r)
-            return np.stack([r[:, 0], r.sum(axis=1)], axis=1)
+            return np.stack([r[:, 0], r.sum(axis=1)])
 
         nested = run_chunked(exponential(3), CHUNK, 13, 0, columns, 2)
         assert not any(np.shares_memory(q, r) for q in inner for r in outer)
@@ -248,14 +253,16 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("body", BODIES, ids=lambda b: b.kind)
     def test_workers_do_not_change_a_bit(self, body):
-        # three blocks, the last one partial
+        # three blocks, the last one partial: at three workers each block
+        # is reduced on its own thread
         from sineq.verify import DEFAULT_T_GRID, body_statistics
 
         engine = Engine(method="mc", samples=2 * CHUNK + 5000, seed=31)
         one = body_statistics(body, None, DEFAULT_T_GRID, engine)
-        two = body_statistics(body, None, DEFAULT_T_GRID, replace(engine, workers=2))
-        assert one.samples == two.samples == 2 * CHUNK + 5000
-        assert np.array_equal(one.means, two.means) and np.array_equal(one.cov, two.cov)
+        for workers in (2, 3):
+            many = body_statistics(body, None, DEFAULT_T_GRID, replace(engine, workers=workers))
+            assert one.samples == many.samples == 2 * CHUNK + 5000
+            assert np.array_equal(one.means, many.means) and np.array_equal(one.cov, many.cov)
 
     def test_many_threads_lose_no_part(self):
         # worker threads add their sub-blocks to one accumulator; a lost or
@@ -276,79 +283,155 @@ class TestSubBlocks:
 
     @pytest.mark.parametrize("body", BODIES, ids=lambda b: b.kind)
     def test_means_are_the_whole_block_column_sums(self, body):
-        # the column sums of each whole block in numpy's order, summed
-        # exactly across blocks, as before sub-blocks
+        # an indicator mean is the whole pass's count, to the bit, however
+        # the pass is cut; the weight's mean is the exact sum of its
+        # pairwise sub-block sums
         from sineq.verify import DEFAULT_T_GRID, body_statistics
 
         samples = CHUNK + 3 * SUB // 2
         stats = body_statistics(body, None, DEFAULT_T_GRID,
                                 Engine(method="mc", samples=samples, seed=32))
         r = draw(stats.measure, SampleStream(32), samples)
-        cols = np.stack([body.dilate(t).radial_member(r).astype(float) for t in stats.t_grid]
-                        + [stats.measure.weight(r) * body.radial_member(r)], axis=1)
-        blocks = [cols[:CHUNK].sum(axis=0), cols[CHUNK:].sum(axis=0)]
-        sums = [math.fsum(b[j] for b in blocks) for j in range(cols.shape[1])]
-        assert np.array_equal(stats.means, np.array(sums) / samples)
+        counts = [np.count_nonzero(body.dilate(t).radial_member(r)) for t in stats.t_grid]
+        assert np.array_equal(stats.means[:-1], np.array(counts, dtype=float) / samples)
+        weight = stats.measure.weight(r) * body.radial_member(r)
+        cuts = list(range(0, CHUNK, SUB)) + [CHUNK, CHUNK + SUB, samples]
+        parts = [weight[a:b].sum() for a, b in zip(cuts, cuts[1:])]
+        assert stats.means[-1] == math.fsum(parts) / samples
 
 
 class TestColumnSums:
-    """``SampleMoments`` sums two or more columns of a sub-block row by row
-    (``einsum``) and a single column pairwise (``sum``), whatever the
-    memory layout of the array it is handed."""
+    """Contract 4: ``SampleMoments`` takes the columns of a sub-block as the
+    rows of a C-contiguous (ncols, m) array (1-D for one column), sums them
+    row by row, each row pairwise (``sum``), and multiplies each pair of
+    rows i <= j by one ``np.dot`` per piece of ``PIECE`` samples, the pieces
+    summed exactly; the partials of all sub-blocks are summed exactly
+    (``math.fsum``)."""
 
-    ROWS = [1, 2, 3, 8191, 8192, 8193, SUB - 1, SUB]
-
-    @staticmethod
-    def rowwise(c: np.ndarray) -> np.ndarray:
-        acc = c[0].copy()
-        for row in c[1:]:
-            acc += row
-        return acc
+    ROWS = [2, 3, 8191, 8192, 8193, SUB - 1, SUB]
 
     @staticmethod
-    def adversarial(rng, m: int, k: int) -> np.ndarray:
-        # rows scaled by 1e-8 .. 1e8 and a first row of 1e16, which swallows
-        # the low bits of every later row in a running sum
-        c = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 9, size=(m, 1))
-        c[0] = 1e16
+    def adversarial(rng, k: int, m: int) -> np.ndarray:
+        # samples scaled by 1e-8 .. 1e8 and a first sample of 1e16, which
+        # swallows the low bits of every later one in a running sum
+        c = rng.standard_normal((k, m)) * 10.0 ** rng.integers(-8, 9, size=m)
+        c[:, 0] = 1e16
         return c
 
     @staticmethod
     def moments(k: int, *parts: np.ndarray):
         acc = SampleMoments(k)
         for part in parts:
-            acc.add_chunk(0, part)
+            acc.add_chunk(part)
         return acc.finalize()
+
+    @staticmethod
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return math.fsum(float(np.dot(a[lo:lo + PIECE], b[lo:lo + PIECE]))
+                         for lo in range(0, len(a), PIECE))
+
+    def oracle(self, k: int, *parts: np.ndarray):
+        """(n, means, cov) by the contract-4 rule written out."""
+        rows = [part.reshape(k, -1) for part in parts]
+        n = sum(r.shape[1] for r in rows)
+        sums = [math.fsum(float(r[i].sum()) for r in rows) for i in range(k)]
+        prods = [[math.fsum(self.dot(r[min(i, j)], r[max(i, j)]) for r in rows)
+                  for j in range(k)] for i in range(k)]
+        mean = np.array(sums) / n
+        return n, mean, (np.array(prods) - n * np.outer(mean, mean)) / (n - 1) / n
+
+    @staticmethod
+    def same_bits(got, expected) -> bool:
+        return got[0] == expected[0] and all(
+            a.tobytes() == b.tobytes() for a, b in zip(got[1:], expected[1:]))
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_two_or_more_columns_are_summed_row_by_row(self, k):
         rng = np.random.default_rng(k)
         for m in self.ROWS:
-            for c in (rng.random((m, k)), self.adversarial(rng, m, k)):
-                rows = self.rowwise(c)
-                assert np.einsum("ij->j", c).tobytes() == rows.tobytes()
-                assert c.sum(axis=0).tobytes() == rows.tobytes()
-                if m > 1:
-                    means = self.moments(k, c.copy())[1]
-                    assert means.tobytes() == (rows / m).tobytes()
+            for c in (rng.random((k, m)), self.adversarial(rng, k, m)):
+                got = self.moments(k, c)
+                assert self.same_bits(got, self.oracle(k, c))
+                pairwise = np.array([row.sum() for row in c])
+                assert got[1].tobytes() == (pairwise / m).tobytes()
 
     def test_one_column_is_summed_pairwise(self):
-        c = self.adversarial(np.random.default_rng(1), SUB, 1)
-        pairwise = c.sum(axis=0)
-        assert pairwise.tobytes() != self.rowwise(c).tobytes()  # the two rules differ here
-        assert self.moments(1, c.copy())[1].tobytes() == (pairwise / SUB).tobytes()
+        c = self.adversarial(np.random.default_rng(1), 1, SUB)[0]
+        pairwise = c.sum()
+        assert pairwise != np.cumsum(c)[-1]  # a running sum differs here
+        got = self.moments(1, c)
+        assert got[1].tobytes() == np.array([pairwise / SUB]).tobytes()
+        assert self.same_bits(got, self.oracle(1, c))
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_layout_does_not_change_a_bit(self, k):
-        c = self.adversarial(np.random.default_rng(10 + k), 20_000, k)
-        wide = np.empty((c.shape[0], 2 * k))
-        wide[:, ::2] = c
-        n, means, cov = self.moments(k, c[:12_000].copy(), c[12_000:].copy())
-        for other in (np.asfortranarray(c), np.ascontiguousarray(c.T).T, wide[:, ::2]):
-            assert not other.flags.c_contiguous and np.array_equal(other, c)
-            got = self.moments(k, other[:12_000], other[12_000:])
-            assert got[0] == n
-            assert got[1].tobytes() == means.tobytes() and got[2].tobytes() == cov.tobytes()
+        # a pass reduces a C-contiguous copy of columns handed over in
+        # another layout
+        layouts = [np.asfortranarray, lambda c: np.ascontiguousarray(c.T).T,
+                   lambda c: np.repeat(c, 2, axis=1)[:, ::2]]
+
+        def run(layout):
+            def columns(r: np.ndarray) -> np.ndarray:
+                c = np.stack([r[:, j % 3] * 10.0 ** (4 * j - 8) for j in range(k)])
+                other = layout(c)
+                assert np.array_equal(other, c)
+                assert other is c or not other.flags.c_contiguous
+                return other
+
+            return run_chunked(exponential(3), CHUNK + 20_000, 5, 0, columns, k)
+
+        plain = run(lambda c: c)
+        for layout in layouts:
+            assert self.same_bits(run(layout), plain)
+
+    def test_indicator_moments_are_counts(self):
+        # 0/1 columns sum and multiply to integers, exactly, so their means
+        # and covariance are those of the counts whatever the cut
+        rng = np.random.default_rng(7)
+        m = 3 * SUB + 5
+        u, v = rng.random(m), rng.random(m)
+        marks = [u <= 0.2, u <= 0.5, v <= 0.9, (u > 0.3) & (v <= 0.6)]
+        cols = np.array(marks, dtype=float)
+        cuts = [0, 1, SUB, 2 * SUB + 17, m]
+        n, means, cov = self.moments(4, *(cols[:, a:b] for a, b in zip(cuts, cuts[1:])))
+        counts = np.array([np.count_nonzero(a) for a in marks], dtype=float)
+        pairs = np.array([[np.count_nonzero(a & b) for b in marks] for a in marks], dtype=float)
+        mean = counts / m
+        assert n == m and means.tobytes() == mean.tobytes()
+        assert cov.tobytes() == ((pairs - m * np.outer(mean, mean)) / (m - 1) / m).tobytes()
+
+    def test_shuffled_parts_give_the_same_bits(self):
+        # sub-blocks of several blocks, added in row order and shuffled
+        rng = np.random.default_rng(8)
+        c = self.adversarial(rng, 3, 2 * CHUNK + 5000)
+        cuts = sorted({0, c.shape[1], *range(0, c.shape[1], SUB), *range(0, c.shape[1], CHUNK)})
+        parts = [c[:, a:b].copy() for a, b in zip(cuts, cuts[1:])]
+        ordered = self.moments(3, *parts)
+        assert self.same_bits(ordered, self.oracle(3, *parts))
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(parts))
+            assert self.same_bits(self.moments(3, *(parts[i] for i in order)), ordered)
+
+    def test_blas_threads_do_not_change_a_bit(self):
+        # a BLAS dot of more than 10,000 entries is split across the BLAS
+        # threads; each piece of a product is shorter than that
+        script = ("import hashlib, numpy as np; from sineq.integrate import SUB, SampleMoments; "
+                  "acc = SampleMoments(3); "
+                  "acc.add_chunk(np.random.default_rng(9).standard_normal((3, SUB + 5))); "
+                  "print(hashlib.sha256(b''.join(a.tobytes() for a in acc.finalize()[1:]))"
+                  ".hexdigest())")
+        digests = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": SRC,
+                                                   "OPENBLAS_NUM_THREADS": threads}
+                                  ).stdout for threads in ("1", "2")}
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("ncols", [1, 3])
+    def test_rows_of_samples_are_refused(self, ncols):
+        # the contract-3 layout, one row per sample, names the layout wanted
+        with pytest.raises(ValueError, match=rf"integrand returned shape \(1000, {ncols}\), "
+                                             rf"expected \({ncols}, 1000\): one row per column"):
+            run_chunked(exponential(2), 1000, 1, 0, lambda r: np.ones((len(r), ncols)), ncols)
 
 
 class TestMcMeasure:
@@ -567,7 +650,7 @@ class TestEstimate:
 
         def columns(r):
             calls.append(r.shape[0])
-            return np.stack([np.exp(-r[:, 0]), r.sum(axis=1), np.cos(r[:, -1])], axis=1)
+            return np.stack([np.exp(-r[:, 0]), r.sum(axis=1), np.cos(r[:, -1])])
 
         p = estimate(Engine(method="quadrature", order=12), MeasureKind(tag, n), columns, 3,
                      quadrature=True)
@@ -575,7 +658,7 @@ class TestEstimate:
         assert p.method == "quadrature(12)" and p.samples == 12**n
         # the tensor Gauss-Laguerre rule written out: laggauss nodes through
         # the factor's r, outer-product weights, and each mean the weights'
-        # dot with the contiguous column, to the bit
+        # dot with the column's contiguous row, to the bit
         u, w = np.polynomial.laguerre.laggauss(12)
         axis = FACTORS[tag].r(u)
         pts = np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=1)
@@ -583,13 +666,12 @@ class TestEstimate:
         for _ in range(n):
             wts = np.outer(wts, w).ravel()
         cols = columns(pts)
-        assert p.means.tolist() == [float(wts @ np.ascontiguousarray(cols[:, j]))
-                                    for j in range(3)]
+        assert p.means.tolist() == [float(wts @ cols[j]) for j in range(3)]
 
     def test_quadrature_pass_checks_the_columns(self):
         with pytest.raises(NonFiniteIntegrandError):
             estimate(Engine(method="quadrature", order=8), MeasureKind("radial-mu", 1),
-                     lambda r: np.stack([r[:, 0], np.where(r[:, 0] > 1.0, np.inf, 0.0)], axis=1), 2,
+                     lambda r: np.stack([r[:, 0], np.where(r[:, 0] > 1.0, np.inf, 0.0)]), 2,
                      quadrature=True)
 
 
@@ -608,8 +690,10 @@ class TestSamplingContract:
     """Draws pinned across commits: a change here is a sampling-contract
     change and has to be versioned (``SAMPLING_CONTRACT``) and recorded."""
 
-    def test_pins_are_those_of_contract_3(self):
-        assert SAMPLING_CONTRACT == 3
+    def test_pins_are_those_of_contract_4(self):
+        # tests/data/repin_contract_4.py re-pins them and checks each
+        # against its contract-3 value
+        assert SAMPLING_CONTRACT == 4
 
     def test_pass_pinned(self):
         # the reduction is part of the contract: one pass over two blocks,
@@ -620,7 +704,7 @@ class TestSamplingContract:
                                 Engine(method="mc", samples=150_000, seed=2026, stream=9))
         assert CHUNK // SUB > 1 and stats.cov.shape == (6, 6)
         digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
-        assert digest == "e5ca7d8f67796d9e8340cacab8a33e514654bc3dbd751c5e94fd9360dafbee6e"
+        assert digest == "a70b610614ff2b108b9bffdf744335612ede531116ef488999ad609c2faf473e"
 
     def test_column_pass_pinned(self):
         # a validated custom shadow has no gauge, so its pass reduces the
@@ -634,13 +718,13 @@ class TestSamplingContract:
                                 Engine(method="mc", samples=150_000, seed=2026, stream=9))
         assert stats.cov.shape == (6, 6)
         digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
-        assert digest == "7c1b2dc31e0193ce538599b4270af29caded9dce33d1a34c21cb60a1eaa60e8b"
+        assert digest == "8fb352fd32c7c700c9e1bcb7b1b97c730d03eb2d2df1a77523fe24d586997de3"
 
     def test_moment_ratio_pass_pinned(self):
         # two columns over two blocks, five sub-blocks
         record = _golden_moments("linf", 3, samples=150_000)
         assert _record_digest(record) == (
-            "2623a203adb599b194fd992b2143e9d20c0fa05a6375f0c1aa481dee122bb6bf")
+            "8424498718d5247cedf3493d8da176e84ae1e8a07dbe304f00fd0d8d3218cb05")
 
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
     PINNED = {
@@ -738,53 +822,53 @@ class TestKernelGoldens:
     }
     ENTROPY = {
         ("check_subadditivity", "lp"):
-            "5bada343a4dae501f460d4bf361f3f40bde9ad3cee008b7600db2907ed197260",
+            "b7274a600b78670a734072c1f006d2b2875a8a2edb670338b936f7bac05e5446",
         ("check_subadditivity", "box-product"):
-            "9b2905e744b7abb54c56ad89e9c738b6bbebcbb616d9664b8ae99e4a705e0396",
+            "0acfa3616925c4cc89bf48c22f2036592b4e6f586b5b341cdfcaf7e67dbb5968",
         ("check_subadditivity", "cross-polytope"):
-            "da044bf8a617f55d5816e120c13fea96e5e6c0ebfd5b071cd00908f769088b8f",
+            "6c2708a01f9890b641a3ac02932cfd9d8b160968d0cc5d5a9e86a062f87983f9",
         ("check_subadditivity", "norm-ball"):
-            "8b3d5415f25e89cce24c29108d072a14fd348f5202f489d4b57fda170594e4a7",
+            "1db8c27fb22285ccfacdb39b28ca14fb8d7853d9ad542e2f43c8fdab70044c2f",
         ("check_lemma_multidim", "lp"):
-            "fb57d37bb15ca5127081149333652e326d561a67b33fa11f74de5a7c35894174",
+            "5e07f9feda84738273e4356ff01ef5a712cc8e287a9ffcc2f872e68493acd466",
         ("check_lemma_multidim", "box-product"):
-            "ff4b5354229abc9e59407167cc53e802410f124c4c8c4040abf1190c9df7a596",
+            "fae7175f6e9da3045490367b2e2c2b1f253a5daf6e66112e3896b126ead1489b",
         ("check_lemma_multidim", "cross-polytope"):
-            "16a9f8ee6b98335e335983fa0a6e6316b6a5edc15f6cf3f52fbde5d73379e4e3",
+            "3dcbe9b9faede27318aa644004ce8c730e94c60a5c0b84b1b99a10fdb8e1f102",
         ("check_lemma_multidim", "norm-ball"):
-            "554943756cc201e2031588d21fecac7cf7ffe2d4b51aa9e0dd21e8d5ada99de0",
+            "d338f9382a4e83be31be75d66829b2077b59990991509d16547abbfedba13233",
     }
     MOMENTS = {
         ("linf", 2):
-            "e2ea9138d97c840eba1baf71d7086e9913417d81ee9fda23dc88a85c9f58718b",
+            "a301d43fd22d522c07ba9b63eec965fbe9e3fba2fa7c9ee94844b4628b3f7b06",
         ("linf", 3):
-            "5d1daa921cadefbcb73347a2f4a70458f0f60d1316acca1afb74af3ee90729d4",
+            "b3c078a687a55b257a2743e0f74117826a18bbc0842d53020538f38c429a01ba",
         ("linf", 4):
-            "fa5c172a907d10236ef196ea767eb4f98c45640e4c577101811cd7ec328fcb6a",
+            "a6e76e1e2adcf523aeba84adc2b06ae0661eab9054359e6e7552f2151be91723",
         ("l1", 2):
-            "2c916804c4f46d3f09d09056cfb2b1a7e7432e9ebaf6ccf3d37193e76b783b6b",
+            "0b659e39f22ed538b306cc14dd0e944148f09b8898fbeaeccd90d4f2ed8d2bff",
         ("l1", 3):
-            "4027ad3a1c24e8a7a510d2b84f470bd3f9e4bc15874f59d43773d3f433bba709",
+            "7cd495a8e0cfbfcc2428cfe5170cbdcfcb45654225e1390288012bb0d974e116",
         ("l1", 4):
-            "b4c6bc02b93b5396de9ab62558bcf3d73db688afc21d8c1b566317bcb8cda2e9",
+            "47f6695cd4b419261a89086c1f08a3f080e64f2790287740846da28cd5f350c1",
         ("lp:3", 2):
-            "8430a93ddaef80a467049ee740da786ca117985b3db251ecdbe8ae2345198d2c",
+            "f94335089a6a92b9640059377b04320dd64a38ae312dda1af98d16b43ddd24c2",
         ("lp:3", 3):
-            "3de5068951a2977996af696a18afff29164fa259554f93cc44b35e1a331f7cc5",
+            "42f9569a109ee8ce30ceb2dd99f8120bb6aec76c5bc1f6063886009fb0c0a130",
         ("lp:3", 4):
-            "624383e6e6d273cc6cbf03f49d9c28e005d66d40ca1b13c721cfa6c2b6144f34",
+            "a80fb9b2a190d5c5b9a402f8af87aea66abcf47a3ffb7e7f8941953e35ad5b47",
         ("gauge", 2):
-            "b0fb4a793e26f9764d2aeba84ea0d3bea94e781922b81ab17d999e6a7967f38a",
+            "6e354b19ca27de27c787f55fe833b1e8e4a03a32578a94d6177358bcaed40553",
         ("gauge", 3):
-            "f857312a0e78c09d85a48c780c66a23bb556137eacaea416ea04e1535ac68622",
+            "763a4893991e2d93589396f83109589894aaaee8f11b8a634fef634c6911b4fb",
         ("gauge", 4):
-            "403f318ee0aac2141d59488f65e5ce7a91bb58d328bf87c72f499bcf6b257700",
+            "0691f5c943ad2e0742bd78ab49597f9ca440a20b36580f28354c29ad70daab70",
     }
     STATISTICS = {
         "lp":
-            "b3a415231c11769aaa4291eb4277896a133cadac5e0b56e559264a9485aebc13",
+            "7629c89c0fe3dada1531281cd830a35e117f92654bdfd9c6d287e4adc2137a34",
         "cross-polytope":
-            "e2904a74515b0ce0e96ceda94a81b02bb0aab4e88d07378739996d4146b11d8f",
+            "307c9f90136e0fed1f0b9b2ff09a1e7031a09387330f02bc8ccdeb774a76b8f0",
     }
 
     @pytest.mark.parametrize("check, body", list(ENTROPY), ids=str)
@@ -909,7 +993,8 @@ class TestRecord:
     (lambda: mc_integral(lambda r: r[:, 0], samples=10), "measure kind is required"),
     (lambda: tensor_quadrature(lambda r: r[:, 0], 1, 8, "gaussian"),
      "unsupported quadrature measure"),
-    (lambda: tensor_quadrature(lambda r: r, 2, 8), r"integrand returned shape \(64, 2\)"),
+    (lambda: tensor_quadrature(lambda r: r, 2, 8),
+     r"integrand returned shape \(64, 2\), expected \(1, 64\): one row per column"),
     (lambda: Engine(seed=-1), r"seed must be in \[0, 2\*\*64\), got -1"),
     (lambda: Engine(seed=2**64), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
     (lambda: Engine(stream=-1), r"^engine stream -1 outside \[0, 2\*\*62\): higher streams "

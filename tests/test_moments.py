@@ -265,15 +265,17 @@ class TestCertifiedRatio:
         assert pair.verdict_note == "initial 3-sigma excursion not reproduced"
         assert pair.to_record()["verdict"] == "holds"
 
-    # the record of this case as written before the rechecks moved into the pass
+    # the record of this case, re-pinned for sampling contract 4 by
+    # tests/data/repin_contract_4.py
     RECHECKED_RECORD = (
-        '{"bound": 1.4142135623730951, "kind": "moment-ratio", "margin": -0.0045072054773585, '
-        '"method": "mc(300000, 338)", "moment_p": 1.4258405223759107, '
-        '"moment_q": 1.0050184325815181, "n": 2, "norm": "coord:0", "p": 2.0, "q": 1.0, '
-        '"ratio": 1.4187207678504536, "ratio_se": 0.0013215466530676141, '
-        '"reference": 1.4142135623730951, "samples": 300000, "sampling_contract": 3, '
-        '"seed": 338, "std_error": 0.0013215466530676141, "tolerance": 0.003964639959202843, '
-        '"value": 1.4187207678504536, "verdict": "holds"}')
+        '{"bound": 1.4142135623730951, "kind": "moment-ratio", '
+        '"margin": -0.004507205477353393, "method": "mc(300000, 338)", '
+        '"moment_p": 1.4258405223759059, "moment_q": 1.0050184325815184, "n": 2, '
+        '"norm": "coord:0", "p": 2.0, "q": 1.0, "ratio": 1.4187207678504485, '
+        '"ratio_se": 0.0013215466530676096, "reference": 1.4142135623730951, '
+        '"samples": 300000, "sampling_contract": 4, "seed": 338, '
+        '"std_error": 0.0013215466530676096, "tolerance": 0.003964639959202829, '
+        '"value": 1.4187207678504485, "verdict": "holds"}')
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recheck_path_record_is_pinned(self, monkeypatch, workers):

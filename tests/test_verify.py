@@ -467,6 +467,49 @@ class TestRechecksBelongToThePass:
         assert again.method == "mc(40000, 7)"
 
 
+class TestGivenStats:
+    """A check given ``stats`` refuses a pass over another body or measure,
+    naming both, and validates its body at the seed of ``stats``."""
+
+    OTHER = "'polydisc:r=2.0,2.0' under complex-gaussian\\(2\\)"
+
+    @pytest.mark.parametrize("check", [check_derivative_criterion, check_moment_criterion_gaussian,
+                                       dilation_curve])
+    def test_stats_of_another_body_are_refused(self, check):
+        stats = body_statistics(polydisc([2.0, 2.0]), engine=EXACT)
+        with pytest.raises(ValueError, match=rf"^stats of {self.OTHER} do not belong to "
+                                             r"'polydisc:r=1.0,1.0' under complex-gaussian\(2\)$"):
+            check(polydisc([1.0, 1.0]), stats=stats)
+
+    def test_stats_of_another_dimension_are_refused(self):
+        stats = body_statistics(polydisc([2.0, 2.0]), engine=EXACT)
+        with pytest.raises(ValueError, match=rf"^stats of {self.OTHER} do not belong to "
+                                             r"'polydisc:r=1.0' under complex-gaussian\(1\)$"):
+            dilation_curve(polydisc([1.0]), stats=stats)
+
+    def test_exponential_criterion_refuses_stats_of_another_body(self):
+        stats = body_statistics(box_body([0.5, 1.0]), engine=EXACT)
+        with pytest.raises(ValueError, match=r"^stats of .*strip:p=1.0,n=1' under exponential\(2\) "
+                                             r"do not belong to .*strip:p=1.5,n=1' under"):
+            check_moment_criterion_exponential(box_body([0.5, 1.5]), stats=stats)
+
+    def test_body_is_validated_at_the_stats_seed(self, monkeypatch):
+        seeds = []
+        validate = bodies_module.validate_body
+
+        def spy(body, rng_seed):
+            seeds.append(rng_seed)
+            return validate(body, rng_seed=rng_seed)
+
+        monkeypatch.setattr(bodies_module, "validate_body", spy)
+        body = custom_reinhardt(2, lambda r: (r * r).sum(axis=1) <= 2.0)
+        stats = body_statistics(body, None, DEFAULT_T_GRID,
+                                Engine(method="mc", samples=2000, seed=5))
+        for check in (check_derivative_criterion, dilation_curve):
+            assert check(body, engine=Engine(seed=9), stats=stats).verdict == "holds"
+        assert seeds == [5, 5]
+
+
 class TestCurveAtOne:
     def test_t_one_holds_without_rechecks_on_random_polydiscs(self, mc_passes):
         # a t = 1 reference computed through log1p/expm1 gives 11 of these
