@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -192,33 +191,35 @@ class UnconditionalBody(_RadialBody):
 # Gauges and exact sections
 
 
-def _divide(a) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> x / a for radii a >= 0, with 0/0 read as 0: a zero radius still
-    admits a zero coordinate, and an infinite radius admits every value."""
-    a = np.asarray(a, dtype=float)
-    if (a > 0).all():
-        return lambda x: x / a
-
-    def divide(x: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x == 0, 0.0, x / a)
-
-    return divide
-
-
 def _box_geometry(radii: Sequence[float]) -> dict:
     """The box {r : r_k <= a_k} (entries may be inf): radii a_k, gauge
-    max_k r_k / a_k, section c_k = a_k where the others are inside."""
+    max_k r_k / a_k, section c_k = a_k where the others are inside.
+
+    The gauge divides one column at a time into one buffer and folds it
+    into the result in place.  It reads 0/0 as 0: a zero radius still
+    admits a zero coordinate, and an infinite radius admits every value."""
     a = np.asarray(radii, dtype=float)
-    divide = _divide(a)
+    zero = not (a > 0).all()
+
+    def gauge(m: np.ndarray) -> np.ndarray:
+        if m.shape[1:] != a.shape:
+            raise ValueError(f"box gauge: expected shape (m, {a.size}), got {m.shape}")
+        out, t = np.empty(m.shape[0]), np.empty(m.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, a_k in enumerate(a.tolist()):
+                q = np.divide(m[:, k], a_k, out=t if k else out)
+                if zero:
+                    q[m[:, k] == 0] = 0.0
+                if k:
+                    np.maximum(out, q, out=out)
+        return out
 
     def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         inside = r <= a
         return ((np.full(r.shape[0], a_k), fold_columns(np.logical_and, inside, k))
                 for k, a_k in enumerate(a))
 
-    return {"box": tuple(a.tolist()), "gauge": lambda m: fold_columns(np.maximum, divide(m)),
-            "section": section, "validated": True}
+    return {"box": tuple(a.tolist()), "gauge": gauge, "section": section, "validated": True}
 
 
 def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
@@ -462,7 +463,13 @@ def _product_geometry(parts) -> dict:
         return out
 
     def gauge(m: np.ndarray) -> np.ndarray:
-        return reduce(np.maximum, (part.gauge(m[:, lo:hi]) for part, lo, hi in spans))
+        # the first maximum is a fresh array (a part's gauge may be a view);
+        # the others fold into it in place
+        (first, lo0, hi0), (second, lo1, hi1), *rest = spans
+        out = np.maximum(first.gauge(m[:, lo0:hi0]), second.gauge(m[:, lo1:hi1]))
+        for part, lo, hi in rest:
+            np.maximum(out, part.gauge(m[:, lo:hi]), out=out)
+        return out
 
     def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         inside = np.stack([part.base(r[:, lo:hi]) for part, lo, hi in spans], axis=1)

@@ -113,8 +113,11 @@ class Factor:
     def quantile_in_place(self, v: np.ndarray) -> np.ndarray:
         """``quantile`` of the float array ``v``, written over it with no
         temporary array: the Monte Carlo draw kernel."""
-        u = np.negative(np.log1p(np.negative(v, out=v), out=v), out=v)
-        return np.sqrt(np.multiply(u, 2.0, out=u), out=u) if self.d == 2 else u
+        w = np.log1p(np.negative(v, out=v), out=v)  # ln(1 - v) = -u
+        if self.d == 1:
+            return np.negative(w, out=w)
+        # -u * 2 is w * -2.0 to the bit: negating and doubling are exact
+        return np.sqrt(np.multiply(w, -2.0, out=w), out=w)
 
     def inverse_tail(self, y):
         """Inverse of the tail on (0, 1]."""
@@ -257,8 +260,8 @@ class MeasureKind:
 
     def weight(self, r) -> np.ndarray:
         """sum_k r_k^d per row of coordinate radii: |z|^2 or |x|_1."""
-        d = self.factor.d
-        return fold_columns(np.add, np.asarray(r, dtype=float), f=lambda c: c**d)
+        square = np.square if self.factor.d == 2 else None  # r^1 is r itself
+        return fold_columns(np.add, np.asarray(r, dtype=float), f=square)
 
 
 def complex_gaussian(n: int) -> MeasureKind:

@@ -709,6 +709,25 @@ class TestGauges:
     def test_infinite_radius_reads_zero(self):
         assert cylinder_body(2.0, 2).gauge(np.array([[1.0, 1e300]])).tolist() == [0.5]
 
+    def test_box_gauge_is_the_whole_array_formula_to_the_bit(self):
+        # column by column in place, with the bits of dividing the (m, n)
+        # array and reducing its rows, 0/0 read as 0
+        r = _orthant_points(7, 5000, 4)
+        r[::3, 1] = 0.0
+        for radii in ([0.5, 1.5, 2.5, math.inf], [1.0, 0.0, 2.0, 0.0]):
+            a = np.array(radii)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(r == 0, 0.0, r / a).max(axis=1)
+            assert polydisc(radii).gauge(r).tobytes() == want.tobytes()
+        parts = product(polydisc([1.0, 2.0]), polydisc([0.5]), polydisc([3.0]))
+        want = np.maximum(np.maximum((r[:, :2] / [1.0, 2.0]).max(axis=1), r[:, 2] / 0.5),
+                          r[:, 3] / 3.0)
+        assert parts.gauge(r).tobytes() == want.tobytes()
+
+    def test_box_gauge_refuses_points_of_another_width(self):
+        with pytest.raises(ValueError, match=r"expected shape \(m, 2\), got \(3, 1\)"):
+            polydisc([1.0, 2.0]).gauge(np.ones((3, 1)))
+
     def test_predicate_bodies_have_neither(self):
         shadow = custom_reinhardt(2, lambda r: r.sum(axis=1) <= 1.0)
         for body in (shadow, annulus_body(0.5, 1.0), product(shadow, polydisc([1.0]))):

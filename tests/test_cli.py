@@ -173,8 +173,11 @@ class TestMomentsCommand:
     def test_bad_exponents_exit_2(self, capsys):
         assert main(["moments", "--norm", "linf", "--n", "2", "--p", "1", "--q", "2"]) == 2
 
-    def test_lp_inf_is_linf(self, capsys):
-        args = ("--n", "3", "--p", "2", "--q", "1", "--samples", "2000")
+    @staticmethod
+    def lp_inf_record_is_linf(capsys, *extra) -> dict:
+        """The record of ``lp:inf``, checked equal to that of ``linf`` but
+        for the name."""
+        args = ("--n", "3", "--p", "2", "--q", "1", *extra)
         code, out = run_cli(capsys, "moments", "--norm", "lp:inf", *args)
         assert code == 0
         (rec,) = parse_jsonl(out)
@@ -182,6 +185,16 @@ class TestMomentsCommand:
         assert rec["norm"] == "lp:inf"
         assert {k: v for k, v in rec.items() if k != "norm"} == {
             k: v for k, v in linf.items() if k != "norm"}
+        return rec
+
+    def test_lp_inf_is_linf(self, capsys):
+        # the Monte Carlo kernels: lp_rows at p = inf gives fold_columns' bits
+        rec = self.lp_inf_record_is_linf(capsys, "--samples", "2000", "--engine", "mc")
+        assert rec["method"] == "mc(2000, 42)"
+
+    def test_lp_inf_is_linf_on_the_closed_form(self, capsys):
+        rec = self.lp_inf_record_is_linf(capsys)
+        assert (rec["method"], rec["samples"]) == ("closed-form", 0)
 
     @pytest.mark.parametrize("spellings, name", [
         (["lp:3", "lp:3.0", "lp:03"], "lp:3"), (["coord", "coord:0"], "coord:0"),
@@ -320,7 +333,7 @@ class TestCertifiedExitCodes:
     def test_moments_excursion_exits_0(self, capsys):
         code, out = run_cli(
             capsys, "moments", "--norm", "coord", "--n", "1", "--p", "2", "--q", "1",
-            "--samples", "2000", "--seed", "1459",
+            "--engine", "mc", "--samples", "2000", "--seed", "1459",
         )
         (rec,) = parse_jsonl(out)
         assert (code, rec["verdict"]) == (0, "holds")
@@ -329,7 +342,7 @@ class TestCertifiedExitCodes:
     @pytest.mark.parametrize("args", [
         ["entropy", "--lemma", "subadditivity", "--body", "polydisc:r=1,1",
          "--engine", "quadrature"],
-        ["moments", "--norm", "linf", "--n", "2", "--engine", "exact"],
+        ["moments", "--norm", "lp:3", "--n", "2", "--engine", "exact"],
         ["moments", "--norm", "linf", "--n", "2", "--engine", "quadrature"],
         ["entropy", "--lemma", "multidim", "--body", "cylinder:R=1,n=2",
          "--engine", "quadrature"],

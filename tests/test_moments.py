@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from sineq.bodies import (
     strip_body,
     unconditional_lp_ball,
 )
-from sineq.integrate import Engine
+from sineq.integrate import DET_TOL, Engine
 from sineq.moments import (
+    MAX_LAW_DIM,
     coordinate_norm,
     cpq,
     gauge_norm,
@@ -304,8 +307,9 @@ class TestCertifiedRatio:
 
     @pytest.mark.parametrize("method", ["exact", "quadrature"])
     def test_only_monte_carlo(self, method):
-        with pytest.raises(ValueError):
-            moment_ratio(linf_norm(), 2.0, 1.0, 2, Engine(method=method))
+        # lp:3 has no moment law, so Monte Carlo is its one path
+        with pytest.raises(ValueError, match=f"no {'closed form' if method == 'exact' else method}"):
+            moment_ratio(lp_norm(3.0), 2.0, 1.0, 2, Engine(method=method))
 
 
 @pytest.mark.parametrize("call, match", [
@@ -330,3 +334,127 @@ def test_bad_input_raises(call, match):
 def test_records_name_the_factory_norms(make, name):
     engine = Engine(method="mc", samples=2000, seed=1)
     assert moment_ratio(make(), 2.0, 1.0, 2, engine).to_record()["norm"] == name
+
+
+def _max_sum_40(rates, r) -> Decimal:
+    """sum_{S != {}} (-1)^(|S|+1) (sum_{k in S} h_k)^(-r) at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = Decimal(r)
+        return sum((-1) ** (size + 1) * sum(map(Decimal, S)) ** -r
+                   for size in range(1, len(rates) + 1)
+                   for S in itertools.combinations(rates, size))
+
+
+def _binomial_sum_40(n, r) -> Decimal:
+    """The equal-rate sum, sum_k (-1)^(k+1) C(n, k) k^(-r), at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return sum((-1) ** (k + 1) * math.comb(n, k) * Decimal(k) ** -Decimal(r)
+                   for k in range(1, n + 1))
+
+
+# (norm or body maker, name): each norm the package knows the law of
+EXACT_NORMS = [
+    (lambda n: coordinate_norm(n - 1), "coord"),
+    (lambda n: linf_norm(), "linf"),
+    (lambda n: lp_norm(math.inf), "lp:inf"),
+    (lambda n: l1_norm(), "l1"),
+    (lambda n: lp_norm(1.0), "lp:1"),
+    (lambda n: cube_body(1.3, n), "cube"),
+    (lambda n: box_body([0.5, 1.0, 2.0, 1.5][:n]), "box"),
+    (lambda n: cross_polytope(1.5, n), "cross-polytope"),
+]
+PQ = [(2.0, 1.0), (3.0, 1.5), (4.0, 0.5)]
+
+
+class TestExactPath:
+    """Norms whose law under the exponential measure is elementary carry
+    their moments, and "auto" takes them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make, name", EXACT_NORMS, ids=[name for _, name in EXACT_NORMS])
+    def test_closed_form_agrees_with_monte_carlo(self, make, name, n):
+        p, q = PQ[(n + len(name)) % len(PQ)]
+        exact = moment_ratio(make(n), p, q, n)
+        mc = moment_ratio(make(n), p, q, n, Engine(method="mc", samples=10**6, seed=23))
+        assert (exact.moment_p.method, exact.samples, exact.ratio_se) == ("closed-form", 0, 0.0)
+        assert abs(mc.ratio - exact.ratio) <= 4 * mc.ratio_se
+        assert exact.holds and exact.ratio <= exact.bound + DET_TOL
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-4, 0.01, 0.5, 1.0, 2.5, 30.0])
+    def test_binomial_sum_against_decimal_up_to_the_cap(self, r):
+        law = linf_norm().moment_law
+        for n in range(1, MAX_LAW_DIM + 1):
+            got = law(n, r) / math.gamma(r + 1.0)
+            assert abs(Decimal(got) / _binomial_sum_40(n, r) - 1) <= Decimal("1e-12"), n
+
+    @pytest.mark.parametrize("n, r", [(3, 0.01), (3, 30.0), (6, 1e-4), (6, 2.5),
+                                      (9, 0.5), (MAX_LAW_DIM, 1e-4)])
+    def test_subset_sum_against_decimal(self, n, r):
+        # near-equal rates cancel most; the law of a box gauge takes its radii
+        rates = [1.0 + 0.1 * k for k in range(n)]
+        got = gauge_norm(box_body(rates)).moment_law(n, r) / math.gamma(r + 1.0)
+        assert abs(Decimal(got) / _max_sum_40(rates, r) - 1) <= Decimal("1e-12")
+
+    def test_the_cap_is_pinned(self):
+        assert MAX_LAW_DIM == 14
+        assert linf_norm().moment_law(MAX_LAW_DIM + 1, 1.0) is None
+        cube = cube_body(1.0, MAX_LAW_DIM + 1)
+        assert gauge_norm(cube).moment_law(MAX_LAW_DIM + 1, 1.0) is None
+        with pytest.raises(ValueError, match="no closed form"):
+            moment_ratio(cube, 2.0, 1.0, MAX_LAW_DIM + 1, Engine(method="exact"))
+        above = moment_ratio(linf_norm(), 2.0, 1.0, MAX_LAW_DIM + 1, Engine(samples=2000))
+        assert (above.moment_p.method, above.samples) == ("mc(2000, 42)", 2000)
+
+    def test_l1_law_is_the_gamma_ratio(self):
+        for n in range(1, 5):
+            for r in (0.5, 1.0, 2.5, 30.0):
+                assert l1_norm().moment_law(n, r) == pytest.approx(
+                    math.gamma(n + r) / math.gamma(n), rel=1e-14)
+        assert gauge_norm(cross_polytope(2.0, 3)).moment_law(3, 1.5) == pytest.approx(
+            l1_norm().moment_law(3, 1.5) * 2.0**-1.5, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("p, q", [(2.0, 1.0), (30.0, 1.0), (3.7, 0.25)])
+    def test_coordinate_functional_is_the_constant(self, n, p, q):
+        pair = moment_ratio(coordinate_norm(n - 1), p, q, n)
+        rec = pair.to_record()
+        assert pair.ratio == pair.bound == cpq(p, q)
+        assert (rec["margin"], rec["verdict"], rec["tolerance"]) == (0.0, "holds", DET_TOL)
+
+    @pytest.mark.parametrize("norm", [lp_norm(3.0), unconditional_lp_ball(3.0, 2),
+                                      norm_ball(linf_norm(), 1.0, 2)],
+                             ids=["lp3", "lp-ball", "norm-ball"])
+    def test_exact_without_a_law_raises(self, norm):
+        with pytest.raises(ValueError, match="no closed form for the moment ratio"):
+            moment_ratio(norm, 2.0, 1.0, 2, Engine(method="exact"))
+
+    def test_bodies_whose_gauge_has_no_law(self):
+        hand_built = UnconditionalBody(dim=2, kind="cube", params={"a": 1.0, "n": 2},
+                                       gauge=cube_body(1.0, 2).gauge, box=(1.0, 1.0))
+        zero_radius = box_body([1.0, 0.0])
+        for body in (hand_built, zero_radius, unconditional_lp_ball(2.0, 2)):
+            assert gauge_norm(body).moment_law is None
+
+    def test_gauge_law_needs_the_body_dimension(self):
+        assert gauge_norm(cube_body(1.0, 3)).moment_law(2, 1.0) is None
+        assert gauge_norm(cross_polytope(1.0, 3)).moment_law(2, 1.0) is None
+
+
+class TestSharpnessMap:
+    """The gauge of the box h = (1, A, A) approaches the coordinate
+    functional as A grows: its ratio rises toward C(p, q) and stays below."""
+
+    @pytest.mark.parametrize("p, q", [(30.0, 1.0), (4.0, 2.0), (2.0, 0.5)])
+    def test_ratio_rises_toward_the_constant(self, p, q):
+        ratios = [moment_ratio(box_body([1.0, A, A]), p, q, 3).ratio
+                  for A in (1.0, 10.0, 100.0, 1e4)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert 0 <= cpq(p, q) - ratios[-1] <= 1e-5 * cpq(p, q)
+
+    def test_demo_values(self):
+        got = [moment_ratio(box_body([1.0, A, A]), 30.0, 1.0, 3).ratio
+               for A in (1.0, 10.0, 100.0, 1e4)]
+        assert got == pytest.approx([6.814771150463926, 11.857143898608177,
+                                     12.042411964585733, 12.04449682737553], rel=1e-14)
