@@ -1,10 +1,11 @@
-"""Counter-based sampling: why every number here is replayable.
+"""Block-seeded sampling: why every number here is replayable.
 
-Draws come from the Philox generator keyed by (seed, stream index) with a
-256-bit counter; sampling happens in fixed blocks whose content depends
-only on (seed, stream, block).  Estimates reduce each block in fixed
-sub-blocks and add the partial sums with exact summation, so the same
-configuration gives the same bits no matter how the work was scheduled.
+Draws come in fixed blocks, each from its own PCG64DXSM generator seeded
+by the one integer seed | stream << 64 | block << 128, so a block's
+content depends only on (seed, stream, block).  Estimates reduce each
+block in fixed sub-blocks and add the partial sums with exact summation,
+so the same configuration gives the same bits no matter how the work was
+scheduled.
 
 What a block holds and how it is reduced is versioned by the sampling
 contract.  Since contract 2 a row is the vector of coordinate radii
@@ -14,7 +15,10 @@ are all a check reads.  Contract 3 keeps those rows and reduces a block
 ``integrate.SUB`` rows at a time.  Contract 4 keeps them too and hands a
 sub-block's columns over as rows, each summed pairwise, with the dot
 product of each pair of columns summed exactly over pieces of
-``integrate.PIECE`` rows.
+``integrate.PIECE`` rows.  Contract 5 keeps all that and draws each block
+from its own PCG64DXSM generator instead of the Philox counter of the
+earlier contracts, which takes less than half the time per draw: every
+seeded number below moved, none of their laws did.
 
 Run:  python demos/06_reproducibility.py
 """
@@ -32,7 +36,7 @@ def draw(n, stream, count):
                            for block, take in chunk_indices(count)])
 
 
-print("Identical (seed, stream, counter) -> identical draws")
+print("Identical (seed, stream, block) -> identical draws")
 a = draw_points(complex_gaussian(2), SampleStream(42, stream_index=0), 3, 5)
 b = draw_points(complex_gaussian(2), SampleStream(42, stream_index=0), 3, 5)
 print(f"  redraw bit-identical: {np.array_equal(a, b)}")

@@ -1,21 +1,22 @@
 """Reproducible numerical integration against the package's reference
-measures: chunked counter-based Monte Carlo and tensor Gauss-Laguerre
+measures: chunked Monte Carlo over seeded blocks and tensor Gauss-Laguerre
 quadrature.
 
 Reproducibility contract
 ------------------------
-All Monte Carlo draws come from the Philox generator keyed by
-``(seed, stream_index)`` (:class:`SampleStream`), in fixed blocks of
-``CHUNK`` points: block ``c`` starts the Philox counter at ``c * 2**64``,
-so its content depends only on ``(seed, stream_index, c)``, never on the
-worker or the total request.  :func:`draw_points` is the one draw: rows
-``[start, start + take)`` of one block (Philox fills ``random`` row-major
-in counter order, four doubles a counter step, so the rows are the same
-whatever the request size); :func:`chunk_indices` splits a longer draw
-into blocks.  :func:`run_chunked` draws, evaluates and reduces each block
-``SUB`` rows at a time, while the sub-block is still in cache, and
-:class:`SampleMoments` combines the sub-block partials exactly, which makes
-every estimate bit-identical across runs and across any degree of
+All Monte Carlo draws come from :class:`SampleStream` ``(seed,
+stream_index)`` in fixed blocks of ``CHUNK`` points: block ``b`` is its own
+PCG64DXSM generator, seeded by the one integer
+``seed | stream_index << 64 | b << 128``, so its content depends only on
+``(seed, stream_index, b)``, never on the worker or the total request.
+:func:`draw_points` is the one draw: rows ``[start, start + take)`` of one
+block (the generator fills ``random`` row-major, one 64-bit output per
+double, so it skips the rows before ``start`` with ``advance`` and the rows
+are the same whatever the request size); :func:`chunk_indices` splits a
+longer draw into blocks.  :func:`run_chunked` draws, evaluates and reduces
+each block ``SUB`` rows at a time, while the sub-block is still in cache,
+and :class:`SampleMoments` combines the sub-block partials exactly, which
+makes every estimate bit-identical across runs and across any degree of
 parallelism for equal ``(seed, samples)``.  The sub-blocks of a block
 longer than ``SUB`` rows are drawn into one buffer that is kept for the
 next block and the next run, so the points a ``columns`` callback gets are
@@ -30,18 +31,18 @@ phase of every z_k or the sign of every x_k).  So ``complex-gaussian(n)``
 draws the bits of ``radial-mu(n)`` and ``exponential(n)`` those of
 ``exponential-1d(n)``.  Contract 3 kept those draws and reduced each block
 in sub-blocks of ``SUB`` rows, summing a block's columns row by row.
-Contract 4 keeps the draws and the sub-blocks and lays the columns out
+Contract 4 kept the draws and the sub-blocks and laid the columns out
 column-major: a ``columns`` callback returns an (ncols, m) array, one row
 per column (1-D for one column), or :class:`Sublevels`.  Each sub-block's
 column sums are pairwise (``sum``); its cross product of columns i <= j
 is one BLAS dot per piece of ``PIECE`` samples, the pieces summed with
 ``math.fsum`` (no dot is long enough for OpenBLAS to split it across
 threads, so no bit depends on the BLAS thread count); sums and products
-are summed over all sub-blocks with ``math.fsum``.  Indicator columns sum
-and multiply to exact integers, so their means and mutual covariances
-kept their contract-3 bits, as did every closed form and quadrature pass;
-the estimates of real-valued columns (the weight, entropy columns, norm
-powers) moved in their last bits.
+are summed over all sub-blocks with ``math.fsum``.  Contracts 1 to 4 drew
+from Philox4x64-10 keyed by ``(seed, stream_index)``, block ``b`` at
+counter ``b * 2**64``.  Contract 5 keeps everything else and draws each
+block from its own PCG64DXSM generator, which costs less than half as much
+per double: every seeded Monte Carlo number moved, no law did.
 
 Estimation passes and verdicts
 ------------------------------
@@ -103,7 +104,7 @@ __all__ = [
     "check_pairing",
 ]
 
-SAMPLING_CONTRACT = 4
+SAMPLING_CONTRACT = 5
 CHUNK = 1 << 17
 SUB = 1 << 15  # rows drawn, evaluated and reduced at a time; divides CHUNK
 # samples per BLAS dot of a cross product: OpenBLAS splits a dot of more
@@ -172,8 +173,9 @@ class Engine:
 
 @dataclass
 class SampleStream:
-    """The Philox key ``(seed, stream_index)`` of a sample stream; block
-    ``b`` is ``generator(b)``, and :func:`draw_points` reads its points."""
+    """The sample stream ``(seed, stream_index)``, both in [0, 2**64);
+    block ``b`` is ``generator(b)``, and :func:`draw_points` reads its
+    points."""
 
     seed: int
     stream_index: int = 0
@@ -183,9 +185,12 @@ class SampleStream:
         self.stream_index = int(self.stream_index) & 0xFFFFFFFFFFFFFFFF
 
     def generator(self, block: int) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        counter = np.array([0, block, 0, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        """The PCG64DXSM generator of block ``block``, seeded by one
+        integer: a list or array key would alias keys that differ only in
+        trailing zero words or in how their bits split into words, and an
+        explicit seed reads no OS entropy."""
+        key = self.seed | self.stream_index << 64 | int(block) << 128
+        return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(key)))
 
 
 def chunk_indices(samples: int) -> list[tuple[int, int]]:
@@ -199,10 +204,10 @@ def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: in
     """Rows ``[start, start + take)`` of coordinate radii of block ``block``
     (``0 <= start``, ``1 <= take``, ``start + take <= CHUNK``): one uniform
     per coordinate through the factor quantile.  The generator skips the
-    ``start * n`` doubles before them: a counter step per four, one draw per
-    remaining one.  With ``out``, a C-contiguous float64 array of n columns
-    and at least ``take`` rows, the rows are written into its first ``take``
-    rows and that view is returned, with the bits of a fresh draw."""
+    ``start * n`` doubles before them, one 64-bit output each.  With
+    ``out``, a C-contiguous float64 array of n columns and at least
+    ``take`` rows, the rows are written into its first ``take`` rows and
+    that view is returned, with the bits of a fresh draw."""
     if not (0 <= start and 1 <= take and start + take <= CHUNK):
         raise ValueError(f"rows [{start}, {start + take}) are not rows of a "
                          f"{CHUNK}-row block")
@@ -214,10 +219,7 @@ def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: in
                              f"and at least {take} rows")
         out = out[:take]
     gen = stream.generator(block)
-    steps, rest = divmod(start * n, 4)
-    gen.bit_generator.advance(steps)
-    if rest:
-        gen.random(rest)
+    gen.bit_generator.advance(start * n)
     return measure.factor.quantile_in_place(gen.random((take, n), out=out))
 
 

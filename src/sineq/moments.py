@@ -129,14 +129,22 @@ def _named(name: str, norm: Callable[[np.ndarray], np.ndarray], law: MomentLaw |
 
 
 def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-    """|x_index|: the extremal (constant-attaining) functional."""
+    """|x_index|: the extremal (constant-attaining) functional.  The norm
+    and its moment law refuse a dimension without coordinate ``index``."""
+
+    def check(n: int) -> None:
+        if not 0 <= index < n:
+            raise ValueError(f"coordinate index {index} outside [0, {n})")
 
     def norm(x: np.ndarray) -> np.ndarray:
-        if not 0 <= index < x.shape[1]:
-            raise ValueError(f"coordinate index {index} outside [0, {x.shape[1]})")
+        check(x.shape[1])
         return np.abs(x[:, index])
 
-    return _named(f"coord:{index}", norm, lambda n, r: abs_moment_exponential(r))
+    def law(n: int, r: float) -> float:
+        check(n)
+        return abs_moment_exponential(r)
+
+    return _named(f"coord:{index}", norm, law)
 
 
 def linf_norm() -> Callable[[np.ndarray], np.ndarray]:
@@ -255,9 +263,10 @@ def moment_ratio(
     ``__name__``, or a body standing for its :func:`gauge_norm`.  A norm
     whose ``moment_law`` gives both moments at ``n`` has a closed form,
     which "auto" and "exact" take; otherwise "auto" is Monte Carlo and
-    "exact" raises.  The standard error of a Monte Carlo ratio comes from
-    the delta method on (log of) the two raw moments including their
-    covariance.
+    "exact" raises.  A norm without a ``moment_law`` must pass the sampled
+    :func:`check_norm_contract`; one with a law is a norm by construction.
+    The standard error of a Monte Carlo ratio comes from the delta method
+    on (log of) the two raw moments including their covariance.
     """
     engine = engine or Engine()
     _check_exponents(p, q)
@@ -268,12 +277,14 @@ def moment_ratio(
                              f"not n = {n}")
         norm = gauge_norm(norm)
     norm_desc = norm_desc or getattr(norm, "__name__", "norm")
-    bad = check_norm_contract(norm, n, seed=engine.seed)
+    law = getattr(norm, "moment_law", None)
+    bad = [] if law else check_norm_contract(norm, n, seed=engine.seed)
     if bad:
         raise ValueError(f"norm contract violated: {'; '.join(bad)}")
 
     def columns(x: np.ndarray) -> np.ndarray:
-        # the draws are |x|; the contract check made the norm sign-invariant
+        # the draws are |x|; the norm is sign-invariant by construction or
+        # by the contract check
         v = np.asarray(norm(x), dtype=float)
         cols = np.empty((2, v.size))
         np.power(v, p, out=cols[0])
@@ -297,8 +308,7 @@ def moment_ratio(
         ratio, ratio_se = moments(est)[2:]
         return bound - ratio, ratio_se
 
-    law = getattr(norm, "moment_law", None) or (lambda n, r: None)
-    closed = [law(n, p), law(n, q)]
+    closed = [law(n, p), law(n, q)] if law else [None]
     bound = cpq(p, q)
     est = _integ.estimate(engine, measure, columns, 2, None if None in closed else closed,
                           subject=f"the moment ratio of {norm_desc}")

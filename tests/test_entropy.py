@@ -451,9 +451,10 @@ class TestCertifiedEntropyVerdicts:
 
     CYLINDER = "cylinder:R=1,n=1"
 
-    def test_seed9_excursion_is_rechecked(self, monkeypatch):
-        # the equality case reads -3.06 sigma at 20,000 samples, seed 9; the
-        # three recheck passes at 40,000 samples read -1.28, -0.84, -0.01
+    def test_excursion_is_rechecked(self, monkeypatch):
+        # the equality case reads -3.09 sigma at 20,000 samples, seed 1821;
+        # the three recheck passes at 40,000 samples read -0.40, +1.25, -0.15
+        # (seed found by tests/data/repin_contract_5.py)
         from sineq import integrate
         from sineq.bodies import parse_descriptor
 
@@ -466,9 +467,9 @@ class TestCertifiedEntropyVerdicts:
 
         monkeypatch.setattr(integrate, "within_tolerance", recording)
         g = complement_indicator(parse_descriptor(self.CYLINDER, "reinhardt"))
-        rep = check_lemma_multidim(g, 1, engine=Engine(method="mc", samples=20_000, seed=9))
-        assert [round(z, 2) for z in seen] == [-3.06, -1.28, -0.84, -0.01]
-        assert rep.slack == pytest.approx(-0.0194, abs=5e-5)
+        rep = check_lemma_multidim(g, 1, engine=Engine(method="mc", samples=20_000, seed=1821))
+        assert [round(z, 2) for z in seen] == [-3.09, -0.4, 1.25, -0.15]
+        assert rep.slack == pytest.approx(-0.0197, abs=5e-5)
         assert (rep.verdict, rep.holds) == ("holds", True)
         assert rep.verdict_note == "initial 3-sigma excursion not reproduced"
 

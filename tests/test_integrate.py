@@ -44,6 +44,7 @@ from sineq.integrate import (
     mc_integral,
     mc_measure,
     record,
+    recheck_stream,
     run_chunked,
     tensor_quadrature,
     tolerance,
@@ -163,6 +164,59 @@ class TestTakeRows:
         for start, take in ((0, 10), (1, 7), (3, 999), (SUB, SUB), (CHUNK - 5, 5)):
             assert np.array_equal(draw_points(measure, stream, 5, take, start),
                                   whole[start:start + take])
+
+    @pytest.mark.parametrize("tag", ["radial-mu", "exponential-1d"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_from_any_start_are_the_slice_of_the_block(self, tag, n):
+        # a start skips start * n doubles, one 64-bit output each, at any
+        # remainder of start * n by 4
+        measure, stream = MeasureKind(tag, n), SampleStream(77, 3)
+        whole = whole_block(measure, stream, 5)
+        for start in (1, 2, 3, 5, SUB - 1):
+            for take in (1, 7, SUB):
+                assert np.array_equal(draw_points(measure, stream, 5, take, start),
+                                      whole[start:start + take])
+
+
+class TestKeys:
+    """Block ``b`` of ``SampleStream(seed, stream)`` is seeded by the one
+    integer seed | stream << 64 | b << 128: distinct keys give distinct,
+    uncorrelated uniforms."""
+
+    N = 100_000
+
+    def uniforms(self, seed: int, stream: int, block: int) -> np.ndarray:
+        return SampleStream(seed, stream).generator(block).random(self.N)
+
+    @pytest.mark.parametrize("a, b", [((2**32, 7, 0), (0, 1 + 7 * 2**32, 0)),
+                                      ((3, 2**32, 0), (3, 0, 1))],
+                             ids=["seed-stream", "stream-block"])
+    def test_keys_a_word_list_would_alias_draw_apart(self, a, b):
+        # as lists or uint64 arrays both keys (seed, stream, block) of a pair
+        # seed one state: SeedSequence splits them into 32-bit words and
+        # drops trailing zero words
+        for kind in (list, lambda key: np.array(key, dtype=np.uint64)):
+            states = [np.random.SeedSequence(kind(key)).generate_state(4) for key in (a, b)]
+            assert np.array_equal(*states)
+        assert not np.array_equal(self.uniforms(*a)[:100], self.uniforms(*b)[:100])
+
+    @pytest.mark.parametrize("a, b", [
+        ((5, 0, 0), (5, 0, 1)),
+        ((5, 0, 0), (6, 0, 0)),
+        ((5, 0, 0), (5, 1, 0)),
+        *[((5, 3, 0), (5, recheck_stream(3, k), 0)) for k in (1, 2, 3)],
+    ], ids=["blocks", "seeds", "streams", "recheck-1", "recheck-2", "recheck-3"])
+    def test_neighbouring_keys_draw_uncorrelated_uniforms(self, a, b):
+        u, v = self.uniforms(*a), self.uniforms(*b)
+        assert not np.array_equal(u, v)
+        assert abs(np.corrcoef(u, v)[0, 1]) < 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("key", [(0, 0, 0), (42, 0, 3), (2**64 - 1, 2**62 - 1, 7),
+                                     (7, recheck_stream(0, 2), 0)], ids=str)
+    def test_block_uniforms_pass_kolmogorov_smirnov(self, key):
+        from scipy.stats import kstest
+
+        assert kstest(self.uniforms(*key), "uniform").pvalue > 1e-3
 
 
 class TestDrawBuffer:
@@ -690,10 +744,10 @@ class TestSamplingContract:
     """Draws pinned across commits: a change here is a sampling-contract
     change and has to be versioned (``SAMPLING_CONTRACT``) and recorded."""
 
-    def test_pins_are_those_of_contract_4(self):
-        # tests/data/repin_contract_4.py re-pins them and checks each
-        # against its contract-3 value
-        assert SAMPLING_CONTRACT == 4
+    def test_pins_are_those_of_contract_5(self):
+        # tests/data/repin_contract_5.py re-pins them and checks each
+        # against its contract-4 value
+        assert SAMPLING_CONTRACT == 5
 
     def test_pass_pinned(self):
         # the reduction is part of the contract: one pass over two blocks,
@@ -704,7 +758,7 @@ class TestSamplingContract:
                                 Engine(method="mc", samples=150_000, seed=2026, stream=9))
         assert CHUNK // SUB > 1 and stats.cov.shape == (6, 6)
         digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
-        assert digest == "a70b610614ff2b108b9bffdf744335612ede531116ef488999ad609c2faf473e"
+        assert digest == "ff65903c9f5aa8c30dd6108b28fac21f24bdc2d74453be0bcc8362cfdcb720e3"
 
     def test_column_pass_pinned(self):
         # a validated custom shadow has no gauge, so its pass reduces the
@@ -718,31 +772,31 @@ class TestSamplingContract:
                                 Engine(method="mc", samples=150_000, seed=2026, stream=9))
         assert stats.cov.shape == (6, 6)
         digest = hashlib.sha256(stats.means.tobytes() + stats.cov.tobytes()).hexdigest()
-        assert digest == "8fb352fd32c7c700c9e1bcb7b1b97c730d03eb2d2df1a77523fe24d586997de3"
+        assert digest == "e1579253e64d89a03128dc2a1a630343cd6e61fa3d6418822c40f68166f04b49"
 
     def test_moment_ratio_pass_pinned(self):
         # two columns over two blocks, five sub-blocks
         record = _golden_moments("linf", 3, samples=150_000)
         assert _record_digest(record) == (
-            "8424498718d5247cedf3493d8da176e84ae1e8a07dbe304f00fd0d8d3218cb05")
+            "2ed39d37b3b5d9556467c391ea33cb85453eff314905e5131d3a258f47fb5082")
 
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
     PINNED = {
         ("complex-gaussian", 2): (
-            "908efe07283d3c318dae77166e483df90c5a7535f3610441ed128254c554a562",
-            [1.536162616589241, 1.712726937494207],
+            "26c0f3a80a65ca59b4a658edb9fc149819a521e2c474ac5a2a8d8c3a422336b4",
+            [1.1459171993499873, 2.858069544018322],
         ),
         ("exponential", 3): (
-            "76fe75004454f32ff9735f8f669edc134831fe015e45486cbf3bc21725240d89",
-            [1.1798977923031517, 1.4667167812091426, 0.3194386973835255],
+            "5d81a3c39d61f5b21e5a8a2738924e0b746c7dfbb6e616f49bd424fedb651fe9",
+            [0.6565631138830593, 4.084280759222549, 1.8049837888215288],
         ),
         ("radial-mu", 2): (
-            "908efe07283d3c318dae77166e483df90c5a7535f3610441ed128254c554a562",
-            [1.536162616589241, 1.712726937494207],
+            "26c0f3a80a65ca59b4a658edb9fc149819a521e2c474ac5a2a8d8c3a422336b4",
+            [1.1459171993499873, 2.858069544018322],
         ),
         ("exponential-1d", 3): (
-            "76fe75004454f32ff9735f8f669edc134831fe015e45486cbf3bc21725240d89",
-            [1.1798977923031517, 1.4667167812091426, 0.3194386973835255],
+            "5d81a3c39d61f5b21e5a8a2738924e0b746c7dfbb6e616f49bd424fedb651fe9",
+            [0.6565631138830593, 4.084280759222549, 1.8049837888215288],
         ),
     }
 
@@ -756,9 +810,9 @@ class TestSamplingContract:
 
     # (tag, n) -> first row of block 4, same key
     NEXT_BLOCK = {
-        ("complex-gaussian", 2): [1.289239797936737, 0.5062548547758754],
-        ("exponential", 3): [0.8310696282919792, 0.12814698899207133, 1.2299432121413505],
-        ("radial-mu", 2): [1.289239797936737, 0.5062548547758754],
+        ("complex-gaussian", 2): [0.9374968887017032, 0.884143124020927],
+        ("exponential", 3): [0.4394502081626868, 0.3908545318767422, 0.813116225304901],
+        ("radial-mu", 2): [0.9374968887017032, 0.884143124020927],
     }
 
     @pytest.mark.parametrize("tag, n", list(NEXT_BLOCK), ids=str)
@@ -822,53 +876,53 @@ class TestKernelGoldens:
     }
     ENTROPY = {
         ("check_subadditivity", "lp"):
-            "b7274a600b78670a734072c1f006d2b2875a8a2edb670338b936f7bac05e5446",
+            "49473ece214112680f146881d37082b31812afce5baccc26e689ca9e13be5b6c",
         ("check_subadditivity", "box-product"):
-            "0acfa3616925c4cc89bf48c22f2036592b4e6f586b5b341cdfcaf7e67dbb5968",
+            "7c80e714ceb56dc85db4874b4b3cfd9d77dd0804b29bd4d63db873625351ff16",
         ("check_subadditivity", "cross-polytope"):
-            "6c2708a01f9890b641a3ac02932cfd9d8b160968d0cc5d5a9e86a062f87983f9",
+            "b9838e21bd261e82bee391b2baad3e023d48baf00c1089661baff2b94184d9af",
         ("check_subadditivity", "norm-ball"):
-            "1db8c27fb22285ccfacdb39b28ca14fb8d7853d9ad542e2f43c8fdab70044c2f",
+            "8e7feaf9cf2350d4c231e798f644826c88760c80d367c003625321961db3ffb5",
         ("check_lemma_multidim", "lp"):
-            "5e07f9feda84738273e4356ff01ef5a712cc8e287a9ffcc2f872e68493acd466",
+            "b1eccb1555751254b2e5600aa7da3549dec1b2566d577888c26830641b03841c",
         ("check_lemma_multidim", "box-product"):
-            "fae7175f6e9da3045490367b2e2c2b1f253a5daf6e66112e3896b126ead1489b",
+            "4ef849b1cd3759003c69ea21ed2d380837f1430ed440f7264b8ba793ab53583f",
         ("check_lemma_multidim", "cross-polytope"):
-            "3dcbe9b9faede27318aa644004ce8c730e94c60a5c0b84b1b99a10fdb8e1f102",
+            "c203c12ab7cffcf2a326ec33026689fcb8a5a4c63edbbcb283e445d1f38d281a",
         ("check_lemma_multidim", "norm-ball"):
-            "d338f9382a4e83be31be75d66829b2077b59990991509d16547abbfedba13233",
+            "22a81c68d19e905e4a23f6bad2b004e3d825098eda971b66be41f4ad32f7f9de",
     }
     MOMENTS = {
         ("linf", 2):
-            "a301d43fd22d522c07ba9b63eec965fbe9e3fba2fa7c9ee94844b4628b3f7b06",
+            "5889257bb957bc2ee56dd6c123e72f5c4b9050c3882efdef29544247dc3a02a3",
         ("linf", 3):
-            "b3c078a687a55b257a2743e0f74117826a18bbc0842d53020538f38c429a01ba",
+            "2ed5b5e2cf44c56992ebd5ec377f801619fd7ccbab6e30bfe3b55e00b3bd6b5c",
         ("linf", 4):
-            "a6e76e1e2adcf523aeba84adc2b06ae0661eab9054359e6e7552f2151be91723",
+            "4f11ed96272bbbd040dde39f7c5b2513ee6c4dc824ccffd7f18c5d09547e2917",
         ("l1", 2):
-            "0b659e39f22ed538b306cc14dd0e944148f09b8898fbeaeccd90d4f2ed8d2bff",
+            "41e76c2e65acf2ff90b007939c378916346bb36d005d636451d0d1641588a73f",
         ("l1", 3):
-            "7cd495a8e0cfbfcc2428cfe5170cbdcfcb45654225e1390288012bb0d974e116",
+            "df1d129d3ff87eff9de5b362bc54996c9c5f7d1ed560e7e67a963b5be15c80c3",
         ("l1", 4):
-            "47f6695cd4b419261a89086c1f08a3f080e64f2790287740846da28cd5f350c1",
+            "4f467a8cb43a45d7e87b4755c72879ac98a97b4424d06c9a4dfd008d148fa78e",
         ("lp:3", 2):
-            "f94335089a6a92b9640059377b04320dd64a38ae312dda1af98d16b43ddd24c2",
+            "aa3715379e16dafe2ab80cb4a397e66839f400ce6ab54b482eb17a3995a565eb",
         ("lp:3", 3):
-            "42f9569a109ee8ce30ceb2dd99f8120bb6aec76c5bc1f6063886009fb0c0a130",
+            "c4ac715dc8f15407f78e6ce5671cc2342b1f9aa4a3a92d1a85470eef05334e5f",
         ("lp:3", 4):
-            "a80fb9b2a190d5c5b9a402f8af87aea66abcf47a3ffb7e7f8941953e35ad5b47",
+            "d78d9475a479a19a6d98cc048d893bed0aa06e84ad4d6257eb4ae655ee8d2161",
         ("gauge", 2):
-            "6e354b19ca27de27c787f55fe833b1e8e4a03a32578a94d6177358bcaed40553",
+            "606640f27c1565c409c6fa66e93935435bc32a705d5d19210bd8bb40bed0ade3",
         ("gauge", 3):
-            "763a4893991e2d93589396f83109589894aaaee8f11b8a634fef634c6911b4fb",
+            "4fb4dc6601974e010acca267649c91f45dc67c69cd62ccadc0b5e78129efe83f",
         ("gauge", 4):
-            "0691f5c943ad2e0742bd78ab49597f9ca440a20b36580f28354c29ad70daab70",
+            "a3ba24f668e8e97307156995447bb4d1c7a70276a946f4d5ec81d0382cc7d99f",
     }
     STATISTICS = {
         "lp":
-            "7629c89c0fe3dada1531281cd830a35e117f92654bdfd9c6d287e4adc2137a34",
+            "b4ad5bbd62406915f2e875578e28f6dad5e57a50553b272c2bd0ffad8ff02304",
         "cross-polytope":
-            "307c9f90136e0fed1f0b9b2ff09a1e7031a09387330f02bc8ccdeb774a76b8f0",
+            "0672fd7323b243c8c21382f207ce7a26a9af1a434e20a267bc11ce8e480ef7e4",
     }
 
     @pytest.mark.parametrize("check, body", list(ENTROPY), ids=str)
