@@ -7,9 +7,16 @@ identical configuration (including the seed) produces byte-identical
 output.  Exit codes: 0 success, 1 numerical abort, 2 invalid input,
 3 certified inequality violation (some record's verdict is "violated").
 
-A JSON config file (``--config``) may hold any full long option name of
-the command.  Its entries become ``--name=value`` flags ahead of the
-command's own, so argparse types and checks them and the command line wins.
+A JSON config file (``--config``, given before the command) may hold any
+full long option name of the command.  Its entries become ``--name=value``
+flags ahead of the command's own, so argparse types and checks them and the
+command line wins.
+
+An argv that starts with a command name is parsed once, by that command's
+own parser; any other argv, and one the command parser leaves arguments
+of, goes through the top-level parser, which hands the command's arguments
+to the same command parser.  Both give the same namespace, messages and
+exit code.
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ _EXIT_VIOLATION = 3
 
 _FAMILY = {"complex-gaussian": "reinhardt", "exponential": "unconditional"}
 
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def _engine(args: argparse.Namespace) -> Engine:
     return Engine(method=args.engine, samples=args.samples, seed=args.seed,
@@ -62,7 +71,7 @@ def _engine(args: argparse.Namespace) -> Engine:
 def _emit(records: list[dict], args: argparse.Namespace) -> None:
     records = [dict(r, schema_version=SCHEMA_VERSION) for r in records]
     if args.format == "json":
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        text = "".join(_JSON.encode(r) + "\n" for r in records)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore",
@@ -186,8 +195,9 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process: parsing leaves the parser unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser, by name; built once
+    per process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="sineq",
         description="Dilation-inequality toolkit: measures, criteria, entropy "
@@ -248,7 +258,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=grid, default=_verify.DEFAULT_T_GRID)
     common(p)
 
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the top-level parser gives ``argv``, from one parse by
+    the command's own parser when ``argv`` starts with a command name and
+    that parser takes all of the rest."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return argparse.Namespace(config=None, command=argv[0], **vars(args))
+    return parser.parse_args(argv)
+
+
+def _command_index(argv: list[str]) -> int:
+    """Index of the command token of an ``argv`` the top-level parser took:
+    before it stand only ``--config`` options, a token each when their value
+    is attached by ``=``, two tokens otherwise."""
+    at = 0
+    while argv[at].startswith("-"):
+        at += 1 if "=" in argv[at] else 2
+    return at
 
 
 def _config_flags(path: str, options: set[str]) -> list[str]:
@@ -275,14 +311,13 @@ def _config_flags(path: str, options: set[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.config:
-            at = argv.index(args.command) + 1
+            at = _command_index(argv) + 1
             flags = _config_flags(args.config, vars(args).keys() - {"command", "config"})
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            args = _build_parser().parse_args(argv[:at] + flags + argv[at:])
         _engine(args)  # bad engine options fail on every command, before any work
         if args.output:
             _check_output(args.output)

@@ -410,8 +410,9 @@ def complement_indicator(body: ReinhardtBody | UnconditionalBody) -> MonotoneRad
 def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
     """Ent(g) against the right side of an inequality, both read off one
     pass of three columns in one order: g ln g, g and the right side's
-    integrand (``closed`` holds their exact means in that order).  A g
-    that breaks its hypotheses raises ``ValueError`` naming the problems."""
+    integrand (``closed()`` gives their exact means in that order, or
+    None).  A g that breaks its hypotheses raises ``ValueError`` naming the
+    problems."""
     if g.dim != n:
         raise ValueError(f"function dimension {g.dim} != n = {n}")
     bad = g.hypothesis_violations(rng_seed=engine.seed)
@@ -454,13 +455,15 @@ def check_lemma_multidim(
     if measure_tag not in ("complex-gaussian", "exponential"):
         raise ValueError(f"measure must be complex-gaussian or exponential, got {measure_tag!r}")
     factor = MeasureKind(measure_tag, n).factor
-    forms = _integ.box_forms(g.complement_body, factor)
-    closed = None
-    if forms is not None:
+
+    def closed():
+        forms = _integ.box_forms(g.complement_body, factor)
+        if forms is None:
+            return None
         # g = 1 - 1_K takes the values 0 and 1, so g ln g vanishes; as -0.0,
         # Ent = A - (1-m) ln(1-m) is -xlnx(1-m) to the bit, at m = 0 and 1 too
         m = forms.curve[0]
-        closed = [-0.0, 1.0 - m, factor.entropy_sides(m, forms.moment, n)[1]]
+        return [-0.0, 1.0 - m, factor.entropy_sides(m, forms.moment, n)[1]]
 
     def columns(r: np.ndarray) -> np.ndarray:
         out = np.empty((3, r.shape[0]))
@@ -564,8 +567,10 @@ def check_subadditivity(
     if factor not in FACTORS:
         raise ValueError(f"factor must be radial-mu or exponential-1d, got {factor!r}")
     body = g.complement_body
-    forms = _integ.box_forms(body, FACTORS[factor])
-    closed = None if forms is None else [-0.0, 1.0 - forms.curve[0], forms.slice_entropy]
+
+    def closed():
+        forms = _integ.box_forms(body, FACTORS[factor])
+        return None if forms is None else [-0.0, 1.0 - forms.curve[0], forms.slice_entropy]
 
     def columns(r: np.ndarray) -> np.ndarray:
         # the slices first: the one array of the three columns is made after

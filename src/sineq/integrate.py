@@ -15,7 +15,8 @@ double, so it skips the rows before ``start`` with ``advance`` and the rows
 are the same whatever the request size); :func:`chunk_indices` splits a
 longer draw into blocks.  :func:`run_chunked` draws, evaluates and reduces
 each block ``SUB`` rows at a time, while the sub-block is still in cache,
-and :class:`SampleMoments` combines the sub-block partials exactly, which
+the sub-blocks of a block in order from its one generator (the bits of
+skipping to each), and :class:`SampleMoments` combines the sub-block partials exactly, which
 makes every estimate bit-identical across runs and across any degree of
 parallelism for equal ``(seed, samples)``.  The sub-blocks of a block
 longer than ``SUB`` rows are drawn into one buffer that is kept for the
@@ -200,14 +201,18 @@ def chunk_indices(samples: int) -> list[tuple[int, int]]:
 
 
 def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: int,
-                start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+                start: int = 0, out: np.ndarray | None = None,
+                gen: np.random.Generator | None = None) -> np.ndarray:
     """Rows ``[start, start + take)`` of coordinate radii of block ``block``
     (``0 <= start``, ``1 <= take``, ``start + take <= CHUNK``): one uniform
     per coordinate through the factor quantile.  The generator skips the
     ``start * n`` doubles before them, one 64-bit output each.  With
     ``out``, a C-contiguous float64 array of n columns and at least
     ``take`` rows, the rows are written into its first ``take`` rows and
-    that view is returned, with the bits of a fresh draw."""
+    that view is returned, with the bits of a fresh draw.  ``gen``, the
+    block's generator after it drew exactly the rows before ``start``,
+    continues the block in place of a new generator and its skip, with the
+    same bits."""
     if not (0 <= start and 1 <= take and start + take <= CHUNK):
         raise ValueError(f"rows [{start}, {start + take}) are not rows of a "
                          f"{CHUNK}-row block")
@@ -218,8 +223,10 @@ def draw_points(measure: MeasureKind, stream: SampleStream, block: int, take: in
             raise ValueError(f"out must be a C-contiguous float64 array of {n} columns "
                              f"and at least {take} rows")
         out = out[:take]
-    gen = stream.generator(block)
-    gen.bit_generator.advance(start * n)
+    if gen is None:
+        gen = stream.generator(block)
+        if start:
+            gen.bit_generator.advance(start * n)
     return measure.factor.quantile_in_place(gen.random((take, n), out=out))
 
 
@@ -276,7 +283,8 @@ class SampleMoments:
     Each column is summed pairwise (``sum``) and each pair of columns
     i <= j multiplied by :func:`_dots`; ``finalize`` sums those partials
     over all sub-blocks with ``math.fsum``, which is exact, so the result
-    does not depend on scheduling.
+    does not depend on scheduling.  One bool column is counted: its sum
+    and its square are the count, the sums of the column as 0/1 floats.
     """
 
     def __init__(self, ncols: int):
@@ -286,6 +294,10 @@ class SampleMoments:
     def add_chunk(self, cols) -> None:
         if isinstance(cols, Sublevels):
             self._parts.append(cols.moments())
+            return
+        if self.ncols == 1 and cols.dtype == bool:
+            count = float(np.count_nonzero(cols))
+            self._parts.append((cols.size, np.array([count]), np.array([[count]])))
             return
         rows = cols.reshape(self.ncols, -1)
         prods = np.empty((self.ncols, self.ncols))
@@ -298,10 +310,18 @@ class SampleMoments:
         n = sum(count for count, _, _ in self._parts)
         if n < 2:
             raise ValueError("need at least 2 samples")
-        sums = [math.fsum(col) for col in zip(*(s.tolist() for _, s, _ in self._parts))]
-        prods = [math.fsum(col) for col in zip(*(p.ravel().tolist() for _, _, p in self._parts))]
-        mean = np.array(sums) / n
-        cov = (np.reshape(prods, (self.ncols, self.ncols)) - n * np.outer(mean, mean)) / (n - 1)
+        if len(self._parts) == 1:
+            # the fsum of one term is the term, except that of -0.0 is 0.0
+            _, sums, prods = self._parts[0]
+            sums, prods = sums + 0.0, prods + 0.0
+        else:
+            sums = np.array([math.fsum(col) for col in
+                             zip(*(s.tolist() for _, s, _ in self._parts))])
+            prods = np.reshape([math.fsum(col) for col in
+                                zip(*(p.ravel().tolist() for _, _, p in self._parts))],
+                               (self.ncols, self.ncols))
+        mean = sums / n
+        cov = (prods - n * np.outer(mean, mean)) / (n - 1)
         return n, mean, cov / n
 
 
@@ -355,9 +375,10 @@ def run_chunked(
             return
         flat = _take_buffer(SUB * measure.n)
         buf = flat[:SUB * measure.n].reshape(SUB, measure.n)
+        gen = base.generator(block)  # one generator, its sub-blocks drawn in order
         try:
             for start in range(0, take, SUB):
-                pts = draw_points(measure, base, block, min(SUB, take - start), start, buf)
+                pts = draw_points(measure, base, block, min(SUB, take - start), start, buf, gen)
                 acc.add_chunk(_evaluate(columns, pts, ncols))
         finally:
             _keep_buffer(flat)
@@ -375,14 +396,17 @@ def run_chunked(
 def _evaluate(columns, points: np.ndarray, ncols: int):
     """``columns(points)``, all finite (a gauge may be +inf), as a
     C-contiguous (ncols, m) float array, one row per column (1-D for one
-    column; a C-contiguous float array is not copied), or :class:`Sublevels`."""
+    column; a C-contiguous float array is not copied), as one bool column
+    of m entries, which cannot be non-finite, or as :class:`Sublevels`."""
     cols = columns(points)
     if isinstance(cols, Sublevels):
         if np.isnan(cols.rho).any():  # +inf is a zero radius, NaN no value
             require_finite(np.where(np.isnan(cols.rho), np.nan, 0.0), "gauge", points)
         return cols
-    cols = np.ascontiguousarray(cols, dtype=float)
     m = len(points)
+    if ncols == 1 and isinstance(cols, np.ndarray) and cols.dtype == bool and cols.shape == (m,):
+        return cols
+    cols = np.ascontiguousarray(cols, dtype=float)
     if cols.shape != (ncols, m) and not (ncols == 1 and cols.shape == (m,)):
         raise ValueError(f"integrand returned shape {cols.shape}, expected {(ncols, m)}: "
                          "one row per column")
@@ -440,21 +464,23 @@ class Pass:
 
 def estimate(engine: Engine, measure: MeasureKind,
              columns: Callable[[np.ndarray], np.ndarray | Sublevels], ncols: int,
-             closed: Sequence[float] | None = None, quadrature: bool = False,
-             subject: str = "this check") -> Pass:
+             closed: Callable[[], Sequence[float] | None] | None = None,
+             quadrature: bool = False, subject: str = "this check") -> Pass:
     """The pass of ``engine`` over ``columns`` of ``measure``'s points.
-    "auto" takes the exact column means ``closed`` when the caller has them
-    and Monte Carlo otherwise; "quadrature" needs columns smooth in the
-    points (``quadrature``), n <= 4, and evaluates them once on the tensor
-    Gauss-Laguerre rule.  A path that does not apply raises ``ValueError``
-    naming ``subject``."""
+    "auto" takes the exact column means ``closed()`` when the caller has
+    them (not None) and Monte Carlo otherwise; ``closed`` is called on the
+    "auto" and "exact" paths only.  "quadrature" needs columns smooth in
+    the points (``quadrature``), n <= 4, and evaluates them once on the
+    tensor Gauss-Laguerre rule.  A path that does not apply raises
+    ``ValueError`` naming ``subject``."""
     method = engine.method
+    means = closed() if closed is not None and method in ("auto", "exact") else None
     if method == "auto":
-        method = "exact" if closed is not None else "mc"
+        method = "exact" if means is not None else "mc"
     if method == "exact":
-        if closed is None:
+        if means is None:
             raise ValueError(f"no closed form for {subject}")
-        means = np.array(closed, dtype=float)
+        means = np.array(means, dtype=float)
         return Pass("closed-form", engine.seed, engine.stream, 0, means, np.zeros((ncols, ncols)))
     if method == "quadrature":
         if not quadrature:
@@ -467,7 +493,8 @@ def estimate(engine: Engine, measure: MeasureKind,
         pts = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
         wts = functools.reduce(np.multiply.outer, [w] * n).ravel()
         # each mean is the weights' dot with the column's contiguous row
-        means = np.array([wts @ col for col in _evaluate(columns, pts, ncols).reshape(ncols, -1)])
+        cols = np.asarray(_evaluate(columns, pts, ncols), dtype=float).reshape(ncols, -1)
+        means = np.array([wts @ col for col in cols])
         return Pass(f"quadrature({engine.order})", engine.seed, engine.stream, wts.size,
                     means, np.zeros((ncols, ncols)))
     n, means, cov = run_chunked(measure, engine.samples, engine.seed, engine.stream,
@@ -543,10 +570,13 @@ def box_forms(body, factor, t_grid: Sequence[float] = (1.0,)):
 def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
     """measure(K): the closed form of a coordinate box, or the indicator
     mean with binomial standard error."""
-    forms = box_forms(body, measure.factor)
     check_pairing(body, measure)
-    p = estimate(engine, measure, body.base, 1,
-                 None if forms is None else forms.curve,
+
+    def closed():
+        forms = box_forms(body, measure.factor)
+        return None if forms is None else forms.curve
+
+    p = estimate(engine, measure, body.base, 1, closed,
                  subject=f"the measure of {body.descriptor()!r}")
     m = float(p.means[0])
     se = 0.0 if p.deterministic else math.sqrt(max(m * (1.0 - m), 0.0) / p.samples)

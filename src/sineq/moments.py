@@ -308,9 +308,12 @@ def moment_ratio(
         ratio, ratio_se = moments(est)[2:]
         return bound - ratio, ratio_se
 
-    closed = [law(n, p), law(n, q)] if law else [None]
+    def closed():
+        means = [law(n, p), law(n, q)]
+        return None if None in means else means
+
     bound = cpq(p, q)
-    est = _integ.estimate(engine, measure, columns, 2, None if None in closed else closed,
+    est = _integ.estimate(engine, measure, columns, 2, closed if law else None,
                           subject=f"the moment ratio of {norm_desc}")
     moment_p, moment_q, ratio, ratio_se = moments(est)
     verdict, note = _integ.certify(est, margin)

@@ -167,10 +167,12 @@ def body_statistics(
     grid = tuple(sorted(set(grid)))
     idx1 = grid.index(1.0)
 
-    forms = _integ.box_forms(body, measure.factor, grid)
-    closed = None if forms is None else [*forms.curve, forms.moment]
     _integ.check_pairing(body, measure)
     gauge = body.gauge
+
+    def closed():
+        forms = _integ.box_forms(body, measure.factor, grid)
+        return None if forms is None else [*forms.curve, forms.moment]
 
     def columns(r: np.ndarray) -> np.ndarray | _integ.Sublevels:
         if gauge is not None:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -652,3 +653,131 @@ class TestEntropyAndMomentInputs:
     def test_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestConfigBeforeCommand:
+    """``--config PATH`` goes before the command; its flags are spliced in
+    after the command token argparse took, whatever the path is called."""
+
+    CONFIG = {"samples": 2000, "engine": "mc"}
+    ARGS = ("measure", "--body", "polydisc:r=1,1")
+
+    @pytest.mark.parametrize("name", ["measure", "verify"])
+    @pytest.mark.parametrize("spelling", [("--config", "{}"), ("--config={}",), ("--conf", "{}")],
+                             ids=["separate", "attached", "abbreviated"])
+    def test_config_named_like_a_command(self, tmp_path, monkeypatch, capsys, name, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(self.CONFIG))
+        (tmp_path / name).write_text(json.dumps(self.CONFIG))
+        want = run_cli(capsys, "--config", "cfg.json", *self.ARGS)
+        assert want[0] == 0 and parse_jsonl(want[1])[0]["samples"] == 2000
+        got = run_cli(capsys, *(part.format(name) for part in spelling), *self.ARGS)
+        assert got == want
+
+    def test_repeated_config_takes_the_last(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "measure").write_text(json.dumps({"samples": 5}))
+        (tmp_path / "cfg.json").write_text(json.dumps(self.CONFIG))
+        got = run_cli(capsys, "--config", "measure", "--config", "cfg.json", *self.ARGS)
+        assert got == run_cli(capsys, "--config", "cfg.json", *self.ARGS)
+
+
+def _parse_outcome(parse, argv: list[str]):
+    """(namespace or None, stdout, stderr, exit code or None) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parse(list(argv)), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, out.getvalue(), err.getvalue(), code
+
+
+_COMMON = ["--engine", "mc", "--samples", "2000", "--seed", "3", "--order", "8",
+           "--workers", "2", "--format", "csv", "--output", "out.csv"]
+_BODY = ["--body", "box:a=1,2", "--measure", "exponential"]
+
+PARSE_CORPUS = {
+    "empty": [],
+    "top-help": ["-h"],
+    "top-help-long": ["--help"],
+    "help-before-command": ["-h", "measure"],
+    "measure-defaults": ["measure", "--body", "polydisc:r=1,1"],
+    "measure-all": ["measure", *_BODY, *_COMMON],
+    "measure-missing-body": ["measure"],
+    "measure-help": ["measure", "-h"],
+    "measure-help-long": ["measure", "--help"],
+    "verify-defaults": ["verify", "--body", "polydisc:r=1,1"],
+    "verify-all": ["verify", *_BODY, "--grid", "1,2", "--experimental", *_COMMON],
+    "verify-help": ["verify", "-h"],
+    "entropy-defaults": ["entropy"],
+    "entropy-1d": ["entropy", "--lemma", "1d", "--f", "step:0.5:0,1",
+                   "--tail-measure", "radial-mu", *_COMMON],
+    "entropy-all": ["entropy", "--lemma", "subadditivity", "--f", "step:0.5:0,1",
+                    "--tail-measure", "atoms:0@1", *_BODY, *_COMMON],
+    "moments-defaults": ["moments"],
+    "moments-all": ["moments", "--norm", "lp:3", "--n", "3", "--p", "2.5", "--q", "0.5",
+                    *_COMMON],
+    "fuzz-defaults": ["fuzz"],
+    "fuzz-all": ["fuzz", "--family", "box", "--n", "2", "--count", "5", "--grid", "1,2",
+                 *_COMMON],
+    "abbreviations": ["measure", "--samp", "10", "--bo", "polydisc:r=1", "--eng", "mc"],
+    "attached-values": ["measure", "--samples=10", "--body=polydisc:r=1", "--engine=mc"],
+    "negative-value": ["measure", "--body", "polydisc:r=1", "--samples", "-5"],
+    "repeated-option": ["measure", "--body", "polydisc:r=1", "--seed", "1", "--seed", "2"],
+    "ambiguous-abbreviation": ["measure", "--s", "5", "--body", "polydisc:r=1"],
+    "unknown-command": ["bogus", "--samples", "3"],
+    "command-case": ["MEASURE", "--body", "polydisc:r=1"],
+    "unknown-option": ["measure", "--body", "polydisc:r=1", "--bogus", "1"],
+    "option-of-another-command": ["measure", "--body", "polydisc:r=1", "--experimental"],
+    "extra-positional": ["measure", "--body", "polydisc:r=1", "extra"],
+    "unknown-then-help": ["measure", "--bogus", "-h"],
+    "bad-int": ["measure", "--body", "polydisc:r=1", "--samples", "ten"],
+    "bad-float": ["moments", "--p", "two"],
+    "bad-grid": ["verify", "--body", "polydisc:r=1", "--grid", "1,x"],
+    "bad-choice": ["measure", "--body", "polydisc:r=1", "--engine", "fast"],
+    "missing-value": ["measure", "--body"],
+    "double-dash": ["measure", "--body", "polydisc:r=1", "--", "--samples", "3"],
+    "config-separate": ["--config", "cfg.json", "measure", "--body", "polydisc:r=1"],
+    "config-attached": ["--config=cfg.json", "verify", "--body", "polydisc:r=1"],
+    "config-named-like-a-command": ["--config", "measure", "measure", "--body", "polydisc:r=1"],
+    "config-without-command": ["--config", "cfg.json"],
+    "config-without-path": ["--config"],
+    "config-after-command": ["measure", "--body", "polydisc:r=1", "--config", "cfg.json"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
+def test_one_parse_is_the_top_level_parse(argv):
+    # the namespace, stdout, stderr and exit code of the full top-level parse
+    want = _parse_outcome(_build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse, argv) == want
+
+
+class TestClosedFormsOnlyWhenUsed:
+    """The box closed forms are computed on the auto and exact paths only:
+    a forced Monte Carlo pass never calls them, with the same bytes out."""
+
+    BOX = ["--body", "box:a=1,1.5", "--measure", "exponential"]
+    CALLS = {
+        "measure": ["measure", *BOX],
+        "verify": ["verify", *BOX],
+        "multidim": ["entropy", "--lemma", "multidim", *BOX],
+        "subadditivity": ["entropy", "--lemma", "subadditivity", *BOX],
+    }
+
+    @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
+    def test_mc_never_calls_box_closed_forms(self, capsys, monkeypatch, argv):
+        from sineq import integrate
+
+        argv = [*argv, "--engine", "mc", "--samples", "3000", "--seed", "5"]
+        want = run_cli(capsys, *argv)
+        calls = []
+        box_closed_forms = integrate.box_closed_forms
+        monkeypatch.setattr(integrate, "box_closed_forms",
+                            lambda *a: calls.append(a) or box_closed_forms(*a))
+        assert run_cli(capsys, *argv) == want and want[0] == 0
+        assert calls == []
+        # the auto path still takes them, through the same name
+        code, out = run_cli(capsys, *argv[:-6])
+        assert code == 0 and calls and parse_jsonl(out)[0]["method"] == "closed-form"

@@ -37,6 +37,7 @@ from sineq.integrate import (
     SUB,
     SampleMoments,
     SampleStream,
+    Sublevels,
     certify,
     chunk_indices,
     draw_points,
@@ -1060,3 +1061,94 @@ class TestRecord:
 def test_bad_input_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+class TestOneGeneratorPerBlock:
+    """``run_chunked`` makes each block's generator once and draws its
+    sub-blocks from it in order, with the bits of one whole-block draw and
+    of ``draw_points`` from each start."""
+
+    @pytest.mark.parametrize("measure", DRAW_MEASURES, ids=lambda m: m.tag)
+    @pytest.mark.parametrize("take", [CHUNK, CHUNK - 7, SUB + 1])
+    def test_sub_blocks_of_one_generator_are_the_block(self, measure, take):
+        stream = SampleStream(77, 3)
+        gen = stream.generator(5)
+        starts = range(0, take, SUB)
+        parts = [draw_points(measure, stream, 5, min(SUB, take - s), s, gen=gen) for s in starts]
+        assert np.array_equal(np.concatenate(parts), whole_block(measure, stream, 5)[:take])
+        for start, part in zip(starts, parts):
+            assert np.array_equal(part, draw_points(measure, stream, 5, len(part), start))
+
+    def test_each_block_is_seeded_once(self, monkeypatch):
+        seeded = []
+        generator = SampleStream.generator
+
+        def counted(self, block):
+            seeded.append(block)
+            return generator(self, block)
+
+        monkeypatch.setattr(SampleStream, "generator", counted)
+        run_chunked(exponential(3), 2 * CHUNK + 5000, 13, 0, lambda r: r[:, :2].T.copy(), 2)
+        assert seeded == [0, 1, 2]
+
+
+class TestReductionFastPaths:
+    """A one-column bool result is counted and one partial is finalized
+    without ``math.fsum``, with the bits of the float 0/1 column and of the
+    ``fsum`` of each partial."""
+
+    @staticmethod
+    def same_bits(got, want) -> bool:
+        return got[0] == want[0] and all(a.tobytes() == b.tobytes()
+                                         for a, b in zip(got[1:], want[1:]))
+
+    @pytest.mark.parametrize("samples", [2000, SUB + 5, 2 * CHUNK + 5000],
+                             ids=["one-sub-block", "two-sub-blocks", "three-blocks"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bool_column_is_the_float_column(self, samples, workers):
+        body = polydisc([1.0, 1.5])
+        counted = run_chunked(complex_gaussian(2), samples, 9, 0, body.base, 1, workers)
+        floats = run_chunked(complex_gaussian(2), samples, 9, 0,
+                             lambda r: body.base(r).astype(float), 1, workers)
+        assert self.same_bits(counted, floats)
+
+    @pytest.mark.parametrize("fill", [False, True, None], ids=["none-in", "all-in", "mixed"])
+    def test_counted_partial_is_the_float_partial(self, fill):
+        m = SUB
+        col = (np.random.default_rng(2).random(m) < 0.3) if fill is None else np.full(m, fill)
+        counted, floats = SampleMoments(1), SampleMoments(1)
+        counted.add_chunk(col)
+        floats.add_chunk(col.astype(float))
+        assert self.same_bits(counted.finalize(), floats.finalize())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_partial_is_its_fsum(self, k):
+        rng = np.random.default_rng(k)
+        c = TestColumnSums.adversarial(rng, k, 5000)
+        c[0] = -0.0
+        acc = SampleMoments(k)
+        acc.add_chunk(c if k > 1 else c[0])
+        got = acc.finalize()
+        assert self.same_bits(got, TestColumnSums().oracle(k, c))
+        assert not np.signbit(got[1][0]) and not np.signbit(got[2][0]).any()
+
+    def test_one_partial_of_negative_zeros_is_read_as_fsum_reads_it(self):
+        # numpy sums start at 0.0, so no column add_chunk takes gives a sum
+        # of -0.0; the partial is written in as a reduction could hand it
+        acc = SampleMoments(2)
+        acc._parts.append((4, np.array([-0.0, 2.0]), np.array([[-0.0, -0.0], [-0.0, 2.0]])))
+        n, mean, cov = acc.finalize()
+        assert n == 4 and mean.tolist() == [0.0, 0.5]  # fsum([-0.0]) is 0.0
+        assert not np.signbit(mean).any() and not np.signbit(cov).any()
+
+    def test_one_sublevels_partial_is_its_fsum(self):
+        rng = np.random.default_rng(5)
+        rho = rng.exponential(size=4000)
+        part = Sublevels(rho, (0.5, 1.0, 2.0), rng.random(4000), 1)
+        acc = SampleMoments(4)
+        acc.add_chunk(part)
+        n, sums, prods = part.moments()
+        mean = np.array([math.fsum([s]) for s in sums.tolist()]) / n
+        prods = np.reshape([math.fsum([p]) for p in prods.ravel().tolist()], (4, 4))
+        want = n, mean, (prods - n * np.outer(mean, mean)) / (n - 1) / n
+        assert self.same_bits(acc.finalize(), want)
