@@ -451,13 +451,25 @@ class TestCertifiedEntropyVerdicts:
 
     CYLINDER = "cylinder:R=1,n=1"
 
-    def test_excursion_is_rechecked(self, monkeypatch):
-        # the equality case reads -3.09 sigma at 20,000 samples, seed 1821;
-        # the three recheck passes at 40,000 samples read -0.40, +1.25, -0.15
-        # (seed found by tests/data/repin_contract_5.py)
+    @staticmethod
+    def indicator_pass(slack: float, se: float) -> tuple[list[float], np.ndarray]:
+        """Means and covariance of the columns (g ln g, g, g * weight) of the
+        cylinder's complement indicator g at which the multidimensional
+        lemma's slack reads ``slack`` with standard error ``se``."""
+        mean_g = math.exp(-0.5)  # 1 - measure of {|z| <= 1}
+        return [0.0, mean_g, slack - xlnx(mean_g)], np.diag([0.0, 0.0, se * se])
+
+    def test_excursion_is_rechecked(self, monkeypatch, choose_passes):
+        # the equality case reads -3.09 sigma (slack -0.0197) on its primary
+        # pass; the three recheck passes, at twice the samples, read -0.40,
+        # +1.25 and -0.15 sigma
         from sineq import integrate
         from sineq.bodies import parse_descriptor
 
+        se = 0.0197 / 3.09
+        calls = choose_passes({0: self.indicator_pass(-0.0197, se), **{
+            k << 62: self.indicator_pass(z * se / math.sqrt(2), se / math.sqrt(2))
+            for k, z in enumerate([-0.40, 1.25, -0.15], start=1)}})
         seen = []
         rule = integrate.within_tolerance
 
@@ -467,9 +479,11 @@ class TestCertifiedEntropyVerdicts:
 
         monkeypatch.setattr(integrate, "within_tolerance", recording)
         g = complement_indicator(parse_descriptor(self.CYLINDER, "reinhardt"))
-        rep = check_lemma_multidim(g, 1, engine=Engine(method="mc", samples=20_000, seed=1821))
+        rep = check_lemma_multidim(g, 1, engine=Engine(method="mc", samples=20_000, seed=5))
+        assert calls == [(20_000, 5, 0, 1)] + [(40_000, 5, k << 62, 1) for k in (1, 2, 3)]
         assert [round(z, 2) for z in seen] == [-3.09, -0.4, 1.25, -0.15]
-        assert rep.slack == pytest.approx(-0.0197, abs=5e-5)
+        assert rep.slack == pytest.approx(-0.0197, abs=1e-12)
+        assert rep.std_error == pytest.approx(se, rel=1e-12)
         assert (rep.verdict, rep.holds) == ("holds", True)
         assert rep.verdict_note == "initial 3-sigma excursion not reproduced"
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import os
 import subprocess
@@ -17,9 +16,7 @@ from sineq.bodies import (
     cross_polytope,
     custom_reinhardt,
     cylinder_body,
-    norm_ball,
     polydisc,
-    product,
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
@@ -51,6 +48,7 @@ from sineq.integrate import (
     tolerance,
 )
 from sineq.measures import FACTORS, MeasureKind, complex_gaussian, exponential
+from registry import REGISTRY, encode
 
 SQRT_2LN2 = 1.1774100225154747
 N = 200_000
@@ -745,9 +743,9 @@ class TestSamplingContract:
     """Draws pinned across commits: a change here is a sampling-contract
     change and has to be versioned (``SAMPLING_CONTRACT``) and recorded."""
 
-    def test_pins_are_those_of_contract_5(self):
-        # tests/data/repin_contract_5.py re-pins them and checks each
-        # against its contract-4 value
+    def test_pins_are_those_of_the_current_contract(self):
+        # tests/data/repin.py re-pins them at a contract bump, with this
+        # number, and checks each against its value under the contract before
         assert SAMPLING_CONTRACT == 5
 
     def test_pass_pinned(self):
@@ -777,8 +775,7 @@ class TestSamplingContract:
 
     def test_moment_ratio_pass_pinned(self):
         # two columns over two blocks, five sub-blocks
-        record = _golden_moments("linf", 3, samples=150_000)
-        assert _record_digest(record) == (
+        assert _fixture("test_moment_ratio_pass_pinned")[1] == (
             "2ed39d37b3b5d9556467c391ea33cb85453eff314905e5131d3a258f47fb5082")
 
     # (tag, n) -> sha256 of block 3, first 1000 rows, key (2026, 9); first row
@@ -831,50 +828,23 @@ class TestSamplingContract:
                                   draw_points(MeasureKind(factor_tag, n), stream, block, take))
 
 
-def _record_digest(records) -> str:
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-
-
-def _golden_entropy(check, body, tag):
-    from sineq.entropy import complement_indicator
-
-    rep = check(complement_indicator(body), body.dim, tag,
-                Engine(method="mc", samples=70_000, seed=23))
-    return rep.to_record()
-
-
-def _golden_moments(norm, n, samples=70_000):
-    from sineq import moments
-
-    make = {"linf": moments.linf_norm, "l1": moments.l1_norm,
-            "lp:3": lambda: moments.lp_norm(3.0),
-            "gauge": lambda: unconditional_lp_ball(2.5, n, 1.3, [0.8, 1.0, 1.2, 1.1][:n])}
-    return moments.moment_ratio(make[norm](), 2.5, 0.75, n,
-                                Engine(method="mc", samples=samples, seed=29)).to_record()
-
-
-def _golden_statistics(body):
-    from sineq.verify import DEFAULT_T_GRID, body_statistics
-
-    stats = body_statistics(body, None, DEFAULT_T_GRID,
-                            Engine(method="mc", samples=70_000, seed=31))
-    return [stats.means.tolist(), stats.cov.tolist()]
+def _fixture(name: str) -> tuple:
+    """Fixture ``name`` that this file pins, produced by the registry
+    (tests/data/registry.py, which re-pins it at a contract bump), as (its
+    value, its pin)."""
+    fx = REGISTRY[f"tests/test_integrate.py:{name}"]
+    value = fx.produce(fx.seed)
+    return value, encode(fx.how, value)
 
 
 class TestKernelGoldens:
     """Records of the Monte Carlo paths that evaluate gauges, sections and
     norms across the coordinate axis, pinned by digest: a kernel rewrite
-    that moves a bit of any of them shows here."""
+    that moves a bit of any of them shows here.  The bodies: a Reinhardt
+    l_p ball ("lp"), a dilated product of a polydisc and a cylinder
+    ("box-product"), a cross-polytope and an l_3 norm ball with no exact
+    section, whose slices are found by bisection ("norm-ball")."""
 
-    BODIES = {
-        "lp": (reinhardt_lp_ball([0.9, 1.0, 1.1], 2.0, 1.9), "radial-mu", "complex-gaussian"),
-        "box-product": (product(polydisc([0.8]), cylinder_body(1.2, 2)).dilate(1.3),
-                        "radial-mu", "complex-gaussian"),
-        "cross-polytope": (cross_polytope(3.2, 4), "exponential-1d", "exponential"),
-        # no exact section: slices by bisection
-        "norm-ball": (norm_ball(lambda x: (np.abs(x) ** 3).sum(axis=1) ** (1 / 3), 2.0, 3),
-                      "exponential-1d", "exponential"),
-    }
     ENTROPY = {
         ("check_subadditivity", "lp"):
             "49473ece214112680f146881d37082b31812afce5baccc26e689ca9e13be5b6c",
@@ -928,21 +898,17 @@ class TestKernelGoldens:
 
     @pytest.mark.parametrize("check, body", list(ENTROPY), ids=str)
     def test_entropy_records(self, check, body):
-        from sineq import entropy
-
-        shape, factor, measure = self.BODIES[body]
-        tag = factor if check == "check_subadditivity" else measure
-        record = _golden_entropy(getattr(entropy, check), shape, tag)
+        record, pin = _fixture(f"ENTROPY[{check}, {body}]")
         assert record["method"].startswith("mc(")
-        assert _record_digest(record) == self.ENTROPY[(check, body)]
+        assert pin == self.ENTROPY[(check, body)]
 
     @pytest.mark.parametrize("norm, n", list(MOMENTS), ids=str)
     def test_moment_records(self, norm, n):
-        assert _record_digest(_golden_moments(norm, n)) == self.MOMENTS[(norm, n)]
+        assert _fixture(f"MOMENTS[{norm}, {n}]")[1] == self.MOMENTS[(norm, n)]
 
     @pytest.mark.parametrize("body", list(STATISTICS))
     def test_statistics(self, body):
-        assert _record_digest(_golden_statistics(self.BODIES[body][0])) == self.STATISTICS[body]
+        assert _fixture(f"STATISTICS[{body}]")[1] == self.STATISTICS[body]
 
 
 def _contract_1_radii(measure: MeasureKind, seed: int, count: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from sineq.bodies import (
     strip_body,
     unconditional_lp_ball,
 )
-from sineq.integrate import DET_TOL, Engine
+from sineq.integrate import DET_TOL, SAMPLING_CONTRACT, Engine
 from sineq.moments import (
     MAX_LAW_DIM,
     coordinate_norm,
@@ -272,49 +272,58 @@ def test_gauge_moment_ratio_allocation_is_pinned():
 
 
 class TestCertifiedRatio:
-    def test_excursion_above_constant_is_rechecked(self):
-        # the coordinate functional attains C(2, 1); at 2,000 samples, seed
-        # 16600, the ratio reads 3.2 sigma above it and no recheck repeats that
-        # (seed found by tests/data/repin_contract_5.py)
+    @staticmethod
+    def ratio_pass(z: float, se: float) -> tuple[list[float], np.ndarray]:
+        """Means and covariance of the columns (|x_0|^2, |x_0|) of the
+        coordinate functional at which its ratio for p = 2, q = 1 reads
+        ``z`` standard errors ``se`` below C(2, 1)."""
+        ratio = cpq(2.0, 1.0) - z * se
+        return [ratio * ratio, 1.0], np.diag([(2.0 * ratio * se) ** 2, 0.0])
+
+    def rechecked(self, z: float, se: float, recheck_zs) -> dict:
+        """A primary pass at ``z`` and recheck k at ``recheck_zs[k - 1]``,
+        each recheck at twice the samples."""
+        return {0: self.ratio_pass(z, se), **{
+            k << 62: self.ratio_pass(zk, se / math.sqrt(2))
+            for k, zk in enumerate(recheck_zs, start=1)}}
+
+    def test_excursion_above_constant_is_rechecked(self, choose_passes):
+        # the coordinate functional attains C(2, 1); the ratio reads 3.17
+        # sigma above it and no recheck repeats that
+        calls = choose_passes(self.rechecked(-3.17, 0.035, [-1.2, 0.4, -2.9]))
         pair = moment_ratio(coordinate_norm(0), 2.0, 1.0, 1,
-                            Engine(method="mc", samples=2000, seed=16600))
-        assert (pair.bound - pair.ratio) / pair.ratio_se == pytest.approx(-3.17, abs=0.01)
+                            Engine(method="mc", samples=2000, seed=5))
+        assert len(calls) == 4
+        assert (pair.bound - pair.ratio) / pair.ratio_se == pytest.approx(-3.17, abs=1e-9)
         assert (pair.verdict, pair.holds) == ("holds", True)
         assert pair.verdict_note == "initial 3-sigma excursion not reproduced"
         assert pair.to_record()["verdict"] == "holds"
 
-    # the record of this case, re-pinned and re-seeded for sampling
-    # contract 5 by tests/data/repin_contract_5.py
+    # the record of this case but its sampling_contract
     RECHECKED_RECORD = (
         '{"bound": 1.4142135623730951, "kind": "moment-ratio", '
-        '"margin": -0.004416955615704987, "method": "mc(300000, 523)", '
-        '"moment_p": 1.4196227242251045, "moment_q": 1.0006994113151542, "n": 2, '
-        '"norm": "coord:0", "p": 2.0, "q": 1.0, "ratio": 1.4186305179888001, '
-        '"ratio_se": 0.0012981913276893411, "reference": 1.4142135623730951, '
-        '"samples": 300000, "sampling_contract": 5, "seed": 523, '
-        '"std_error": 0.0012981913276893411, "tolerance": 0.0038945739830680234, '
-        '"value": 1.4186305179888001, "verdict": "holds"}')
+        '"margin": -0.0044200000000000905, "method": "mc(300000, 523)", '
+        '"moment_p": 1.4186335623730952, "moment_q": 1.0, "n": 2, '
+        '"norm": "coord:0", "p": 2.0, "q": 1.0, "ratio": 1.4186335623730952, '
+        '"ratio_se": 0.0013000000000000002, "reference": 1.4142135623730951, '
+        '"samples": 300000, "seed": 523, '
+        '"std_error": 0.0013000000000000002, "tolerance": 0.0039000000000000007, '
+        '"value": 1.4186335623730952, "verdict": "holds"}')
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_recheck_path_record_is_pinned(self, monkeypatch, workers):
-        # 3.4 sigma above C(2, 1) at seed 523: the three rechecks run and
-        # none reproduces it
-        from sineq import integrate
-
-        passes = []
-        original = integrate.run_chunked
-
-        def counted(measure, samples, seed, stream, *args):
-            passes.append((samples, seed, stream))
-            return original(measure, samples, seed, stream, *args)
-
-        monkeypatch.setattr(integrate, "run_chunked", counted)
+    def test_recheck_path_record_is_pinned(self, choose_passes, workers):
+        # 3.4 sigma above C(2, 1): the three rechecks run and none
+        # reproduces it; the record is that of the primary pass
+        calls = choose_passes(self.rechecked(-3.4, 0.0013, [-0.7, 1.1, 0.2]))
         pair = moment_ratio(coordinate_norm(0), 2.0, 1.0, 2,
                             Engine(method="mc", samples=300_000, seed=523, workers=workers))
-        assert passes == [(300_000, 523, 0)] + [(600_000, 523, k << 62) for k in (1, 2, 3)]
+        assert calls == [(300_000, 523, 0, workers)] + [
+            (600_000, 523, k << 62, workers) for k in (1, 2, 3)]
         assert (pair.verdict, pair.verdict_note) == (
             "holds", "initial 3-sigma excursion not reproduced")
-        assert json.dumps(pair.to_record(), sort_keys=True) == self.RECHECKED_RECORD
+        record = pair.to_record()
+        assert record.pop("sampling_contract") == SAMPLING_CONTRACT
+        assert json.dumps(record, sort_keys=True) == self.RECHECKED_RECORD
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
