@@ -65,7 +65,7 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 def _engine(args: argparse.Namespace) -> Engine:
     return Engine(method=args.engine, samples=args.samples, seed=args.seed,
-                  order=args.order, workers=args.workers)
+                  workers=args.workers)
 
 
 def _emit(records: list[dict], args: argparse.Namespace) -> None:
@@ -211,11 +211,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         return tuple(float(t) for t in text.split(","))
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--engine", default=Engine.method,
-                       choices=["auto", "exact", "mc", "quadrature"])
+        # no command has a quadrature path for the inputs the CLI parses
+        p.add_argument("--engine", default=Engine.method, choices=["auto", "exact", "mc"])
         p.add_argument("--samples", type=int, default=Engine.samples)
         p.add_argument("--seed", type=int, default=Engine.seed)
-        p.add_argument("--order", type=int, default=Engine.order)
         p.add_argument("--workers", type=int, default=Engine.workers)
         p.add_argument("--format", default="json", choices=["json", "csv"])
         p.add_argument("--output", default=None, help="output file (default stdout)")

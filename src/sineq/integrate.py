@@ -182,8 +182,11 @@ class SampleStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_index = int(self.stream_index) & 0xFFFFFFFFFFFFFFFF
+        # masking a value outside the range would alias another seed's draws
+        self.seed, self.stream_index = int(self.seed), int(self.stream_index)
+        for name, value in (("seed", self.seed), ("stream", self.stream_index)):
+            if not 0 <= value < 1 << 64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
     def generator(self, block: int) -> np.random.Generator:
         """The PCG64DXSM generator of block ``block``, seeded by one

@@ -5,15 +5,15 @@ A fixture is a value that moves whenever the sampling contract does: a
 golden file, a ``cli_workers_seed11`` output of the CI worker-count step, a
 digest or a number pinned inside a test file, a raw draw, the pinned
 contract number, the seed of the one test keyed to a seed found by search,
-or a ``demos/expected`` file.  ``tests/data/repin.py`` re-pins them at a
-contract bump; ``tests/test_registry.py`` checks that the worker-count
-cases of the CI match ``CLI_CASES`` and that no digest or record is pinned
+or a ``demos/expected`` file.  ``tests/data/repin.py`` checks and
+re-pins them; ``tests/test_registry.py`` checks that the worker-count
+outputs are those of ``CLI_CASES`` and that no digest or record is pinned
 under ``tests/`` without an entry here.
 
-Producers import ``sineq`` only when called, so that ``repin.py`` can run
-them under the sources of an earlier commit: they use only what every
-contract since 4 provides.  The one datum a bump adds is
-``DEMO_TEXT_EDITS``, empty but during a bump whose demos print other words.
+Producers import ``sineq`` only when called, so that at a contract bump
+``repin.py`` can run them under the sources of the commit before it.  The
+one datum a bump adds is ``DEMO_TEXT_EDITS``, empty but during a bump whose
+demos print other words.
 """
 
 from __future__ import annotations
@@ -29,18 +29,30 @@ from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parents[2]
 
-# the CI worker-count step's commands, run with ``--engine mc --samples
-# CLI_SAMPLES --seed CLI_SEED``; each writes tests/data/cli_workers_seed11/NAME.jsonl
+# the CI worker-count step's commands, each run with ``--engine mc --samples
+# CLI_SAMPLES --seed CLI_SEED`` at 1, 2 and 3 workers, which must print the
+# same bytes as tests/data/cli_workers_seed11/NAME.jsonl, so that a kernel
+# change that moves a bit of a multi-block pass fails too.  CLI_SAMPLES makes
+# three blocks of 131072 rows, the last one partial, so at three workers
+# each block is reduced on its own thread.  Each case takes its own path:
 CLI_CASES = {
+    # the body_statistics pass under the complex Gaussian measure
     "polydisc": "verify --body polydisc:r=1,1.5",
+    # the column path; its certified violation exits 3
     "annulus": "verify --body annulus:inner=1,outer=2 --experimental",
+    # every coordinate section
     "subadditivity": "entropy --lemma subadditivity "
                      "--body weighted-lp-ball:p=2,w=0.9,1,1.1,scale=1.9",
+    # the row kernels of the max norm
     "moments-linf": "moments --norm linf --n 3 --p 2 --q 1",
+    # the gauge path over reused sub-block buffers
     "moments-gauge": "moments --norm body:weighted-lp-ball:p=3,w=0.9,1,1.1,1.2,scale=2 "
                      "--n 4 --p 2 --q 1",
+    # a three-column pass through the column check
     "multidim": "entropy --lemma multidim --body weighted-lp-ball:p=2,w=0.9,1,1.1,scale=1.9",
+    # the body_statistics pass under the exponential measure
     "exp-box": "verify --body box:a=1,1.5 --measure exponential",
+    # a one-column bool pass that is counted
     "measure": "measure --body polydisc:r=1,1.5",
 }
 CLI_SAMPLES, CLI_SEED = 300_000, 11

@@ -1,21 +1,24 @@
-"""Re-pin every fixture of ``tests/data/registry.py`` under the sampling
-contract of the working tree, and check each against its value under the
-contract before.
+"""Check that every fixture of ``tests/data/registry.py`` holds what the
+working tree produces, and at a sampling-contract bump check each against
+its value under the contract before.
 
-Run from the root of a git checkout with its history:
+Run from the root of a git checkout that holds HEAD's parent:
 
     PYTHONPATH=src python tests/data/repin.py [--write]
 
-The contract is ``sineq.integrate.SAMPLING_CONTRACT``.  The values under
-the contract before are computed under the sources of the base commit (in
-a subprocess over ``git archive``): HEAD while the working tree's contract
-differs from HEAD's, a bump in progress; otherwise the parent of the newest
-commit that changed the ``SAMPLING_CONTRACT =`` line.  Every fixture must
-be produced there, and where the base commit pins it too (a demo: with an
-unchanged script), the pin there must be that value.
+The contract is ``sineq.integrate.SAMPLING_CONTRACT``.  The base commit is
+HEAD while the working tree's contract differs from HEAD's (a bump in
+progress), HEAD^ when HEAD's differs from HEAD^'s (a bump as it lands, in
+one commit), and there is none otherwise: between bumps the tool checks the
+files only, so a fixture may then change a key or a deterministic number
+and a producer or a demo may call any API of the working tree.
 
-Every fixture must keep its keys, kinds, verdicts and notes.  Every number
-must lie within ``Z_BOUND`` sigma of its base value, where sigma is sqrt(2)
+At a bump the values under the contract before are computed under the
+sources of the base commit (in a subprocess over ``git archive``).  Every
+fixture must be produced there, and where the base commit pins it too (a
+demo: with an unchanged script), the pin there must be that value.  Every
+fixture must keep its keys, kinds, verdicts and notes.  Every number must
+lie within ``Z_BOUND`` sigma of its base value, where sigma is sqrt(2)
 times the standard deviation of that number over ``REPLICATE_SEEDS``, runs
 of the same fixture under the working tree at other seeds (a number that
 does not vary over them must not move).  Each fixture is printed with its
@@ -25,7 +28,8 @@ relative move of a number is printed.  Raw draws and a searched seed have
 no earlier value to compare.
 
 Without ``--write`` the run fails unless every file already holds the
-working tree's values; ``--write`` rewrites those that do not.
+working tree's values; ``--write`` rewrites those that do not, and names
+each.
 """
 
 from __future__ import annotations
@@ -73,15 +77,16 @@ def read(path: str) -> str | None:
 
 
 def contract_at(commit: str) -> int:
-    return int(CONTRACT_LINE.search(git_show(commit, "src/sineq/integrate.py"))[1])
+    # a checkout without ``commit`` (HEAD^ of a depth-1 clone) fails here, naming it
+    return int(CONTRACT_LINE.search(git("show", f"{commit}:src/sineq/integrate.py"))[1])
 
 
-def base_commit(contract: int) -> str:
-    if contract != contract_at("HEAD"):
-        return git("rev-parse", "HEAD")
-    bump = git("log", "-1", "--format=%H", "-G^SAMPLING_CONTRACT = ", "--",
-               "src/sineq/integrate.py")
-    return git("rev-parse", f"{bump}^")
+def base_commit(contract: int) -> str | None:
+    """The commit to compare with, by the rule of the module docstring."""
+    for commit in ("HEAD", "HEAD^"):
+        if contract_at(commit) != contract:
+            return git("rev-parse", commit)
+    return None
 
 
 def emit() -> None:
@@ -210,47 +215,59 @@ def compare_demo(name: str, old: str, new: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def against_base(name: str, fx, new, base: str, old: dict, contracts: tuple[int, int]) -> None:
+    """Check the working tree's value ``new`` of fixture ``name`` against
+    ``old``, the base sources' values, by the rules of the module
+    docstring."""
+    if fx.how in UNCOMPARED:
+        print(f"{name:60} {pinned(read(fx.path), fx.pattern)} -> {encode(fx.how, new)}")
+        return
+    value = old[name]["value"]
+    if fx.script is None or git_show(base, fx.script) == read(fx.script):
+        at_base = pinned(git_show(base, fx.path), fx.pattern)
+        check(at_base in (None, encode(fx.how, value)), (name, "differs at the base"))
+    if fx.how == "text":
+        compare_demo(name, value, new)
+    else:
+        sigma = spreads([fx.produce(seed) for seed in REPLICATE_SEEDS])
+        compare(name, value, new, sigma, contracts)
+
+
 def main(argv: list[str]) -> None:
     if set(argv) - {"--write"}:
         sys.exit("usage: PYTHONPATH=src python tests/data/repin.py [--write]")
     from sineq.integrate import SAMPLING_CONTRACT
 
     base = base_commit(SAMPLING_CONTRACT)
-    contracts = (contract_at(base), SAMPLING_CONTRACT)
-    print(f"contract {contracts[1]} against contract {contracts[0]} of {base[:12]}")
-    old = under(base)
-    failed = [f"{name}: {got['error']}" for name, got in old.items() if "error" in got]
-    if failed:
-        sys.exit("the base sources do not produce\n  " + "\n  ".join(failed))
+    if base is None:
+        print(f"contract {SAMPLING_CONTRACT}, unchanged since HEAD^: checking the files only")
+    else:
+        contracts = (contract_at(base), SAMPLING_CONTRACT)
+        print(f"contract {contracts[1]} against contract {contracts[0]} of {base[:12]}")
+        old = under(base)
+        failed = [f"{name}: {got['error']}" for name, got in old.items() if "error" in got]
+        if failed:
+            sys.exit("the base sources do not produce\n  " + "\n  ".join(failed))
 
     texts: dict[str, str] = {}
     for name, fx in REGISTRY.items():
         new = fx.produce(fx.seed)
+        if base is not None:
+            against_base(name, fx, new, base, old, contracts)
         current = texts[fx.path] if fx.path in texts else read(fx.path)
-        if fx.how in UNCOMPARED:
-            print(f"{name:60} {pinned(current, fx.pattern)} -> {encode(fx.how, new)}")
-        else:
-            value = old[name]["value"]
-            if fx.script is None or git_show(base, fx.script) == read(fx.script):
-                at_base = pinned(git_show(base, fx.path), fx.pattern)
-                check(at_base in (None, encode(fx.how, value)), (name, "differs at the base"))
-            if fx.how == "text":
-                compare_demo(name, value, new)
-            else:
-                sigma = spreads([fx.produce(seed) for seed in REPLICATE_SEEDS])
-                compare(name, value, new, sigma, contracts)
         texts[fx.path] = repinned(current, fx.pattern, encode(fx.how, new))
 
     stale = [path for path, text in texts.items() if read(path) != text]
     if "--write" in argv:
         for path in stale:
             (ROOT / path).write_text(texts[path])
+            print(f"rewrote {path}")
         print(f"rewrote {len(stale)} of {len(texts)} files")
     elif stale:
-        sys.exit(f"not re-pinned for contract {contracts[1]} (run with --write): "
+        sys.exit(f"not re-pinned for contract {SAMPLING_CONTRACT} (run with --write): "
                  f"{', '.join(stale)}")
     else:
-        print(f"all {len(texts)} files hold their contract-{contracts[1]} values")
+        print(f"all {len(texts)} files hold their contract-{SAMPLING_CONTRACT} values")
 
 
 if __name__ == "__main__":

@@ -1021,9 +1021,15 @@ class TestRecord:
     (lambda: Engine(stream=-1), r"^engine stream -1 outside \[0, 2\*\*62\): higher streams "
                                 r"are reserved for rechecks$"),
     (lambda: Engine(stream=2**62), r"^engine stream 4611686018427387904 outside \[0, 2\*\*62\)"),
+    # a direct caller of the draw gets the same refusal, not an aliased seed
+    (lambda: run_chunked(complex_gaussian(1), 1000, -1, 0, lambda r: r[:, :1], 1),
+     r"^seed must be in \[0, 2\*\*64\), got -1$"),
+    (lambda: SampleStream(2**64), r"^seed must be in \[0, 2\*\*64\)"),
+    (lambda: SampleStream(0, 2**64), r"^stream must be in \[0, 2\*\*64\)"),
 ], ids=["engine-method", "integral-without-measure", "quadrature-measure",
         "quadrature-integrand-shape", "negative-seed", "seed-past-64-bits",
-        "negative-stream", "recheck-stream"])
+        "negative-stream", "recheck-stream", "run-chunked-negative-seed",
+        "sample-stream-seed-past-64-bits", "sample-stream-stream-past-64-bits"])
 def test_bad_input_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,12 +1,16 @@
 """The fixture registry, ``tests/data/registry.py``, names every seeded Monte
 Carlo fixture: each worker-count case of the CI and each digest or record
-pinned under ``tests/``.  So ``tests/data/repin.py`` re-pins them all at a
-sampling-contract bump."""
+pinned under ``tests/``.  So ``tests/data/repin.py`` checks them all, and
+compares them across contracts at a sampling-contract bump."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 import registry
+import repin
+from sineq.integrate import SAMPLING_CONTRACT
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -15,19 +19,9 @@ ROOT = TESTS.parent
 PINNED = re.compile(r'[0-9a-f]{64}|"sampling_contract": \d+')
 
 
-def ci_cases() -> dict[str, str]:
-    """NAME -> command of each case of the CI worker-count step."""
-    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    step = ci[ci.index("name: Worker count does not change a bit"):]
-    return dict(re.findall(r'"([\w-]+): ([^"]+)"', step))
-
-
 def test_worker_count_cases_are_the_registered_ones():
     files = {path.stem for path in (TESTS / "data" / "cli_workers_seed11").iterdir()}
-    assert ci_cases() == registry.CLI_CASES
     assert files == set(registry.CLI_CASES)
-    ci = " ".join((ROOT / ".github" / "workflows" / "ci.yml").read_text().split())
-    assert f"--samples {registry.CLI_SAMPLES} --seed {registry.CLI_SEED} " in ci
 
 
 def test_every_pin_under_tests_is_registered():
@@ -50,3 +44,40 @@ def test_every_pin_under_tests_is_registered():
         stray = [m[0] for m in PINNED.finditer(text)
                  if not any(a <= m.start() and m.end() <= b for a, b in spans)]
         assert not stray, (rel, "pins what the registry does not name", stray)
+
+
+def never(*args):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("tree, head, parent, base", [
+    (6, 5, 5, "HEAD"),
+    (6, 5, 4, "HEAD"),
+    (6, 6, 5, "HEAD^"),
+    (5, 5, 5, None),
+], ids=["bump-in-progress", "bump-on-a-bump", "bump-commit", "no-bump"])
+def test_base_commit_rule(monkeypatch, tree, head, parent, base):
+    monkeypatch.setattr(repin, "contract_at", {"HEAD": head, "HEAD^": parent}.__getitem__)
+    monkeypatch.setattr(repin, "git", lambda *args: f"sha of {args[-1]}")
+    assert repin.base_commit(tree) == (base and f"sha of {base}")
+
+
+def test_outside_a_bump_only_the_files_are_checked(monkeypatch, tmp_path, capsys):
+    # no commit is archived and no replicate seed is run
+    seeds = []
+    fixture = registry.Fixture("out.txt", "text",
+                               lambda seed: seeds.append(seed) or f"seed {seed}\n", 3)
+    monkeypatch.setattr(repin, "contract_at", lambda commit: SAMPLING_CONTRACT)
+    for name in ("git", "git_show", "under"):
+        monkeypatch.setattr(repin, name, never)
+    monkeypatch.setattr(repin, "REGISTRY", {"out.txt": fixture})
+    monkeypatch.setattr(repin, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match="not re-pinned .*: out.txt$"):
+        repin.main([])
+    repin.main(["--write"])
+    assert (tmp_path / "out.txt").read_text() == "seed 3\n"
+    assert "rewrote out.txt\n" in capsys.readouterr().out
+    repin.main([])
+    assert capsys.readouterr().out.endswith(
+        f"all 1 files hold their contract-{SAMPLING_CONTRACT} values\n")
+    assert seeds == [3, 3, 3]

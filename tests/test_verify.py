@@ -648,8 +648,14 @@ class TestProtocolEntry:
         # such a stream would draw exactly the recheck stream of another run
         from sineq.integrate import SampleStream
 
-        assert (SampleStream(7, stream).stream_index
-                == recheck_stream(*aliased))
+        if stream < 0:
+            # masked to 64 bits it would be that recheck stream, so
+            # SampleStream refuses it, as Engine does
+            assert stream % 2**64 == recheck_stream(*aliased)
+            with pytest.raises(ValueError, match=r"stream must be in \[0, 2\*\*64\)"):
+                SampleStream(7, stream)
+        else:
+            assert SampleStream(7, stream).stream_index == recheck_stream(*aliased)
         with pytest.raises(ValueError, match="reserved for rechecks"):
             full_check(polydisc([1.0, 1.0]), Engine(method="mc", samples=2000, seed=7,
                                                     stream=stream))
