@@ -260,10 +260,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace the top-level parser gives ``argv``, from one parse by
     the command's own parser when ``argv`` starts with a command name and
@@ -316,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             at = _command_index(argv) + 1
             flags = _config_flags(args.config, vars(args).keys() - {"command", "config"})
-            args = _build_parser().parse_args(argv[:at] + flags + argv[at:])
+            args = _parsers()[0].parse_args(argv[:at] + flags + argv[at:])
         _engine(args)  # bad engine options fail on every command, before any work
         if args.output:
             _check_output(args.output)

@@ -248,8 +248,8 @@ def entropy(
         return _step_sides(f, measure)[0]
     nodes, w = measure.rule()
     vals = np.asarray(f(nodes), dtype=float)
-    if (vals < 0).any():
-        raise ValueError("entropy requires a nonnegative function")
+    if not (np.isfinite(vals) & (vals >= 0)).all():
+        raise ValueError("entropy requires a finite nonnegative function")
     return _sample_entropy(vals, w)
 
 
@@ -282,8 +282,8 @@ class EntropyReport:
 
 def _check_monotone_callable(f, xs: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(xs), dtype=float)
-    if (vals < -1e-12).any():
-        raise ValueError("f must be nonnegative")
+    if not (np.isfinite(vals) & (vals >= -1e-12)).all():
+        raise ValueError("f must be finite and nonnegative")
     if (np.diff(vals) < -1e-9).any():
         raise ValueError("f must be nondecreasing")
     return vals
@@ -306,7 +306,7 @@ def _discrete_rhs(measure: TailMeasure1D, vals: np.ndarray) -> float:
 def check_lemma_1d(
     f: StepFunction | Callable[[np.ndarray], np.ndarray],
     measure: TailMeasure1D,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
 ) -> EntropyReport:
     """The 1-D entropy inequality: Ent(f) vs -int f (1 + ln tail) dmu.
 
@@ -318,9 +318,10 @@ def check_lemma_1d(
     atoms, step function or callable; a positive f at its top atom (zero
     tail) makes the right side +inf (vacuous truth).
 
-    General callables are monotonicity-checked on the quadrature grid and
-    fall back to the graded CDF-domain rule on both sides against a
-    known-CDF measure (documented tolerance 1e-6 for bounded f).
+    A callable must be finite, nonnegative and nondecreasing at the atoms
+    or on the quadrature grid, or ``ValueError`` is raised; against a
+    known-CDF measure it takes the graded CDF-domain rule on both sides
+    (documented tolerance 1e-6 for bounded f).
 
     So the lemma has one path for each input: "exact" for step functions
     and discrete measures, "quadrature" otherwise.  ``engine`` may force
@@ -328,7 +329,7 @@ def check_lemma_1d(
     """
     step = isinstance(f, StepFunction)
     path = "exact" if step or measure.factor is None else "quadrature"
-    forced = (engine or Engine()).method
+    forced = engine.method
     if forced not in ("auto", path):
         raise ValueError(f"the 1-D entropy lemma has no {forced} path for this input "
                          f"(it takes {path}: closed forms for step functions and discrete "
@@ -426,7 +427,7 @@ def _entropy_check(g, n, engine, measure, columns, closed, quadrature=False):
         lhs, dlhs_dB = A - xlnx(max(B, 0.0)), -((math.log(B) + 1.0) if B > 0 else 0.0)
         return lhs, W, W - lhs, est.se({0: -1.0, 1: -dlhs_dB, 2: 1.0})
 
-    est = _integ.estimate(engine, measure, columns, 3, closed, quadrature, "this g")
+    est = _integ.estimate(engine, measure, columns, 3, closed, quadrature, lambda: "this g")
     verdict, note = _integ.certify(est, lambda p: sides(p)[2:])
     return EntropyReport(*sides(est), est.method, verdict=verdict, verdict_note=note,
                          samples=est.samples)
@@ -436,7 +437,7 @@ def check_lemma_multidim(
     g: MonotoneRadialFunction,
     n: int,
     measure_tag: str = "complex-gaussian",
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
 ) -> EntropyReport:
     """Ent(g) <= int g * weight, the multidimensional entropy inequality.
 
@@ -451,7 +452,6 @@ def check_lemma_multidim(
     a delta-method standard error for the slack).  "auto" picks exact when
     available, else mc.
     """
-    engine = engine or Engine()
     if measure_tag not in ("complex-gaussian", "exponential"):
         raise ValueError(f"measure must be complex-gaussian or exponential, got {measure_tag!r}")
     factor = MeasureKind(measure_tag, n).factor
@@ -554,7 +554,7 @@ def check_subadditivity(
     g: MonotoneRadialFunction,
     n: int,
     factor: str = "radial-mu",
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
 ) -> EntropyReport:
     """Ent of g against the n-fold product factor measure, versus the
     average over the product measure of the summed per-coordinate slice
@@ -563,7 +563,6 @@ def check_subadditivity(
     Engines: "exact" (complement indicator of a coordinate-box body), "mc"
     and "auto" (exact when available, else mc).
     """
-    engine = engine or Engine()
     if factor not in FACTORS:
         raise ValueError(f"factor must be radial-mu or exponential-1d, got {factor!r}")
     body = g.complement_body

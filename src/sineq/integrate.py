@@ -18,10 +18,10 @@ each block ``SUB`` rows at a time, while the sub-block is still in cache,
 the sub-blocks of a block in order from its one generator (the bits of
 skipping to each), and :class:`SampleMoments` combines the sub-block partials exactly, which
 makes every estimate bit-identical across runs and across any degree of
-parallelism for equal ``(seed, samples)``.  The sub-blocks of a block
-longer than ``SUB`` rows are drawn into one buffer that is kept for the
-next block and the next run, so the points a ``columns`` callback gets are
-a view into a reused buffer, valid only for that call.
+parallelism for equal ``(seed, samples)``.  Every block, however short,
+is drawn into one buffer that is kept for the next block and the next run,
+so the points a ``columns`` callback gets are a view into a reused buffer,
+valid only for that call.
 
 What a block holds and how it is reduced is versioned by
 ``SAMPLING_CONTRACT``, which every record carries; a change to either
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -330,24 +329,24 @@ class SampleMoments:
 
 # At most one sub-block draw buffer is kept between blocks and runs: a
 # fresh (SUB, n) array per sub-block is handed back to the OS and faulted
-# in again by the next one.
+# in again by the next one.  Taking it and keeping it are one list
+# operation each, atomic, so no two threads ever hold the same buffer.
 _spare: list[np.ndarray] = []
-_spare_lock = threading.Lock()
 
 
 def _take_buffer(size: int) -> np.ndarray:
     """The spare draw buffer, or a new one when the spare is taken or has
     fewer than ``size`` doubles."""
-    with _spare_lock:
-        flat = _spare.pop() if _spare else None
-    return np.empty(size) if flat is None or flat.size < size else flat
+    try:
+        flat = _spare.pop()
+    except IndexError:
+        return np.empty(size)
+    return np.empty(size) if flat.size < size else flat
 
 
 def _keep_buffer(flat: np.ndarray) -> None:
-    """Keep ``flat`` as the spare unless another buffer already is one."""
-    with _spare_lock:
-        if not _spare:
-            _spare.append(flat)
+    """Keep ``flat`` as the spare, in place of any other."""
+    _spare[:] = [flat]
 
 
 def run_chunked(
@@ -365,17 +364,14 @@ def run_chunked(
     blocks; fewer than 2 samples raise ``ValueError``.
 
     The points ``columns`` gets are a view into a reused buffer, valid only
-    for that call: a block of more than ``SUB`` rows draws all its
-    sub-blocks into one buffer, which the next block and the next run
-    reuse, so ``columns`` copies any points it keeps."""
+    for that call: every block draws its sub-blocks into one buffer, which
+    the next block and the next run reuse, so ``columns`` copies any points
+    it keeps."""
     base = SampleStream(seed, stream)
     acc = SampleMoments(ncols)
 
     def work(block_take: tuple[int, int]) -> None:
         block, take = block_take
-        if take <= SUB:
-            acc.add_chunk(_evaluate(columns, draw_points(measure, base, block, take), ncols))
-            return
         flat = _take_buffer(SUB * measure.n)
         buf = flat[:SUB * measure.n].reshape(SUB, measure.n)
         gen = base.generator(block)  # one generator, its sub-blocks drawn in order
@@ -468,26 +464,27 @@ class Pass:
 def estimate(engine: Engine, measure: MeasureKind,
              columns: Callable[[np.ndarray], np.ndarray | Sublevels], ncols: int,
              closed: Callable[[], Sequence[float] | None] | None = None,
-             quadrature: bool = False, subject: str = "this check") -> Pass:
+             quadrature: bool = False,
+             subject: Callable[[], str] = lambda: "this check") -> Pass:
     """The pass of ``engine`` over ``columns`` of ``measure``'s points.
     "auto" takes the exact column means ``closed()`` when the caller has
     them (not None) and Monte Carlo otherwise; ``closed`` is called on the
     "auto" and "exact" paths only.  "quadrature" needs columns smooth in
     the points (``quadrature``), n <= 4, and evaluates them once on the
     tensor Gauss-Laguerre rule.  A path that does not apply raises
-    ``ValueError`` naming ``subject``."""
+    ``ValueError`` naming ``subject()``, which is called for that only."""
     method = engine.method
     means = closed() if closed is not None and method in ("auto", "exact") else None
     if method == "auto":
         method = "exact" if means is not None else "mc"
     if method == "exact":
         if means is None:
-            raise ValueError(f"no closed form for {subject}")
+            raise ValueError(f"no closed form for {subject()}")
         means = np.array(means, dtype=float)
         return Pass("closed-form", engine.seed, engine.stream, 0, means, np.zeros((ncols, ncols)))
     if method == "quadrature":
         if not quadrature:
-            raise ValueError(f"no quadrature path for {subject}")
+            raise ValueError(f"no quadrature path for {subject()}")
         n = measure.n
         if n > 4:
             raise ValueError(f"tensor quadrature supports 1 <= n <= 4, got {n}")
@@ -580,7 +577,7 @@ def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
         return None if forms is None else forms.curve
 
     p = estimate(engine, measure, body.base, 1, closed,
-                 subject=f"the measure of {body.descriptor()!r}")
+                 subject=lambda: f"the measure of {body.descriptor()!r}")
     m = float(p.means[0])
     se = 0.0 if p.deterministic else math.sqrt(max(m * (1.0 - m), 0.0) / p.samples)
     return Estimate(m, se, p.method, p.samples)

@@ -312,7 +312,7 @@ def cylinder_measure(R: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if R < 0.0:
+    if not R >= 0.0:
         raise ValueError(f"radius must be >= 0, got {R}")
     return RADIAL_FACTOR.cdf(R)
 
@@ -332,7 +332,7 @@ def exp_strip_measure(p: float) -> float:
 
     Equals 1 - exp(-p), independent of the ambient dimension.
     """
-    if p < 0.0:
+    if not p >= 0.0:
         raise ValueError(f"half-width must be >= 0, got {p}")
     return EXP_FACTOR.cdf(p)
 
@@ -354,6 +354,6 @@ def abs_moment_exponential(p: float) -> float:
     (Gamma(p+1) = p!), and within 8.4e-16 relative of 40-digit values on
     the exponent range of ``moments`` (p + 1 in [1, 31]).
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError(f"exponent must be > 0, got {p}")
     return math.gamma(p + 1.0)

@@ -69,15 +69,11 @@ MAX_EXPONENT = 30.0  # Monte Carlo tail variance explodes beyond this
 MAX_LAW_DIM = 14
 
 
-def _check_exponents(p: float, q: float) -> None:
-    if not (0.0 < q <= p <= MAX_EXPONENT):
-        raise ValueError(f"need 0 < q <= p <= {MAX_EXPONENT}, got p={p}, q={q}")
-
-
 def cpq(p: float, q: float) -> float:
     """Best constant Gamma(p+1)^(1/p) / Gamma(q+1)^(1/q); >= 1, with
     equality exactly at p = q."""
-    _check_exponents(p, q)
+    if not (0.0 < q <= p <= MAX_EXPONENT):
+        raise ValueError(f"need 0 < q <= p <= {MAX_EXPONENT}, got p={p}, q={q}")
     return abs_moment_exponential(p) ** (1.0 / p) / abs_moment_exponential(q) ** (1.0 / q)
 
 
@@ -253,7 +249,7 @@ def moment_ratio(
     p: float,
     q: float,
     n: int,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     norm_desc: str = "",
 ) -> MomentPair:
     """Estimate (E||x||^p)^(1/p) / (E||x||^q)^(1/q) on one stream and
@@ -268,8 +264,7 @@ def moment_ratio(
     The standard error of a Monte Carlo ratio comes from the delta method
     on (log of) the two raw moments including their covariance.
     """
-    engine = engine or Engine()
-    _check_exponents(p, q)
+    bound = cpq(p, q)
     measure = exponential(n)  # rejects n < 1 before the norm sees an empty array
     if isinstance(norm, UnconditionalBody):
         if norm.dim != n:
@@ -312,9 +307,8 @@ def moment_ratio(
         means = [law(n, p), law(n, q)]
         return None if None in means else means
 
-    bound = cpq(p, q)
     est = _integ.estimate(engine, measure, columns, 2, closed if law else None,
-                          subject=f"the moment ratio of {norm_desc}")
+                          subject=lambda: f"the moment ratio of {norm_desc}")
     moment_p, moment_q, ratio, ratio_se = moments(est)
     verdict, note = _integ.certify(est, margin)
     return MomentPair(

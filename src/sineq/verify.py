@@ -114,15 +114,21 @@ def _in_class(body, seed: int, experimental: bool):
         raise ValueError(f"{e}; pass experimental=True (--experimental) to check it anyway") from e
 
 
-def _given_stats(body, stats: BodyStats, measure: MeasureKind | None, experimental: bool) -> None:
-    """Raise unless ``stats`` is a pass over ``body`` under ``measure`` (the
-    body's own when None) and ``body`` is in class at the seed of ``stats``."""
+def _checked_pass(body, stats: BodyStats | None, measure: MeasureKind | None,
+                  t_grid: Sequence[float], engine: Engine, experimental: bool) -> BodyStats:
+    """``stats``, checked to be a pass over ``body`` under ``measure`` (the
+    body's own when None) with ``body`` in class at its seed; else the pass
+    of :func:`body_statistics` over ``body``, in class at the engine's seed."""
+    if stats is None:
+        body = _in_class(body, engine.seed, experimental)
+        return body_statistics(body, measure, t_grid, engine)
     measure = measure or _default_measure(body)
     if stats.body_desc != body.descriptor() or stats.measure != measure:
         raise ValueError(f"stats of {stats.body_desc!r} under {stats.measure.tag}"
                          f"({stats.measure.n}) do not belong to {body.descriptor()!r} "
                          f"under {measure.tag}({measure.n})")
     _in_class(body, stats.seed, experimental)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,10 @@ def body_statistics(
     body,
     measure: MeasureKind | None = None,
     t_grid: Sequence[float] = (),
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
 ) -> BodyStats:
     """One pass worth of statistics: measures of tK on the grid plus the
     weight moment over K, with full covariance on the Monte Carlo path."""
-    engine = engine or Engine()
     measure = measure or _default_measure(body)
     grid = [float(t) for t in t_grid]
     if not all(0.0 < t < math.inf for t in grid):  # NaN fails too
@@ -186,7 +191,7 @@ def body_statistics(
         return out
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
-                          subject=f"body {body.descriptor()!r}")
+                          subject=lambda: f"body {body.descriptor()!r}")
     return BodyStats(**vars(est), body_desc=body.descriptor(), measure=measure,
                      t_grid=grid, idx1=idx1)
 
@@ -206,7 +211,7 @@ def _slack_pieces(stats: BodyStats) -> tuple[float, float]:
 def derivative_at_one(
     body,
     measure: MeasureKind | None = None,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     stats: BodyStats | None = None,
 ) -> Estimate:
     """d/dt measure(tK) at t = 1: 2n*measure - second moment for the
@@ -282,19 +287,14 @@ def _criterion_report(stats: BodyStats, criterion: str) -> CriterionReport:
 
 
 def _check_criterion(body, engine, stats, experimental, criterion, family=object):
-    engine = engine or Engine()
     if not isinstance(body, family):
         raise TypeError(f"the {criterion} criterion applies to {family.__name__} bodies")
-    if stats is not None:
-        _given_stats(body, stats, None, experimental)
-        return _criterion_report(stats, criterion)
-    body = _in_class(body, engine.seed, experimental)
-    return _criterion_report(body_statistics(body, None, (), engine), criterion)
+    return _criterion_report(_checked_pass(body, stats, None, (), engine, experimental), criterion)
 
 
 def check_derivative_criterion(
     body,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     stats: BodyStats | None = None,
     experimental: bool = False,
 ) -> CriterionReport:
@@ -304,7 +304,7 @@ def check_derivative_criterion(
 
 def check_moment_criterion_gaussian(
     body: ReinhardtBody,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     stats: BodyStats | None = None,
     experimental: bool = False,
 ) -> CriterionReport:
@@ -315,7 +315,7 @@ def check_moment_criterion_gaussian(
 
 def check_moment_criterion_exponential(
     body: UnconditionalBody,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     stats: BodyStats | None = None,
     experimental: bool = False,
 ) -> CriterionReport:
@@ -381,7 +381,7 @@ def dilation_curve(
     body,
     measure: MeasureKind | None = None,
     t_grid: Sequence[float] = DEFAULT_T_GRID,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     stats: BodyStats | None = None,
     experimental: bool = False,
 ) -> DilationReport:
@@ -391,12 +391,7 @@ def dilation_curve(
     reversed inequality is required (derived behavior for the complex
     case, flagged in the report note).  ``experimental`` skips the class check.
     """
-    engine = engine or Engine()
-    if stats is not None:
-        _given_stats(body, stats, measure, experimental)
-        return _curve_report(stats)
-    body = _in_class(body, engine.seed, experimental)
-    return _curve_report(body_statistics(body, measure, t_grid, engine))
+    return _curve_report(_checked_pass(body, stats, measure, t_grid, engine, experimental))
 
 
 def _curve_report(stats: BodyStats) -> DilationReport:
@@ -443,12 +438,11 @@ class TensorizationReport:
 
 def check_tensorization(
     parts: Sequence[ReinhardtBody],
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     experimental: bool = False,
 ) -> TensorizationReport:
     """Each factor's criterion plus the criterion of the Cartesian product
     (stability of the dilation inequality under products)."""
-    engine = engine or Engine()
     reports = [
         check_moment_criterion_gaussian(
             b, replace(engine, stream=engine.stream + i), experimental=experimental
@@ -481,16 +475,14 @@ class FullCheckReport:
 
 def full_check(
     body,
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     t_grid: Sequence[float] = DEFAULT_T_GRID,
     experimental: bool = False,
 ) -> FullCheckReport:
     """Derivative criterion, moment criterion and dilation curve from one
     shared estimation pass; a Monte Carlo violation costs at most 3 shared
     recheck passes.  ``experimental`` skips the class check of the body."""
-    engine = engine or Engine()
-    body = _in_class(body, engine.seed, experimental)
-    stats = body_statistics(body, None, t_grid, engine)
+    stats = _checked_pass(body, None, None, t_grid, engine, experimental)
     deriv = _criterion_report(stats, "derivative")
     mom = _criterion_report(stats, _MOMENT_CRITERION[stats.measure.tag])
     curve = _curve_report(stats)
@@ -551,13 +543,12 @@ def sweep(
     family: str,
     count: int,
     dims: Sequence[int],
-    engine: Engine | None = None,
+    engine: Engine = Engine(),
     t_grid: Sequence[float] = DEFAULT_T_GRID,
 ) -> SweepReport:
     """Randomized constructor sweep: ``count`` bodies of the family with
     dimensions cycling through ``dims``, each checked on its own sample
     stream of the same seed."""
-    engine = engine or Engine()
     if count < 1:
         raise ValueError("count must be >= 1")
     if len(dims) == 0:

@@ -10,7 +10,7 @@ import pytest
 
 from sineq.bodies import polydisc
 from sineq import cli
-from sineq.cli import _build_parser, main
+from sineq.cli import _parsers, main
 from sineq.integrate import DET_TOL, Engine, NonFiniteIntegrandError, tolerance
 from sineq.verify import full_check
 
@@ -299,7 +299,7 @@ class TestParserReuse:
     """The parser is built once per process; no call may leak into the next."""
 
     def test_parser_is_built_once(self):
-        assert _build_parser() is _build_parser()
+        assert _parsers()[0] is _parsers()[0]
 
     def test_config_does_not_leak_into_plain_call(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -775,7 +775,7 @@ PARSE_CORPUS = {
 @pytest.mark.parametrize("argv", PARSE_CORPUS.values(), ids=PARSE_CORPUS.keys())
 def test_one_parse_is_the_top_level_parse(argv):
     # the namespace, stdout, stderr and exit code of the full top-level parse
-    want = _parse_outcome(_build_parser().parse_args, argv)
+    want = _parse_outcome(_parsers()[0].parse_args, argv)
     assert _parse_outcome(cli._parse, argv) == want
 
 

@@ -263,6 +263,20 @@ class TestLemma1d:
         with pytest.raises(ValueError):
             check_lemma_1d(lambda x: np.exp(-x), EXP1D)
 
+    @pytest.mark.parametrize("check, message", [
+        (check_lemma_1d, "f must be finite and nonnegative"),
+        (entropy, "entropy requires a finite nonnegative function"),
+    ], ids=["lemma", "entropy"])
+    @pytest.mark.parametrize("mu", [
+        EXP1D, TailMeasure1D.discrete([0.0, 1.0, 2.0], [0.3, 0.3, 0.4]),
+    ], ids=["factor", "discrete"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_callable_raises(self, check, message, mu, bad):
+        # NaN and inf pass the sign and monotonicity comparisons; past x = 1
+        # they reach nodes of the graded rule and the atom at 2
+        with pytest.raises(ValueError, match=message):
+            check(lambda x: np.where(x > 1, bad, 0.5), mu)
+
     @pytest.mark.parametrize("method", ["auto", "exact"])
     def test_step_function_takes_auto_and_exact(self, method):
         f = StepFunction((0.8,), (0.0, 1.0))

@@ -268,6 +268,52 @@ class TestDrawBuffer:
         again, _ = self._seen(CHUNK)
         assert np.shares_memory(again[0], seen[0])
 
+    def test_a_short_block_is_drawn_into_the_kept_buffer(self):
+        # one rule for every block: two 1,000-row passes draw into the one
+        # kept buffer, though the first pass's view is still held
+        measure, seen, copies = exponential(3), [], []
+
+        def columns(r: np.ndarray) -> np.ndarray:
+            seen.append(r)
+            copies.append(r.copy())
+            return np.stack([r[:, 0], r.sum(axis=1)])
+
+        for seed in (13, 14):
+            run_chunked(measure, 1000, seed, 0, columns, 2)
+        assert [len(r) for r in seen] == [1000, 1000]
+        assert np.shares_memory(seen[0], seen[1])
+        for seed, rows in zip((13, 14), copies):
+            assert rows.tobytes() == draw_points(measure, SampleStream(seed), 0, 1000).tobytes()
+
+    def test_threads_never_hold_the_same_buffer(self):
+        # more threads than cores take and keep the one spare buffer at once,
+        # each yielding between its draw and its columns: a thread drawing
+        # into a buffer another one still reads would move that one's means
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from sineq import integrate
+
+        def columns(r: np.ndarray) -> np.ndarray:
+            time.sleep(0)
+            return np.stack([r[:, 0], r.sum(axis=1)])
+
+        def run(seed: int):
+            return run_chunked(exponential(3), 3000, seed, 0, columns, 2)
+
+        want = [run(seed) for seed in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(run, range(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        for (n, means, cov), (n0, means0, cov0) in zip(got, want):
+            assert n == n0 and means.tobytes() == means0.tobytes()
+            assert cov.tobytes() == cov0.tobytes()
+        assert len(integrate._spare) == 1
+
     def test_buffered_pass_has_the_bits_of_fresh_draws(self):
         samples = 2 * CHUNK + 5000
         r = draw(exponential(3), SampleStream(13), samples)

@@ -372,7 +372,13 @@ class TestLpRows:
 @pytest.mark.parametrize("call, match", [
     (lambda: moduli(np.zeros((2, 3))), "even number of real coordinates"),
     (lambda: exp_strip_measure(-1.0), "half-width must be >= 0"),
-], ids=["moduli-odd-width", "strip-negative"])
+    (lambda: cylinder_measure(math.nan, 2), "radius must be >= 0"),
+    (lambda: cylinder_second_moment(math.nan, 2), "radius must be >= 0"),
+    (lambda: exp_strip_measure(math.nan), "half-width must be >= 0"),
+    (lambda: exp_strip_first_moment(math.nan, 2), "half-width must be >= 0"),
+    (lambda: abs_moment_exponential(math.nan), "exponent must be > 0"),
+], ids=["moduli-odd-width", "strip-negative", "cylinder-nan", "cylinder-moment-nan",
+        "strip-nan", "strip-moment-nan", "abs-moment-nan"])
 def test_bad_input_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
