@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sineq import integrate
 from sineq.bodies import (
     annulus_body,
     box_body,
@@ -288,11 +291,9 @@ class TestDrawBuffer:
     def test_threads_never_hold_the_same_buffer(self):
         # more threads than cores take and keep the one spare buffer at once,
         # each yielding between its draw and its columns: a thread drawing
-        # into a buffer another one still reads would move that one's means
-        import time
-        from concurrent.futures import ThreadPoolExecutor
-
-        from sineq import integrate
+        # into a buffer another one still reads would move that one's means;
+        # short blocks alone leave exactly one spare behind
+        integrate._spare.clear()
 
         def columns(r: np.ndarray) -> np.ndarray:
             time.sleep(0)
