@@ -195,9 +195,10 @@ def _box_geometry(radii: Sequence[float]) -> dict:
     """The box {r : r_k <= a_k} (entries may be inf): radii a_k, gauge
     max_k r_k / a_k, section c_k = a_k where the others are inside.
 
-    The gauge divides one column at a time into one buffer and folds it
-    into the result in place.  It reads 0/0 as 0: a zero radius still
-    admits a zero coordinate, and an infinite radius admits every value."""
+    The gauge and the section read one column at a time (numpy is slow to
+    broadcast over a short row); the gauge divides it into one buffer and
+    folds that into the result in place.  It reads 0/0 as 0: a zero radius
+    still admits a zero coordinate, and an infinite radius admits every value."""
     a = np.asarray(radii, dtype=float)
     zero = not (a > 0).all()
 
@@ -215,8 +216,10 @@ def _box_geometry(radii: Sequence[float]) -> dict:
         return out
 
     def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        inside = r <= a
-        return ((np.full(r.shape[0], a_k), fold_columns(np.logical_and, inside, k))
+        inside = np.empty((a.size, r.shape[0]), dtype=bool)
+        for k, a_k in enumerate(a.tolist()):
+            np.less_equal(r[:, k], a_k, out=inside[k])
+        return ((np.full(r.shape[0], a_k), fold_columns(np.logical_and, inside.T, k))
                 for k, a_k in enumerate(a))
 
     return {"box": tuple(a.tolist()), "gauge": gauge, "section": section, "validated": True}
@@ -241,11 +244,13 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
         v, rhs = w / scale, 1.0
 
     def section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        p = v * r
+        p = np.empty((v.size, r.shape[0]))
+        for k, v_k in enumerate(v.tolist()):
+            np.multiply(v_k, r[:, k], out=p[k])
         with np.errstate(over="ignore"):  # an overflowed power leaves no room
             np.power(p, exponent, out=p)
         for k, v_k in enumerate(v):
-            room = fold_columns(np.add, p, k)  # then rhs - room, then c_k, in place
+            room = fold_columns(np.add, p.T, k)  # then rhs - room, then c_k, in place
             active = np.subtract(rhs, room, out=room) >= 0
             c = np.power(np.maximum(room, 0.0, out=room), 1.0 / exponent, out=room)
             yield np.divide(c, v_k, out=c), active

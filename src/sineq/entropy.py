@@ -518,9 +518,9 @@ def _slice_entropies_indicator(body, factor, r: np.ndarray) -> np.ndarray:
     total = np.zeros(r.shape[0])
     for c, active in section(r):
         s = factor.tail(c)
-        # s ln s is NaN at s = 0: a zero term or an empty section adds nothing
+        # s ln s is NaN at s = 0: a zero term or an empty section subtracts 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.subtract(total, s * np.log(s), out=total, where=active & (s > 0))
+            np.subtract(total, np.where(active & (s > 0), s * np.log(s), 0.0), out=total)
         # free this coordinate's buffers before the section makes the next
         del c, active, s
     return total

@@ -34,31 +34,31 @@ draws the bits of ``radial-mu(n)`` and ``exponential(n)`` those of
 in sub-blocks of ``SUB`` rows, summing a block's columns row by row.
 Contract 4 kept the draws and the sub-blocks and laid the columns out
 column-major: a ``columns`` callback returns an (ncols, m) array, one row
-per column (1-D for one column), or :class:`Sublevels`.  Each sub-block's
-column sums are pairwise (``sum``); its cross product of columns i <= j
-is one BLAS dot per piece of ``PIECE`` samples, the pieces summed with
-``math.fsum`` (no dot is long enough for OpenBLAS to split it across
-threads, so no bit depends on the BLAS thread count); sums and products
-are summed over all sub-blocks with ``math.fsum``.  Contracts 1 to 4 drew
-from Philox4x64-10 keyed by ``(seed, stream_index)``, block ``b`` at
+per column (1-D for one column), :class:`Sublevels` or :class:`Indicators`.
+Each sub-block's column sums are pairwise (``sum``); its cross product of
+columns i <= j is one BLAS dot per piece of ``PIECE`` samples, the pieces
+summed with ``math.fsum`` (no dot is long enough for OpenBLAS to split it
+across threads, so no bit depends on the BLAS thread count); sums and
+products are summed over all sub-blocks with ``math.fsum``.  Contracts 1 to
+4 drew from Philox4x64-10 keyed by ``(seed, stream_index)``, block ``b`` at
 counter ``b * 2**64``.  Contract 5 keeps everything else and draws each
 block from its own PCG64DXSM generator, which costs less than half as much
 per double: every seeded Monte Carlo number moved, no law did.
 
 Estimation passes and verdicts
 ------------------------------
-Every check reads its values off one :class:`Pass` (column means and
-their covariance) made by :func:`estimate`, the one rule for the engine
-paths; its quadrature path is the one use of the tensor Gauss-Laguerre
-rule.  A NaN or inf column value, or a NaN gauge, aborts a pass (:func:`_evaluate`).
-:func:`certify` is the one verdict protocol: "holds" needs margin
->= -:func:`tolerance` (3 * std_error, ``DET_TOL`` where that is 0), and a
-Monte Carlo margin below it is "violated" only when all three
-:meth:`Pass.recheck` passes reproduce it ("inconclusive" when they
-disagree).  Those rechecks belong to the pass, so every margin read off it
-shares them; :class:`Engine` refuses their reserved streams.
-:func:`record` writes the columns every check's record shares, with the
-tolerance its verdict applied.
+Every check reads its values off one :class:`Pass` (column means and their
+covariance) made by :func:`estimate`, the one rule for the engine paths;
+its quadrature path is the one use of the tensor Gauss-Laguerre rule.  A
+NaN or inf column value, a NaN gauge or a predicate answer other than 0 or
+1 aborts a pass (:func:`_evaluate`).  :func:`certify` is the one verdict
+protocol: "holds" needs margin >= -:func:`tolerance` (3 * std_error,
+``DET_TOL`` where that is 0), and a Monte Carlo margin below it is
+"violated" only when all three :meth:`Pass.recheck` passes reproduce it
+("inconclusive" when they disagree).  Those rechecks belong to the pass, so
+every margin read off it shares them; :class:`Engine` refuses their
+reserved streams.  :func:`record` writes the columns every check's record
+shares, with the tolerance its verdict applied.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ __all__ = [
     "tensor_quadrature",
     "SampleMoments",
     "Sublevels",
+    "Indicators",
     "chunk_indices",
     "draw_points",
     "check_pairing",
@@ -265,6 +266,29 @@ class Sublevels(NamedTuple):
         return len(self.rho), np.append(counts, total), prods
 
 
+class Indicators(NamedTuple):
+    """The per-sample columns of a predicate without the column matrix: its
+    answers ``inside`` at each t of a grid (a (k, m) bool array after
+    :func:`_evaluate`), then ``weight`` * inside[at].  :meth:`moments` has
+    the bits :class:`SampleMoments` takes of them as 0/1 floats: counts, and
+    one :func:`_dots` of the weight column with every column."""
+
+    inside: np.ndarray | Sequence
+    weight: np.ndarray
+    at: int
+
+    def moments(self) -> tuple[int, np.ndarray, np.ndarray]:
+        k, m = self.inside.shape
+        rows = np.concatenate([self.inside, self.weight[None]])  # as floats
+        held = np.multiply(rows[k], rows[self.at], out=rows[k])
+        words = np.zeros((k, -(-m // 64)), dtype=np.uint64)  # the masks, 64 bits a word
+        words.view(np.uint8)[:, :-(-m // 8)] = np.packbits(self.inside, axis=1)
+        prods = np.empty((k + 1, k + 1))
+        prods[:k, :k] = np.bitwise_count(words[:, None] & words[None]).sum(axis=2)
+        prods[k] = prods[:, k] = _dots(held, rows)
+        return m, np.append(prods.diagonal()[:k], held.sum()), prods
+
+
 def _dots(a: np.ndarray, rows: np.ndarray) -> list[float]:
     """The dot product of ``a`` with each row of ``rows`` (as many entries
     each): one BLAS dot per consecutive piece of ``PIECE`` entries (the
@@ -280,8 +304,8 @@ class SampleMoments:
     added sub-block by sub-block and reduced exactly.
 
     ``add_chunk(cols)`` takes the columns of some rows, a C-contiguous
-    (ncols, m) array, one row per column (1-D for one column), or
-    :class:`Sublevels`; sub-blocks may come in any order from any thread.
+    (ncols, m) array, one row per column (1-D for one column),
+    :class:`Sublevels` or :class:`Indicators`, in any order from any thread.
     Each column is summed pairwise (``sum``) and each pair of columns
     i <= j multiplied by :func:`_dots`; ``finalize`` sums those partials
     over all sub-blocks with ``math.fsum``, which is exact, so the result
@@ -294,7 +318,7 @@ class SampleMoments:
         self._parts: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rows, sums, products)
 
     def add_chunk(self, cols) -> None:
-        if isinstance(cols, Sublevels):
+        if isinstance(cols, (Sublevels, Indicators)):
             self._parts.append(cols.moments())
             return
         if self.ncols == 1 and cols.dtype == bool:
@@ -354,7 +378,7 @@ def run_chunked(
     samples: int,
     seed: int,
     stream: int,
-    columns: Callable[[np.ndarray], np.ndarray | Sublevels],
+    columns: Callable[[np.ndarray], np.ndarray | Sublevels | Indicators],
     ncols: int,
     workers: int = 1,
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -396,12 +420,23 @@ def _evaluate(columns, points: np.ndarray, ncols: int):
     """``columns(points)``, all finite (a gauge may be +inf), as a
     C-contiguous (ncols, m) float array, one row per column (1-D for one
     column; a C-contiguous float array is not copied), as one bool column
-    of m entries, which cannot be non-finite, or as :class:`Sublevels`."""
+    of m entries, which cannot be non-finite, as :class:`Sublevels` or as
+    :class:`Indicators` with bool masks (predicate answers 0 or 1)."""
     cols = columns(points)
     if isinstance(cols, Sublevels):
         if np.isnan(cols.rho).any():  # +inf is a zero radius, NaN no value
             require_finite(np.where(np.isnan(cols.rho), np.nan, 0.0), "gauge", points)
         return cols
+    if isinstance(cols, Indicators):
+        require_finite(cols.weight, "integrand", points)
+        inside = np.empty((len(cols.inside), len(points)), dtype=bool)
+        for row, answer in zip(inside, map(np.asarray, cols.inside)):
+            row[...] = answer  # a number other than 0 or 1 reads True: refused
+            if answer.dtype != bool and not (answer == row).all():
+                require_finite(answer, "predicate", points)
+                at = int(np.argmin(answer == row))
+                raise ValueError(f"predicate returned {answer.flat[at]} at {points[at].tolist()}")
+        return cols._replace(inside=inside)
     m = len(points)
     if ncols == 1 and isinstance(cols, np.ndarray) and cols.dtype == bool and cols.shape == (m,):
         return cols
@@ -427,7 +462,7 @@ class Pass:
     covariance of those means (zeros on a deterministic path).  ``redraw(k)``
     of a Monte Carlo pass made by :func:`estimate` is the (samples, means,
     cov) of recheck ``k``: its columns drawn once more at its own seed with
-    twice its samples, on stream :func:`recheck_stream`, and memoised."""
+    twice its samples, on stream :func:`recheck_stream`."""
 
     method: str  # closed-form | quadrature(order) | mc(samples, seed)
     seed: int
@@ -437,17 +472,21 @@ class Pass:
     cov: np.ndarray
     redraw: Callable[[int], tuple[int, np.ndarray, np.ndarray]] | None = field(
         default=None, kw_only=True, repr=False, compare=False)
+    _rechecks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def deterministic(self) -> bool:
         return not self.method.startswith("mc(")
 
     def recheck(self, k: int) -> Pass:
-        """Recheck pass ``k`` (1..3): a copy of this pass, of its type, with
-        the means and covariance of its redraw and no rechecks of its own."""
-        n, means, cov = self.redraw(k)
-        return replace(self, method=f"mc({n}, {self.seed})", stream=recheck_stream(self.stream, k),
-                       samples=n, means=means, cov=cov, redraw=None)
+        """Recheck pass ``k`` (1..3), made once: a copy of this pass, of its
+        type, with the means and covariance of its redraw and no rechecks."""
+        if k not in self._rechecks:
+            n, means, cov = self.redraw(k)
+            self._rechecks[k] = replace(self, method=f"mc({n}, {self.seed})", samples=n,
+                                        stream=recheck_stream(self.stream, k), means=means,
+                                        cov=cov, redraw=None)
+        return self._rechecks[k]
 
     def se(self, grad: dict[int, float]) -> float:
         """Delta-method standard error sqrt(g . cov . g) of a smooth function
@@ -462,7 +501,7 @@ class Pass:
 
 
 def estimate(engine: Engine, measure: MeasureKind,
-             columns: Callable[[np.ndarray], np.ndarray | Sublevels], ncols: int,
+             columns: Callable[[np.ndarray], np.ndarray | Sublevels | Indicators], ncols: int,
              closed: Callable[[], Sequence[float] | None] | None = None,
              quadrature: bool = False,
              subject: Callable[[], str] = lambda: "this check") -> Pass:
@@ -500,7 +539,6 @@ def estimate(engine: Engine, measure: MeasureKind,
     n, means, cov = run_chunked(measure, engine.samples, engine.seed, engine.stream,
                                 columns, ncols, engine.workers)
 
-    @functools.cache
     def redraw(k: int) -> tuple[int, np.ndarray, np.ndarray]:
         return run_chunked(measure, 2 * engine.samples, engine.seed,
                            recheck_stream(engine.stream, k), columns, ncols, engine.workers)

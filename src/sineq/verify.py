@@ -179,20 +179,17 @@ def body_statistics(
         forms = _integ.box_forms(body, measure.factor, grid)
         return None if forms is None else [*forms.curve, forms.moment]
 
-    def columns(r: np.ndarray) -> np.ndarray | _integ.Sublevels:
+    def columns(r: np.ndarray) -> _integ.Sublevels | _integ.Indicators:
         if gauge is not None:
             # a gauge body answers every t from one evaluation: r lies in tK
             # exactly when rho_K(r) <= t, the rule of body.dilate(t)
             return _integ.Sublevels(gauge(r), grid, measure.weight(r), idx1)
-        out = np.empty((len(grid) + 1, r.shape[0]))
-        for i, t in enumerate(grid):
-            out[i] = body.base(r / t)
-        np.multiply(measure.weight(r), out[idx1], out=out[-1])
-        return out
+        return _integ.Indicators([body.base(r / t) for t in grid], measure.weight(r), idx1)
 
     est = _integ.estimate(engine, measure, columns, len(grid) + 1, closed,
                           subject=lambda: f"body {body.descriptor()!r}")
-    return BodyStats(**vars(est), body_desc=body.descriptor(), measure=measure,
+    return BodyStats(est.method, est.seed, est.stream, est.samples, est.means, est.cov,
+                     redraw=est.redraw, body_desc=body.descriptor(), measure=measure,
                      t_grid=grid, idx1=idx1)
 
 

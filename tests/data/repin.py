@@ -27,6 +27,12 @@ numbers masked (but for ``registry.DEMO_TEXT_EDITS``), and the largest
 relative move of a number is printed.  Raw draws and a searched seed have
 no earlier value to compare.
 
+At a bump the tool also runs the fixed-seed ``within_3se`` asserts of
+``tests/test_integrate.py`` under the working tree and names each estimate
+that lands outside 3 standard errors of its truth.  It only reports them: a
+seed is not searched for and no bound is widened, since about one such
+assert in 370 lands outside by chance.
+
 Without ``--write`` the run fails unless every file already holds the
 working tree's values; ``--write`` rewrites those that do not, and names
 each.
@@ -34,6 +40,7 @@ each.
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
@@ -233,6 +240,36 @@ def against_base(name: str, fx, new, base: str, old: dict, contracts: tuple[int,
         compare(name, value, new, sigma, contracts)
 
 
+def three_sigma() -> None:
+    """Print the z of each estimate that a ``within_3se`` assert of
+    tests/test_integrate.py checks, its test named, and the tests where one
+    lands outside 3 standard errors.  Each such test is run with a
+    ``within_3se`` that records instead of judging."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_integrate
+
+    zs: list[float] = []
+
+    def within(estimate, truth: float) -> bool:
+        diff = estimate.value - truth
+        zs.append(diff / estimate.std_error if estimate.std_error else math.inf if diff else 0.0)
+        return True
+
+    test_integrate.within_3se = within
+    outside = []
+    for cls in [c for c in vars(test_integrate).values() if isinstance(c, type)]:
+        for name, test in vars(cls).items():
+            if name.startswith("test_") and "within_3se(" in inspect.getsource(test):
+                zs.clear()
+                test(cls())
+                for z in zs:
+                    print(f"{cls.__name__ + '::' + name:60} z {z:+.2f}")
+                if not all(abs(z) <= 3.0 for z in zs):
+                    outside.append(f"{cls.__name__}::{name}")
+    print(f"outside 3 sigma under contract {test_integrate.SAMPLING_CONTRACT}: "
+          f"{', '.join(outside) or 'none'}")
+
+
 def main(argv: list[str]) -> None:
     if set(argv) - {"--write"}:
         sys.exit("usage: PYTHONPATH=src python tests/data/repin.py [--write]")
@@ -256,6 +293,8 @@ def main(argv: list[str]) -> None:
             against_base(name, fx, new, base, old, contracts)
         current = texts[fx.path] if fx.path in texts else read(fx.path)
         texts[fx.path] = repinned(current, fx.pattern, encode(fx.how, new))
+    if base is not None:
+        three_sigma()
 
     stale = [path for path, text in texts.items() if read(path) != text]
     if "--write" in argv:

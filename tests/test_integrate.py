@@ -20,6 +20,7 @@ from sineq.bodies import (
     custom_reinhardt,
     cylinder_body,
     polydisc,
+    product,
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
@@ -30,6 +31,7 @@ from sineq.integrate import (
     DET_TOL,
     Engine,
     Estimate,
+    Indicators,
     NonFiniteIntegrandError,
     PIECE,
     Pass,
@@ -223,7 +225,8 @@ class TestKeys:
 
 class TestDrawBuffer:
     """``draw_points`` writes into an ``out`` array, and ``run_chunked``
-    draws the sub-blocks of a long block into one reused buffer."""
+    draws the sub-blocks of every block, however short, into one reused
+    buffer."""
 
     @pytest.mark.parametrize("start, take", [(0, CHUNK + 5), (CHUNK, 1), (-2, 3), (0, 0)],
                              ids=["past-the-end", "start-at-end", "negative-start", "no-rows"])
@@ -1171,3 +1174,83 @@ class TestReductionFastPaths:
         prods = np.reshape([math.fsum([p]) for p in prods.ravel().tolist()], (4, 4))
         want = n, mean, (prods - n * np.outer(mean, mean)) / (n - 1) / n
         assert self.same_bits(acc.finalize(), want)
+
+
+class TestIndicators:
+    """The predicate columns of a body without a gauge, handed over as
+    bool masks and the weight, reduce to the bits of the same columns as a
+    float (ncols, m) array: the reduction of contracts 4 and 5."""
+
+    GRID = (0.5, 1.0, 1.5, 3.0)
+    BODIES = {
+        "annulus": annulus_body(1.0, 2.0),
+        # members in bands of r_1 + r_2, so no two dilates are nested
+        "bands": custom_reinhardt(2, lambda r: r.sum(axis=1) % 1.0 < 0.5),
+        "product": product(custom_reinhardt(1, lambda r: r[:, 0] % 1.0 < 0.5),
+                           polydisc([1.2])),
+    }
+
+    @classmethod
+    def columns(cls, body, floats: bool):
+        measure, at = complex_gaussian(body.dim), cls.GRID.index(1.0)
+
+        def as_floats(r):
+            out = np.empty((len(cls.GRID) + 1, r.shape[0]))
+            for i, t in enumerate(cls.GRID):
+                out[i] = body.base(r / t)
+            np.multiply(measure.weight(r), out[at], out=out[-1])
+            return out
+
+        def as_masks(r):
+            return Indicators([body.base(r / t) for t in cls.GRID], measure.weight(r), at)
+
+        return measure, as_floats if floats else as_masks
+
+    @pytest.mark.parametrize("take", [1, SUB - 1, SUB + 1, CHUNK + 1])
+    @pytest.mark.parametrize("name", list(BODIES))
+    def test_a_partial_is_the_float_partial(self, name, take):
+        partials = []
+        for floats in (True, False):
+            measure, columns = self.columns(self.BODIES[name], floats)
+            r = draw_points(measure, SampleStream(3), 0, min(take, CHUNK))
+            if take > CHUNK:
+                r = np.concatenate([r, draw_points(measure, SampleStream(3), 1, take - CHUNK)])
+            acc = SampleMoments(len(self.GRID) + 1)
+            acc.add_chunk(integrate._evaluate(columns, r, len(self.GRID) + 1))
+            partials.append(acc._parts[0])
+        (n, sums, prods), (n2, sums2, prods2) = partials
+        assert n == n2 == take
+        assert sums.tobytes() == sums2.tobytes() and prods.tobytes() == prods2.tobytes()
+        assert 0 < sums[0] < take or take == 1  # not every sample in or out
+
+    @pytest.mark.parametrize("samples", [SUB - 1, SUB + 1, CHUNK + 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(BODIES))
+    def test_a_pass_is_the_float_pass(self, name, workers, samples):
+        passes = []
+        for floats in (True, False):
+            measure, columns = self.columns(self.BODIES[name], floats)
+            passes.append(run_chunked(measure, samples, 5, 0, columns, len(self.GRID) + 1,
+                                      workers))
+        (n, means, cov), (n2, means2, cov2) = passes
+        assert n == n2 == samples
+        assert means.tobytes() == means2.tobytes() and cov.tobytes() == cov2.tobytes()
+
+    @pytest.mark.parametrize("answer, error, match", [
+        (np.nan, NonFiniteIntegrandError, "predicate returned nan at"),
+        (np.inf, NonFiniteIntegrandError, "predicate returned inf at"),
+        (0.5, ValueError, "predicate returned 0.5 at"),
+        (2, ValueError, "predicate returned 2 at"),
+    ], ids=["nan", "inf", "half", "two"])
+    def test_an_answer_not_0_or_1_is_refused(self, answer, error, match):
+        # the first 10 points are members, the 11th answers ``answer``
+        def shadow(r):
+            out = np.zeros(len(r), dtype=type(answer))
+            out[:10], out[10] = 1, answer
+            return out
+
+        measure, columns = self.columns(custom_reinhardt(2, shadow), False)
+        with pytest.raises(error, match=match) as caught:
+            run_chunked(measure, 1000, 1, 0, columns, len(self.GRID) + 1)
+        point = draw_points(measure, SampleStream(1), 0, 11)[10].tolist()
+        assert str(point) in str(caught.value)

@@ -352,10 +352,11 @@ class TestBodyStatistics:
         assert bx.m == pytest.approx(w1 * w2, abs=1e-12)
 
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, np.float32],
+                             ids=lambda d: d.__name__)
     def test_predicate_columns_do_not_depend_on_the_dtype(self, monkeypatch, dtype):
         # a shadow may answer with 0/1 integers or floats instead of bools;
-        # the columns of a body without a gauge hold the same floats
+        # the columns of a body without a gauge hold the same masks
         columns = []
         estimate = verify_module._integ.estimate
 
@@ -370,9 +371,10 @@ class TestBodyStatistics:
         got = body_statistics(custom_reinhardt(2, lambda r: shadow(r).astype(dtype)), None,
                               DEFAULT_T_GRID, engine)
         r = np.random.default_rng(4).exponential(size=(5000, 2))
-        want = columns[0](r)
-        assert 0 < want[:, :-1].mean() < 1
-        assert columns[1](r).tobytes() == want.tobytes()
+        want, have = (integrate_module._evaluate(c, r, len(DEFAULT_T_GRID) + 1) for c in columns)
+        assert want.inside.dtype == have.inside.dtype == bool
+        assert 0 < want.inside.mean() < 1
+        assert have.inside.tobytes() == want.inside.tobytes()
         assert ref.means.tobytes() == got.means.tobytes()
         assert ref.cov.tobytes() == got.cov.tobytes()
 
@@ -460,6 +462,7 @@ class TestRechecksBelongToThePass:
         stats = body_statistics(self.BODY, None, DEFAULT_T_GRID, self.ENGINE)
         again = stats.recheck(2)
         assert stats.recheck(2).means.tobytes() == again.means.tobytes()
+        assert stats.recheck(2) is again
         assert len(mc_passes) == 2  # the primary and one recheck, drawn once
         assert isinstance(again, BodyStats) and again.redraw is None
         assert (again.t_grid, again.body_desc, again.seed, again.samples, again.stream) == (
