@@ -17,7 +17,6 @@ from .bodies import (
     cube_body,
     custom_reinhardt,
     cylinder_body,
-    interval_radii,
     norm_ball,
     parse_descriptor,
     polydisc,

@@ -27,9 +27,9 @@ share (an l_p ball's powers, a box's comparisons, a product part's
 predicate) is done once per call; :func:`measures.fold_columns` reduces
 across the coordinates, and an l_p ball's gauge is :func:`measures.lp_rows`,
 the kernel of the ``lp:P`` norm, at every p.  Custom shadows and the
-annulus keep bare predicates, with neither.  Constructor boxes (polydiscs,
-cylinders, strips, cubes, their products and dilates) carry their radii
-as ``box``, the one source of box closed forms.
+annulus keep bare predicates, with neither.  A validated body's ``law``
+(:class:`Law`: the box of polydiscs, cylinders, strips, cubes, their
+products and dilates, or an l_p ball of finite p) gives its closed forms.
 
 Descriptors
 -----------
@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .measures import fold_columns, lp_rows, moduli
+from .measures import BoxForms, Factor, box_closed_forms, fold_columns, lp_rows, moduli
 
 __all__ = [
     "ReinhardtBody",
@@ -68,7 +68,9 @@ __all__ = [
     "cross_polytope",
     "norm_ball",
     "product",
+    "Law",
     "interval_radii",
+    "closed_forms",
     "check_downward_closed",
     "validate_body",
     "check_midpoint_convex",
@@ -109,11 +111,19 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
     return x, single
 
 
+class Law(NamedTuple):
+    """The shadow {r : sum_k (r_k / a_k)^p <= 1} of radii a = ``radii``;
+    at p = inf, the default, the box {r : r_k <= a_k} (entries may be inf)."""
+
+    radii: tuple[float, ...]
+    p: float = math.inf
+
+
 @dataclass(frozen=True)
 class _RadialBody:
     """Shared plumbing for shadow-driven bodies.  ``base`` may be left out
-    when a ``gauge`` is given; it is then ``gauge(r) <= 1``.  ``box`` holds
-    the radii of a constructor's coordinate box (:func:`interval_radii`)."""
+    when a ``gauge`` is given; it is then ``gauge(r) <= 1``.  An unvalidated
+    body drops its ``law``: nothing checks a hand-built law."""
 
     dim: int
     kind: str
@@ -122,9 +132,11 @@ class _RadialBody:
     validated: bool = False
     gauge: Gauge | None = field(default=None, repr=False)
     section: Section | None = field(default=None, repr=False)
-    box: tuple[float, ...] | None = None
+    law: Law | None = None
 
     def __post_init__(self) -> None:
+        if not self.validated:
+            object.__setattr__(self, "law", None)
         if self.base is None:
             if self.gauge is None:
                 raise ValueError(f"{self.kind} body needs a predicate or a gauge")
@@ -222,11 +234,12 @@ def _box_geometry(radii: Sequence[float]) -> dict:
         return ((np.full(r.shape[0], a_k), fold_columns(np.logical_and, inside.T, k))
                 for k, a_k in enumerate(a))
 
-    return {"box": tuple(a.tolist()), "gauge": gauge, "section": section, "validated": True}
+    return {"law": Law(tuple(a.tolist())), "gauge": gauge, "section": section, "validated": True}
 
 
 def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dict:
-    """The weighted l_p ball {sum_k (w_k r_k)^p <= scale^p}: gauge
+    """The weighted l_p ball {sum_k (w_k r_k)^p <= scale^p}: law of radii
+    scale / w_k at finite p (none at p = inf), gauge
     (sum_k (w_k r_k)^p)^(1/p) / scale by :func:`measures.lp_rows` (max_k
     w_k r_k / scale at p = inf), section c_k = (scale^p - sum_{j != k}
     (w_j r_j)^p)^(1/p) / w_k, in the unit-scale form (weights w / scale,
@@ -255,7 +268,8 @@ def _lp_geometry(weights: Sequence[float], exponent: float, scale: float) -> dic
             c = np.power(np.maximum(room, 0.0, out=room), 1.0 / exponent, out=room)
             yield np.divide(c, v_k, out=c), active
 
-    return {"gauge": gauge, "section": section, "validated": True}
+    return {"law": Law(tuple((scale / w).tolist()), exponent), "gauge": gauge,
+            "section": section, "validated": True}
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +459,19 @@ def _dilate_radial(body, t: float):
     def dilated_section(r: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         return ((t * c, active) for c, active in section(r / t))
 
+    law = None if body.law is None else Law(tuple(a * t for a in body.law.radii), body.law.p)
     # rho_{tK} = rho_K / t, so membership of tK reads gauge(r) / t <= 1
     return replace(body, params=params, base=None, gauge=lambda m: gauge(m) / t,
-                   section=None if section is None else dilated_section,
-                   box=None if body.box is None else tuple(a * t for a in body.box))
+                   section=None if section is None else dilated_section, law=law)
 
 
 def _product_geometry(parts) -> dict:
-    """Predicate, gauge, section and box of the product of ``parts``.  The
-    gauge is the max of the parts' gauges, the box joins their radii; the
-    section of coordinate k is that of the part holding k, active where
-    every other part holds its own coordinates.  A part without a gauge (or
-    section, or box) leaves the product without one, and then the predicate
-    is the conjunction of the parts'."""
+    """Predicate, gauge, section and law of the product of ``parts``.  The
+    gauge is the max of the parts' gauges; the section of coordinate k is
+    that of the part holding k, active where every other part holds its own
+    coordinates; a product of boxes is the box that joins their radii.  A
+    part without a gauge (or section, or box law) leaves the product without
+    one, and then the predicate is the conjunction of the parts'."""
     offsets = np.concatenate([[0], np.cumsum([p.dim for p in parts])])
     spans = list(zip(parts, offsets[:-1], offsets[1:]))
 
@@ -483,9 +497,10 @@ def _product_geometry(parts) -> dict:
             yield from ((c, own & others) for c, own in part.section(r[:, lo:hi]))
 
     if any(p.gauge is None for p in parts):
-        return {"base": conjunction, "gauge": None, "section": None, "box": None}
-    box = None if any(p.box is None for p in parts) else sum((p.box for p in parts), ())
-    return {"base": None, "gauge": gauge, "box": box,
+        return {"base": conjunction, "gauge": None, "section": None, "law": None}
+    boxes = [interval_radii(p) for p in parts]
+    law = None if None in boxes else Law(sum(boxes, ()))
+    return {"base": None, "gauge": gauge, "law": law,
             "section": section if all(p.section is not None for p in parts) else None}
 
 
@@ -511,14 +526,18 @@ def product(*bodies: _RadialBody) -> _RadialBody:
 
 
 def interval_radii(body: _RadialBody) -> tuple[float, ...] | None:
-    """The radii a_k of the coordinate box {r : r_k <= a_k} (entries may be
-    inf) that the body's constructor built, or None: its ``box``.
+    """The radii a_k of the box {r : r_k <= a_k} (entries may be inf) that
+    is the body's law (polydiscs, cylinders, cubes, strips, boxes and their
+    products and dilates), or None."""
+    return body.law.radii if body.law is not None and body.law.p == math.inf else None
 
-    This is what unlocks exact product closed forms for measures and
-    moments: polydiscs, cylinders, cubes, strips, boxes and their products
-    and dilates.
-    """
-    return body.box
+
+def closed_forms(body: _RadialBody | None, factor: Factor,
+                 t_grid: Sequence[float] = (1.0,)) -> BoxForms | None:
+    """The closed forms of the body's law under the n-fold ``factor``:
+    :func:`measures.box_closed_forms` of a box; None otherwise and for no body."""
+    radii = None if body is None else interval_radii(body)
+    return None if radii is None else box_closed_forms(radii, factor, t_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import integrate as _integ
-from .bodies import ReinhardtBody, UnconditionalBody
+from .bodies import ReinhardtBody, UnconditionalBody, closed_forms
 from .integrate import Engine, Pass
 from .measures import FACTORS, MeasureKind, fold_columns, xlnx
 
@@ -457,7 +457,7 @@ def check_lemma_multidim(
     factor = MeasureKind(measure_tag, n).factor
 
     def closed():
-        forms = _integ.box_forms(g.complement_body, factor)
+        forms = closed_forms(g.complement_body, factor)
         if forms is None:
             return None
         # g = 1 - 1_K takes the values 0 and 1, so g ln g vanishes; as -0.0,
@@ -568,7 +568,7 @@ def check_subadditivity(
     body = g.complement_body
 
     def closed():
-        forms = _integ.box_forms(body, FACTORS[factor])
+        forms = closed_forms(body, FACTORS[factor])
         return None if forms is None else [-0.0, 1.0 - forms.curve[0], forms.slice_entropy]
 
     def columns(r: np.ndarray) -> np.ndarray:

@@ -71,8 +71,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bodies import NonFiniteIntegrandError, interval_radii, require_finite
-from .measures import FACTORS, MeasureKind, box_closed_forms
+from .bodies import NonFiniteIntegrandError, closed_forms, require_finite
+from .measures import FACTORS, MeasureKind
 
 __all__ = [
     "SAMPLING_CONTRACT",
@@ -92,7 +92,6 @@ __all__ = [
     "certify",
     "worst",
     "record",
-    "box_forms",
     "measure_estimate",
     "mc_measure",
     "mc_integral",
@@ -598,20 +597,13 @@ def record(value, std_error, reference, margin, margin_se, verdict, samples, met
             "method": method, "sampling_contract": SAMPLING_CONTRACT}
 
 
-def box_forms(body, factor, t_grid: Sequence[float] = (1.0,)):
-    """:func:`measures.box_closed_forms` of ``body`` when it is a coordinate
-    box; None otherwise and for no body."""
-    radii = interval_radii(body) if body is not None else None
-    return None if radii is None else box_closed_forms(radii, factor, t_grid)
-
-
 def measure_estimate(body, measure: MeasureKind, engine: Engine) -> Estimate:
-    """measure(K): the closed form of a coordinate box, or the indicator
+    """measure(K): the closed form of the body's law, or the indicator
     mean with binomial standard error."""
     check_pairing(body, measure)
 
     def closed():
-        forms = box_forms(body, measure.factor)
+        forms = closed_forms(body, measure.factor)
         return None if forms is None else forms.curve
 
     p = estimate(engine, measure, body.base, 1, closed,

@@ -13,12 +13,12 @@ E||x||^r as ``moment_law`` (:func:`_named`), set where the norm is made:
 
 * ``coord:K``: |x_K| is Exp(1), so E||x||^r = Gamma(r+1) and the ratio is
   :func:`cpq` to the bit;
-* ``linf``, ``lp:inf`` and the gauge of a validated body with a finite
-  ``box`` (cube, box): max_k |x_k| / a_k is a maximum of independent
+* ``linf``, ``lp:inf`` and the gauge of a box of positive radii a_k
+  (cube, box): max_k |x_k| / a_k is a maximum of independent
   exponentials of rates h_k = a_k (h = 1 for the norms), so
   E||x||^r = Gamma(r+1) sum_{S != {}} (-1)^(|S|+1) (sum_{k in S} h_k)^(-r),
   n terms in the binomial form when the rates are equal, 2^n - 1 otherwise;
-* ``l1``, ``lp:1`` and the gauge of a validated cross-polytope of scale s:
+* ``l1``, ``lp:1`` and the gauge of an l_1 ball of equal radii s:
   ||x||_1 is Gamma(n, 1), so E||x||^r = Gamma(n+r) / Gamma(n) * s^(-r).
 
 The alternating sum cancels as n grows; against 40-digit ``decimal`` its
@@ -80,36 +80,31 @@ def cpq(p: float, q: float) -> float:
 MomentLaw = Callable[[int, float], "float | None"]
 
 
-def _max_law(rates: Sequence[float] | None = None) -> MomentLaw:
-    """E (max_k |x_k| / h_k)^r, |x_k| / h_k exponential of rate h_k, for
-    the rates h = ``rates`` (all 1 in any dimension when None): Gamma(r+1)
-    times the alternating sum over the nonempty subsets, its rounded terms
-    summed exactly (``math.fsum``); None above ``MAX_LAW_DIM`` coordinates
-    or in a dimension other than the rates'."""
+def _moment_law(p: float, radii: Sequence[float] | None = None) -> MomentLaw | None:
+    """The moment law of the gauge of the :class:`bodies.Law` of exponent
+    ``p`` and radii ``radii`` (all 1 in any dimension when None), or None:
+    at p = inf, positive radii, the max law (its alternating sum's rounded
+    terms summed exactly by ``math.fsum``; None above ``MAX_LAW_DIM``
+    coordinates); at p = 1, equal radii, the Gamma(n) law (as Gamma(r+1)
+    prod_{j<n} (1 + r/j), finite at any n).  Both give None in a dimension
+    other than the radii's."""
+    some = radii or (1.0,)  # unit radii pass both tests in any dimension
+    if not (p == math.inf and min(some) > 0 or p == 1 and len(set(some)) == 1):
+        return None
 
     def law(n: int, r: float) -> float | None:
-        h = (1.0,) * n if rates is None else tuple(rates)
-        if len(h) != n or n > MAX_LAW_DIM:
+        a = (1.0,) * n if radii is None else tuple(radii)
+        if len(a) != n or (p == math.inf and n > MAX_LAW_DIM):
             return None
-        if len(set(h)) == 1:  # the binomial form, n terms
+        gamma = abs_moment_exponential(r)
+        if p == 1:
+            return gamma * math.prod(1.0 + r / j for j in range(1, n)) * a[0] ** -r
+        if len(set(a)) == 1:  # the binomial form, n terms
             terms = [(-1) ** (k + 1) * math.comb(n, k) * k ** -r for k in range(1, n + 1)]
-            return abs_moment_exponential(r) * (h[0] ** -r * math.fsum(terms))
+            return gamma * (a[0] ** -r * math.fsum(terms))
         terms = [(-1) ** (size + 1) * math.fsum(S) ** -r
-                 for size in range(1, n + 1) for S in itertools.combinations(h, size)]
-        return abs_moment_exponential(r) * math.fsum(terms)
-
-    return law
-
-
-def _sum_law(scale: float = 1.0, dim: int | None = None) -> MomentLaw:
-    """E (sum_k |x_k| / scale)^r = Gamma(n+r) / Gamma(n) * scale^(-r), as
-    Gamma(r+1) prod_{j<n} (1 + r/j), which stays finite at any n; None in a
-    dimension other than ``dim`` when that is given."""
-
-    def law(n: int, r: float) -> float | None:
-        if dim is not None and n != dim:
-            return None
-        return abs_moment_exponential(r) * math.prod(1.0 + r / j for j in range(1, n)) * scale ** -r
+                 for size in range(1, n + 1) for S in itertools.combinations(a, size)]
+        return gamma * math.fsum(terms)
 
     return law
 
@@ -144,11 +139,11 @@ def coordinate_norm(index: int = 0) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def linf_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return _named("linf", lambda x: fold_columns(np.maximum, np.abs(x)), _max_law())
+    return _named("linf", lambda x: fold_columns(np.maximum, np.abs(x)), _moment_law(math.inf))
 
 
 def l1_norm() -> Callable[[np.ndarray], np.ndarray]:
-    return _named("l1", lambda x: fold_columns(np.add, np.abs(x)), _sum_law())
+    return _named("l1", lambda x: fold_columns(np.add, np.abs(x)), _moment_law(1.0))
 
 
 def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -159,8 +154,7 @@ def lp_norm(p: float) -> Callable[[np.ndarray], np.ndarray]:
     if not p >= 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     name = "lp:" + repr(float(p)).removesuffix(".0")
-    law = _max_law() if math.isinf(p) else _sum_law() if p == 1 else None
-    return _named(name, lambda x: lp_rows(x, p), law)
+    return _named(name, lambda x: lp_rows(x, p), _moment_law(p))
 
 
 def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,19 +163,15 @@ def gauge_norm(body: UnconditionalBody) -> Callable[[np.ndarray], np.ndarray]:
     ``x`` is never written (the package's gauges only read their
     input, and an l_p ball's makes no second copy).  A body
     without a gauge, or one unbounded along some axis (its gauge vanishes
-    there), raises ``ValueError``.  A validated body with a ``box`` of
-    positive radii, or a validated cross-polytope, gives its norm the
-    moment law of its dimension."""
+    there), raises ``ValueError``.  A body whose law is a box of positive
+    radii, or an l_1 ball of equal radii, gives its norm the moment law of
+    its dimension (an unvalidated body has no law)."""
     gauge = body.gauge
     if gauge is None:
         raise ValueError(f"body {body.descriptor()!r} has no gauge")
     if not (gauge(np.eye(body.dim)) > 0).all():
         raise ValueError("gauge of an unbounded body is not a norm")
-    law = None
-    if body.validated and body.box is not None and min(body.box) > 0:
-        law = _max_law(body.box)
-    elif body.validated and body.kind == "cross-polytope":
-        law = _sum_law(body.params["scale"], body.dim)
+    law = None if body.law is None else _moment_law(body.law.p, body.law.radii)
     return _named(f"gauge[{body.descriptor()}]", lambda x: gauge(np.abs(x)), law)
 
 

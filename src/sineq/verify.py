@@ -19,8 +19,8 @@ package checks three interchangeable formulations:
   flipping at t = 1.
 
 Every comparison-set formula (calibration, moment, dilation rate, curve)
-comes from the body measure's :class:`measures.Factor`, and coordinate
-boxes get their closed forms from :func:`integrate.box_forms`; this
+comes from the body measure's :class:`measures.Factor`, and a body's law
+gives its closed forms through :func:`bodies.closed_forms`; this
 module holds the margins, not the formulas.  :class:`BodyStats` is the
 :class:`integrate.Pass` of :func:`body_statistics` plus its body, and every
 standard error is the delta method on that pass's covariance.
@@ -176,7 +176,7 @@ def body_statistics(
     gauge = body.gauge
 
     def closed():
-        forms = _integ.box_forms(body, measure.factor, grid)
+        forms = _b.closed_forms(body, measure.factor, grid)
         return None if forms is None else [*forms.curve, forms.moment]
 
     def columns(r: np.ndarray) -> _integ.Sublevels | _integ.Indicators:

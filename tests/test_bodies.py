@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sineq.bodies import (
+    Law,
     annulus_body,
     box_body,
     check_downward_closed,
@@ -12,6 +14,7 @@ from sineq.bodies import (
     cross_polytope,
     cube_body,
     custom_reinhardt,
+    closed_forms,
     cylinder_body,
     interval_radii,
     norm_ball,
@@ -21,10 +24,11 @@ from sineq.bodies import (
     reinhardt_lp_ball,
     strip_body,
     unconditional_lp_ball,
+    validate_body,
 )
 from sineq.bodies import NonFiniteIntegrandError, ReinhardtBody, UnconditionalBody, require_finite
 from sineq.integrate import Engine, SampleMoments, Sublevels, measure_estimate
-from sineq.measures import complex_gaussian, moduli
+from sineq.measures import RADIAL_FACTOR, MeasureKind, complex_gaussian, moduli
 from sineq.moments import lp_norm
 
 
@@ -299,6 +303,74 @@ class TestIntervalRadii:
         est = measure_estimate(body, complex_gaussian(1), Engine(samples=20_000, seed=3))
         assert est.method == "mc(20000, 3)"
         assert abs(est.value - -math.expm1(-2.0)) <= 4 * est.std_error
+
+
+class TestLaw:
+    def test_constructors_set_the_law(self):
+        assert polydisc([1.0, 2.0]).law == Law((1.0, 2.0), math.inf)
+        assert strip_body(0.5, 2).law == Law((0.5, math.inf))
+        assert cross_polytope(2.0, 3).law == Law((2.0, 2.0, 2.0), 1.0)
+        assert unconditional_lp_ball(3.0, 2, 1.5, [0.5, 2.0]).law == Law((3.0, 0.75), 3.0)
+        assert reinhardt_lp_ball([1.0, 2.0], 0.5).law == Law((1.0, 0.5), 0.5)
+        for body in (reinhardt_lp_ball([1.0], math.inf), annulus_body(0.5, 1.0),
+                     custom_reinhardt(1, lambda r: r[:, 0] <= 1.0),
+                     norm_ball(lambda m: m[:, 0], 1.0, 1)):
+            assert body.law is None
+
+    def test_hand_built_law_is_not_trusted(self):
+        # a disc of radius 2 given the unit disc's law: no closed form
+        # reads that law, before or after the body is validated
+        body = ReinhardtBody(dim=1, kind="x", params={"n": 1},
+                             gauge=lambda m: m[:, 0] / 2.0, law=polydisc([1.0]).law)
+        measure = complex_gaussian(1)
+        for b in (body, validate_body(body)):
+            assert b.law is None and closed_forms(b, RADIAL_FACTOR) is None
+            est = measure_estimate(b, measure, Engine(samples=20_000, seed=3))
+            assert est.method == "mc(20000, 3)"
+            assert abs(est.value - -math.expm1(-2.0)) <= 4 * est.std_error
+            with pytest.raises(ValueError, match="no closed form"):
+                measure_estimate(b, measure, Engine(method="exact"))
+
+    @pytest.mark.parametrize("body", [
+        polydisc([0.7, 1.3]),
+        cube_body(1.1, 3),
+        product(strip_body(0.5, 1), cube_body(1.5, 1).dilate(2.0), strip_body(2.0, 1)),
+    ], ids=["polydisc", "cube", "product"])
+    def test_a_replaced_predicate_keeps_the_law(self, body):
+        # a tracer swaps the predicate for a spy that records its calls
+        calls = []
+        spy = replace(body, base=lambda m: calls.append(m) or body.base(m))
+        assert spy.law == body.law is not None
+        measure, grid = MeasureKind(body.measure_tag, body.dim), (0.5, 1.0, 2.0)
+        exact = Engine(method="exact")
+        assert closed_forms(spy, measure.factor, grid) == closed_forms(body, measure.factor, grid)
+        assert measure_estimate(spy, measure, exact) == measure_estimate(body, measure, exact)
+        assert calls == []
+
+    def test_a_product_of_boxes_joins_the_radii(self):
+        p = product(polydisc([1.0, 2.0]), cylinder_body(1.5, 2))
+        assert p.law == Law((1.0, 2.0, 1.5, math.inf), math.inf)
+        assert product(polydisc([1.0]), p.dilate(2.0)).law == Law((1.0, 2.0, 4.0, 3.0, math.inf))
+
+    @pytest.mark.parametrize("other", [
+        unconditional_lp_ball(2.0, 2), cross_polytope(1.0, 2),
+        norm_ball(lambda m: m.max(axis=1), 1.0, 2),
+    ], ids=["lp-ball", "cross-polytope", "norm-ball"])
+    def test_a_product_with_a_part_that_is_not_a_box_has_no_law(self, other):
+        assert product(cube_body(1.0, 1), other).law is None
+        assert product(other, strip_body(1.0, 1)).dilate(2.0).law is None
+
+    @pytest.mark.parametrize("t", [0.3, 1.7, 2.0 / 3.0, 1e-3, 123.456])
+    def test_a_dilate_has_the_radii_of_its_parameters(self, t):
+        # bit for bit: the law scales each radius as dilate scales the
+        # parameter it came from (TestIntervalRadii covers the polydisc)
+        for body, key in ((cylinder_body(1.3, 1), "R"), (strip_body(0.9, 1), "p"),
+                          (cube_body(1.1, 1), "a"), (cross_polytope(1.9, 1), "scale")):
+            d = body.dilate(t)
+            assert d.law.radii == (d.params[key],)
+            assert d.law.p == body.law.p
+        d = cross_polytope(1.9, 3).dilate(t)
+        assert d.law == cross_polytope(d.params["scale"], 3).law
 
 
 class TestDescriptors:

@@ -793,13 +793,13 @@ class TestClosedFormsOnlyWhenUsed:
 
     @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
     def test_mc_never_calls_box_closed_forms(self, capsys, monkeypatch, argv):
-        from sineq import integrate
+        from sineq import bodies
 
         argv = [*argv, "--engine", "mc", "--samples", "3000", "--seed", "5"]
         want = run_cli(capsys, *argv)
         calls = []
-        box_closed_forms = integrate.box_closed_forms
-        monkeypatch.setattr(integrate, "box_closed_forms",
+        box_closed_forms = bodies.box_closed_forms
+        monkeypatch.setattr(bodies, "box_closed_forms",
                             lambda *a: calls.append(a) or box_closed_forms(*a))
         assert run_cli(capsys, *argv) == want and want[0] == 0
         assert calls == []

@@ -335,10 +335,11 @@ class TestRestrictedWeight:
         assert (RADIAL_FACTOR.weight(a), EXP_FACTOR.weight(a)) == (2.0, 1.0)
 
     def test_huge_box_radius_has_the_closed_forms_of_an_infinite_one(self):
-        from sineq.integrate import box_forms
+        from sineq.bodies import closed_forms
 
         grid = (0.5, 1.0, 2.0)
-        huge, inf = (box_forms(polydisc([1.0, b]), RADIAL_FACTOR, grid) for b in (1e200, math.inf))
+        huge, inf = (closed_forms(polydisc([1.0, b]), RADIAL_FACTOR, grid)
+                     for b in (1e200, math.inf))
         assert huge == inf
         assert huge.moment == RADIAL_FACTOR.comparison_moment(RADIAL_FACTOR.cdf(1.0), 2)[0]
 

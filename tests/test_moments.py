@@ -455,8 +455,9 @@ class TestExactPath:
             moment_ratio(norm, 2.0, 1.0, 2, Engine(method="exact"))
 
     def test_bodies_whose_gauge_has_no_law(self):
+        cube = cube_body(1.0, 2)
         hand_built = UnconditionalBody(dim=2, kind="cube", params={"a": 1.0, "n": 2},
-                                       gauge=cube_body(1.0, 2).gauge, box=(1.0, 1.0))
+                                       gauge=cube.gauge, law=cube.law)
         zero_radius = box_body([1.0, 0.0])
         for body in (hand_built, zero_radius, unconditional_lp_ball(2.0, 2)):
             assert gauge_norm(body).moment_law is None
@@ -464,6 +465,23 @@ class TestExactPath:
     def test_gauge_law_needs_the_body_dimension(self):
         assert gauge_norm(cube_body(1.0, 3)).moment_law(2, 1.0) is None
         assert gauge_norm(cross_polytope(1.0, 3)).moment_law(2, 1.0) is None
+
+    @pytest.mark.parametrize("weights", [None, (2.0, 2.0, 2.0)], ids=["unit", "twos"])
+    def test_l1_balls_of_equal_radii_have_the_cross_polytope_law(self, weights):
+        # radii 2 and 1: the Gamma(n) law at either scale, and a ratio that
+        # is the cross-polytope's to the bit
+        ball = unconditional_lp_ball(1.0, 3, 2.0, weights)
+        pair = moment_ratio(ball, 3.0, 1.0, 3)
+        assert pair.moment_p.method == "closed-form"
+        assert pair.ratio == moment_ratio(cross_polytope(2.0, 3), 3.0, 1.0, 3).ratio
+        mc = moment_ratio(ball, 3.0, 1.0, 3, Engine(method="mc", samples=1_000_000, seed=4))
+        assert abs(mc.ratio - pair.ratio) <= 4 * mc.ratio_se
+
+    def test_l1_ball_of_unequal_radii_has_no_law(self):
+        ball = unconditional_lp_ball(1.0, 3, 2.0, [1.0, 2.0, 2.0])
+        assert gauge_norm(ball).moment_law is None
+        assert moment_ratio(ball, 3.0, 1.0, 3, Engine(samples=2000)).moment_p.method == \
+            "mc(2000, 42)"
 
 
 class TestSharpnessMap:
